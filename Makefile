@@ -46,8 +46,7 @@ bench-compare:
 	cp BENCH_sim.json BENCH_sim.base.json
 	$(MAKE) bench-short
 	status=0; $(GO) run ./cmd/benchjson -compare -threshold $(BENCH_THRESHOLD) -min $(BENCH_MIN) \
-		-metric devices/sec:+ -metric memo-hit-rate:+ -metric vector-rate:+ -metric fused-rate:+ \
-		-metric cohort-spin-rate:+ -metric pwm-fused-rate:+ \
+		-metric devices/sec:+ -metric memo-hit-rate:+ \
 		BENCH_sim.base.json BENCH_sim.json || status=$$?; \
 	rm -f BENCH_sim.base.json; exit $$status
 
@@ -67,8 +66,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzConnect -fuzztime=5s ./internal/storage
 	$(GO) test -run='^$$' -fuzz=FuzzCommitAtomicity -fuzztime=5s ./internal/task
 	$(GO) test -run='^$$' -fuzz=FuzzPartialDecode -fuzztime=5s ./internal/fleetsvc
-	$(GO) test -run='^$$' -fuzz=FuzzBatchSplit -fuzztime=5s ./internal/fleet
-	$(GO) test -run='^$$' -fuzz=FuzzPhaseKey -fuzztime=5s ./internal/harvest
 
 # Distributed-path smoke: launch a loopback coordinator plus two
 # worker processes (real capyfleet binaries, not in-process goroutines)

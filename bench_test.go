@@ -19,7 +19,6 @@ import (
 	"capybara/internal/experiments"
 	"capybara/internal/fleet"
 	"capybara/internal/shard"
-	"capybara/internal/task"
 )
 
 // BenchmarkFigure2 regenerates the fixed-capacity trade-off traces.
@@ -305,156 +304,6 @@ func BenchmarkFleetBaseline(b *testing.B) {
 		cfg := fleetBenchConfig()
 		cfg.Jobs = 1
 		cfg.NoRecycle = true
-		r, err := fleet.Run(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = r
-	}
-	b.ReportMetric(res.DevicesSec, "devices/sec")
-}
-
-// BenchmarkFleetBatch measures the keyed batch-lockstep path in
-// isolation: the BenchmarkFleet workload at -jobs=1 with unlimited
-// replay width and the lockstep cursor disabled (fleet.Config.NoVector),
-// so every replay still pays key construction plus the hash-map probe.
-// The devices/sec delta against BenchmarkFleetScalar is purely the
-// batch engine; against BenchmarkFleetVectorized it is purely the
-// cursor. batch-replay-rate is the fraction of device operations
-// answered by replaying a batch leader's solve; batch-mean-width is
-// how many devices, on average, advanced through one solve. The
-// report is byte-identical to the scalar path's
-// (TestFleetBatchInvariant).
-func BenchmarkFleetBatch(b *testing.B) {
-	var res *fleet.Result
-	for i := 0; i < b.N; i++ {
-		cfg := fleetBenchConfig()
-		cfg.Jobs = 1
-		cfg.NoVector = true
-		r, err := fleet.Run(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = r
-	}
-	b.ReportMetric(res.DevicesSec, "devices/sec")
-	b.ReportMetric(res.Batch.HitRate(), "batch-replay-rate")
-	b.ReportMetric(res.Batch.MeanWidth(), "batch-mean-width")
-}
-
-// BenchmarkFleetVectorized is BenchmarkFleetBatch with the lockstep
-// cursor on: replays that stay in lockstep follow the cache's memoized
-// chain edges and verify the live state directly against the
-// predecessor's post-state image, skipping key construction and the
-// hash probe entirely. vector-rate is the fraction of replays served
-// through the cursor; the devices/sec delta against BenchmarkFleetBatch
-// is the cursor's whole win. Fused stepping is off, so this is also the
-// pure stage-2 control for BenchmarkFleetFused. Byte-identical to both
-// (TestFleetVectorInvariant).
-func BenchmarkFleetVectorized(b *testing.B) {
-	var res *fleet.Result
-	for i := 0; i < b.N; i++ {
-		cfg := fleetBenchConfig()
-		cfg.Jobs = 1
-		cfg.NoFuse = true
-		r, err := fleet.Run(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = r
-	}
-	b.ReportMetric(res.DevicesSec, "devices/sec")
-	b.ReportMetric(res.Batch.HitRate(), "batch-replay-rate")
-	b.ReportMetric(res.Batch.VectorRate(), "vector-rate")
-}
-
-// BenchmarkFleetFused is the stage-3 engine: fused task-engine stepping
-// over the vectorized batch path, with the stage-4 extensions (cohort
-// -shared spins, phase-keyed tapes) pinned off so it stays the clean
-// per-device-fusion control for BenchmarkFleetCohortSpin. Lockstep
-// cohorts replay whole engine steps — power-manager prepare, task body,
-// transition commit — from recorded effect tapes, and bit-exact
-// fixed-point steps spin for whole verified spans without returning to
-// the engine loop. fused-rate is the fraction of eligible engine steps
-// served by replay (fleet-wide); capyP-fused-rate scopes it to the
-// Capy-P steady cohorts, the lockstep population the paper's
-// architecture targets (time-varying-source cohorts are designed out:
-// their steps fail the constancy evidence and adaptively bypass). The
-// devices/sec delta against BenchmarkFleetVectorized is fusion's whole
-// win; the report is byte-identical (TestFleetVectorInvariant).
-func BenchmarkFleetFused(b *testing.B) {
-	var res *fleet.Result
-	for i := 0; i < b.N; i++ {
-		cfg := fleetBenchConfig()
-		cfg.Jobs = 1
-		cfg.NoCohortSpin = true
-		cfg.NoPhaseKeys = true
-		r, err := fleet.Run(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = r
-	}
-	var capyP task.FuseStats
-	for i, cs := range res.Cohorts {
-		if cs.Cohort.Variant == core.CapyP && cs.Cohort.Scenario == fleet.Steady {
-			capyP.Add(res.CohortFuse[i])
-		}
-	}
-	b.ReportMetric(res.DevicesSec, "devices/sec")
-	b.ReportMetric(res.Fuse.FusedRate(), "fused-rate")
-	b.ReportMetric(capyP.FusedRate(), "capyP-fused-rate")
-	b.ReportMetric(res.Fuse.HintRate(), "fuse-hint-rate")
-}
-
-// BenchmarkFleetCohortSpin is the full stage-4 engine (the default knob
-// mix): cohort-shared fixed-point spins and phase-keyed tapes over the
-// fused vectorized batch path. Spin plans built by the first cohort
-// member through a fixed point are cached on the template and reused by
-// every later member — cohort-spin-rate is the fraction of spins that
-// reused a plan, spin-fold the resulting per-plan amortization — and
-// phase keys let charges under finite constancy horizons record and
-// replay, which is what moves the PWM cohorts' fused rate off zero
-// (pwm-fused-rate; compare BenchmarkFleetFused, where it is pinned at
-// 0). The devices/sec delta against BenchmarkFleetFused is stage 4's
-// whole win; the report is byte-identical (TestFleetCohortSpinInvariant).
-func BenchmarkFleetCohortSpin(b *testing.B) {
-	var res *fleet.Result
-	for i := 0; i < b.N; i++ {
-		cfg := fleetBenchConfig()
-		cfg.Jobs = 1
-		r, err := fleet.Run(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = r
-	}
-	var capyP, pwm task.FuseStats
-	for i, cs := range res.Cohorts {
-		if cs.Cohort.Variant == core.CapyP && cs.Cohort.Scenario == fleet.Steady {
-			capyP.Add(res.CohortFuse[i])
-		}
-		if cs.Cohort.Scenario == fleet.PWM {
-			pwm.Add(res.CohortFuse[i])
-		}
-	}
-	b.ReportMetric(res.DevicesSec, "devices/sec")
-	b.ReportMetric(res.Fuse.FusedRate(), "fused-rate")
-	b.ReportMetric(capyP.FusedRate(), "capyP-fused-rate")
-	b.ReportMetric(pwm.FusedRate(), "pwm-fused-rate")
-	b.ReportMetric(res.Fuse.CohortSpinRate(), "cohort-spin-rate")
-	b.ReportMetric(res.Fuse.SpinFold(), "spin-fold-x")
-	b.ReportMetric(res.Fuse.PhaseHitRate(), "phase-hit-rate")
-}
-
-// BenchmarkFleetScalar is BenchmarkFleetBatch's control: identical
-// workload and -jobs=1, batch path disabled (fleet.Config.Batch < 0).
-func BenchmarkFleetScalar(b *testing.B) {
-	var res *fleet.Result
-	for i := 0; i < b.N; i++ {
-		cfg := fleetBenchConfig()
-		cfg.Jobs = 1
-		cfg.Batch = -1
 		r, err := fleet.Run(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)

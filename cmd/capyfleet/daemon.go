@@ -23,6 +23,22 @@ func runServeHTTP(o *options) error {
 	return serveHTTP(ctx, o, nil)
 }
 
+// Daemon server timeouts. ReadHeaderTimeout keeps a client that opens a
+// connection and trickles its request headers from holding it forever;
+// IdleTimeout closes keep-alive connections nobody is using. There is
+// deliberately no WriteTimeout: the NDJSON stream endpoint writes for as
+// long as its job runs, and a write deadline would cut the stream.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the daemon's handler in a server with the
+// timeouts above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // serveHTTP opens the store, resumes any jobs a previous daemon left
 // unfinished, and serves the job API on o.serveHTTPAddr until ctx is
 // canceled. ready, when non-nil, receives the resolved listen address
@@ -39,13 +55,6 @@ func serveHTTP(ctx context.Context, o *options, ready chan<- string) error {
 		NoMemo:        o.noMemo,
 		CacheSize:     o.cacheSize,
 		NoRecycle:     o.noRecycle,
-		Batch:         o.configBatch(),
-		NoVector:      o.noVector,
-		NoFuse:        o.noFuse,
-		NoCohortSpin:  o.noCohortSpin,
-		NoPhaseKeys:   o.noPhaseKeys,
-		BypassAfter:   o.bypassAfter,
-		BypassBelow:   o.bypassBelow,
 	})
 	if err != nil {
 		return err
@@ -61,7 +70,7 @@ func serveHTTP(ctx context.Context, o *options, ready chan<- string) error {
 		ready <- ln.Addr().String()
 	}
 
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := newHTTPServer(svc.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {

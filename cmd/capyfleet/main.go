@@ -5,9 +5,7 @@
 // Usage:
 //
 //	capyfleet -n 10000 [-seed S] [-jobs N] [-scale F] [-json] [-o FILE]
-//	          [-memo=false] [-cache N] [-recycle=false] [-batch N]
-//	          [-vector=false] [-fuse=false] [-cohort-spin=false] [-phase-keys=false]
-//	          [-bypass-after N] [-bypass-below F]
+//	          [-memo=false] [-cache N] [-recycle=false]
 //	          [-cpuprofile F] [-memprofile F]
 //
 // Sharded (multi-process) mode splits one run across machines:
@@ -66,14 +64,6 @@ type options struct {
 	noMemo    bool
 	cacheSize int
 	noRecycle bool
-	batch     int
-	noVector  bool
-	noFuse    bool
-
-	noCohortSpin bool
-	noPhaseKeys  bool
-	bypassAfter  uint64
-	bypassBelow  float64
 
 	serveAddr    string
 	connectAddr  string
@@ -188,13 +178,6 @@ func main() {
 	flag.StringVar(&o.out, "o", "", "write the report to this file instead of stdout")
 	memo := flag.Bool("memo", true, "enable per-worker charge-solve memoization")
 	flag.IntVar(&o.cacheSize, "cache", 0, "memo cache entries per worker (0 = default)")
-	flag.IntVar(&o.batch, "batch", 1024, "device-op batch replay width cap (0 = scalar path, < 0 = unlimited)")
-	vector := flag.Bool("vector", true, "enable the batch path's lockstep cursor (vectorized stepping); results are identical either way")
-	fuse := flag.Bool("fuse", true, "enable fused task-engine stepping for lockstep cohorts; results are identical either way")
-	cohortSpin := flag.Bool("cohort-spin", true, "enable cohort-shared fixed-point spins (cached spin plans, span-applied iterations); results are identical either way")
-	phaseKeys := flag.Bool("phase-keys", true, "enable phase-keyed tapes and op-cache entries for periodic sources (PWM, blackout, diurnal night); results are identical either way")
-	flag.Uint64Var(&o.bypassAfter, "bypass-after", 0, "op-cache probation: calls before the bypass heuristic may trip (0 = default 32768)")
-	flag.Float64Var(&o.bypassBelow, "bypass-below", 0, "op-cache probation: minimum replay rate to stay engaged (0 = default 0.6)")
 	recycle := flag.Bool("recycle", true, "recycle per-worker scratch (recorders, shared memo cache); false builds every device fresh")
 	flag.IntVar(&o.chunk, "chunk", 0, "devices per chunk — the checkpoint/lease granularity (0 = default)")
 	flag.StringVar(&o.serveAddr, "serve", "", "run as shard coordinator listening on this address (host:port); workers join with -connect")
@@ -215,10 +198,6 @@ func main() {
 	flag.Parse()
 	o.noMemo = !*memo
 	o.noRecycle = !*recycle
-	o.noVector = !*vector
-	o.noFuse = !*fuse
-	o.noCohortSpin = !*cohortSpin
-	o.noPhaseKeys = !*phaseKeys
 
 	if err := o.validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "capyfleet: %v\n", err)
@@ -256,37 +235,16 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-// configBatch maps the -batch flag onto fleet.Config.Batch: the flag
-// reads naturally (0 = off, N = width cap, negative = unlimited) while
-// the engine field uses < 0 = scalar, 0 = unlimited, >= 1 = cap.
-func (o *options) configBatch() int {
-	switch {
-	case o.batch == 0:
-		return -1 // scalar escape hatch
-	case o.batch < 0:
-		return 0 // unlimited replay width
-	default:
-		return o.batch
-	}
-}
-
 func (o *options) fleetConfig() fleet.Config {
 	return fleet.Config{
-		N:            o.n,
-		Seed:         o.seed,
-		Jobs:         o.jobs,
-		Scale:        o.scale,
-		ChunkSize:    o.chunk,
-		NoMemo:       o.noMemo,
-		CacheSize:    o.cacheSize,
-		NoRecycle:    o.noRecycle,
-		Batch:        o.configBatch(),
-		NoVector:     o.noVector,
-		NoFuse:       o.noFuse,
-		NoCohortSpin: o.noCohortSpin,
-		NoPhaseKeys:  o.noPhaseKeys,
-		BypassAfter:  o.bypassAfter,
-		BypassBelow:  o.bypassBelow,
+		N:         o.n,
+		Seed:      o.seed,
+		Jobs:      o.jobs,
+		Scale:     o.scale,
+		ChunkSize: o.chunk,
+		NoMemo:    o.noMemo,
+		CacheSize: o.cacheSize,
+		NoRecycle: o.noRecycle,
 	}
 }
 
@@ -408,17 +366,10 @@ func runCoordinator(o *options) error {
 func runWorker(o *options) error {
 	fmt.Fprintf(os.Stderr, "capyfleet: worker connecting to %s (%d jobs)\n", o.connectAddr, o.jobs)
 	err := shard.Work(context.Background(), o.connectAddr, o.jobs, shard.WorkerOptions{
-		NoMemo:       o.noMemo,
-		CacheSize:    o.cacheSize,
-		NoRecycle:    o.noRecycle,
-		Batch:        o.configBatch(),
-		NoVector:     o.noVector,
-		NoFuse:       o.noFuse,
-		NoCohortSpin: o.noCohortSpin,
-		NoPhaseKeys:  o.noPhaseKeys,
-		BypassAfter:  o.bypassAfter,
-		BypassBelow:  o.bypassBelow,
-		DialRetry:    o.dialRetry,
+		NoMemo:    o.noMemo,
+		CacheSize: o.cacheSize,
+		NoRecycle: o.noRecycle,
+		DialRetry: o.dialRetry,
 	})
 	if err != nil {
 		return err

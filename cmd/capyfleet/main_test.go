@@ -265,6 +265,22 @@ func TestServeHTTPDaemonEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDaemonServerTimeouts pins the daemon's HTTP server limits: slow
+// headers and idle keep-alives are cut off, but no write deadline is
+// set, because one would truncate long-lived NDJSON job streams.
+func TestDaemonServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout %v: slow-header clients can hold connections forever", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout %v: idle keep-alive connections are never closed", srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout %v would cut NDJSON streams of jobs that run longer", srv.WriteTimeout)
+	}
+}
+
 // TestServeConnectEndToEnd drives the CLI coordinator and two CLI
 // workers over loopback and asserts the sharded report is byte-for-byte
 // the single-process report.

@@ -193,7 +193,6 @@ func buildConfig(variant core.Variant, src harvest.Source,
 		} else {
 			cfg.NoMemo = true
 		}
-		cfg.Ops = scr.Ops
 	}
 	switch variant {
 	case core.Continuous, core.Fixed:

@@ -84,15 +84,6 @@ func NewCSR(variant core.Variant, sched env.Schedule, trace *sim.Trace, scr *Scr
 	if err != nil {
 		return nil, err
 	}
-	if scr != nil && scr.Fuse != nil {
-		// The sample task's steady loop reads the schedule and the
-		// report channel and stages nothing — exactly the fusion
-		// contract; report steps discard themselves (they stage channel
-		// writes and record a report).
-		inst.Engine.Fuse = scr.Fuse
-		inst.Engine.FuseSched = sched
-		inst.Engine.Rec = rec
-	}
 	return &Run{
 		Name:     "CorrSense",
 		Variant:  variant,

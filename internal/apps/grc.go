@@ -152,14 +152,6 @@ func NewGRC(variant core.Variant, fast bool, sched env.Schedule, trace *sim.Trac
 	if err != nil {
 		return nil, err
 	}
-	if scr != nil && scr.Fuse != nil {
-		// Fused stepping: the quiet-range evidence comes from the same
-		// schedule the pendulum rig wraps, so a quiet step's environment
-		// queries are clock-invariant.
-		inst.Engine.Fuse = scr.Fuse
-		inst.Engine.FuseSched = sched
-		inst.Engine.Rec = rec
-	}
 	name := "GestureCompact"
 	if fast {
 		name = "GestureFast"

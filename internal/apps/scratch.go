@@ -4,7 +4,6 @@ import (
 	"capybara/internal/metrics"
 	"capybara/internal/power"
 	"capybara/internal/sim"
-	"capybara/internal/task"
 )
 
 // Scratch bundles the reusable per-run state an application build
@@ -37,18 +36,6 @@ type Scratch struct {
 	// instance entirely. Either way results are bit-identical to the
 	// uncached solver (see power/memo.go) — only speed changes.
 	Memo *power.SegmentCache
-	// Ops, when non-nil, attaches the device-op replay cache — the
-	// fleet engine's batch execution path (see sim.OpCache). Replays
-	// are byte-identical to direct solves for every report-visible
-	// quantity; nil leaves the scalar path in effect.
-	Ops *sim.OpCache
-	// Fuse, when non-nil, attaches the fused task-engine stepper (see
-	// task.StepFuser): whole lockstep engine steps recorded once and
-	// replayed across the cohort. Builders wire it — together with the
-	// schedule and recorder its evidence checks need — into instances
-	// whose task bodies satisfy the fusion contract (GRC, CSR; not TA,
-	// whose every step stages a durable write).
-	Fuse *task.StepFuser
 }
 
 // Reset clears the run state for the next device. Backing storage and

@@ -121,15 +121,6 @@ type Runtime struct {
 	modeNext uint8
 }
 
-// FuseCounters exposes the power-manager bookkeeping counters a fused
-// engine step must track: the fused stepper (task.StepFuser) records
-// their deltas at the leader and applies them to followers without
-// re-running Prepare. Implements the fuser's optional counter
-// interface; a PowerManager without it is simply not fusible.
-func (r *Runtime) FuseCounters() (reconfigs, precharges *int) {
-	return &r.Reconfigs, &r.Precharges
-}
-
 // mode resolves name against the mode table through the memo.
 func (r *Runtime) mode(name task.EnergyMode) (Mode, bool) {
 	for i := range r.modeMemo {
@@ -341,11 +332,6 @@ type Config struct {
 	// fresh per-instance one (the fleet engine shares one per worker).
 	// Ignored when NoMemo is set.
 	Memo *power.SegmentCache
-	// Ops, when non-nil, attaches a caller-owned device-op replay
-	// cache (the fleet engine's batch path; see sim.OpCache). Replays
-	// are byte-identical to direct solves, so attaching one never
-	// changes results — only speed.
-	Ops *sim.OpCache
 }
 
 // Instance is a ready-to-run platform: device, runtime, and engine.
@@ -393,7 +379,6 @@ func New(cfg Config, prog *task.Program) (*Instance, error) {
 	dev := sim.NewDevice(sys, arr, cfg.MCU)
 	dev.Continuous = cfg.Variant == Continuous
 	dev.Trace = cfg.Trace
-	dev.Ops = cfg.Ops
 	rt := &Runtime{Dev: dev, Modes: modes, Variant: cfg.Variant}
 	eng := task.NewEngine(dev, prog, rt)
 	return &Instance{Dev: dev, Runtime: rt, Engine: eng}, nil

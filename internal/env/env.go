@@ -118,29 +118,6 @@ func (s Schedule) activeAtHint(t units.Seconds, hint *int) (Event, bool) {
 	return Event{}, false
 }
 
-// QuietRange reports whether no event is observable anywhere in
-// [t0, t1]: every query an event-sensing rig makes with a clock in that
-// range returns not-found. Events are ordered and non-overlapping, so
-// the range is quiet iff the first event ending after t0 starts after
-// t1.
-func (s Schedule) QuietRange(t0, t1 units.Seconds) bool {
-	i := sort.Search(len(s.Events), func(i int) bool { return s.Events[i].End() > t0 })
-	return i == len(s.Events) || s.Events[i].At > t1
-}
-
-// QuietBound returns the exclusive upper bound of QuietRange's second
-// argument at t0: QuietRange(t0, t1) holds exactly for t1 <
-// QuietBound(t0). +Inf when no event ends after t0 (quiet forever).
-// The fused task-engine stepper uses it to size fixed-point spin spans
-// (task.QuietBounder).
-func (s Schedule) QuietBound(t0 units.Seconds) units.Seconds {
-	i := sort.Search(len(s.Events), func(i int) bool { return s.Events[i].End() > t0 })
-	if i == len(s.Events) {
-		return units.Seconds(math.Inf(1))
-	}
-	return s.Events[i].At
-}
-
 // NextAfter returns the first event starting at or after t, if any.
 func (s Schedule) NextAfter(t units.Seconds) (Event, bool) {
 	i := sort.Search(len(s.Events), func(i int) bool { return s.Events[i].At >= t })

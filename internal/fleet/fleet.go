@@ -48,8 +48,6 @@ import (
 	"capybara/internal/metrics"
 	"capybara/internal/power"
 	"capybara/internal/runner"
-	"capybara/internal/sim"
-	"capybara/internal/task"
 	"capybara/internal/units"
 )
 
@@ -121,64 +119,6 @@ type Config struct {
 	// CacheSize bounds each worker's per-cohort memo caches (0 =
 	// default).
 	CacheSize int
-	// Batch controls the batch execution path — the per-cohort device-op
-	// replay cache (sim.OpCache) that advances state-converged devices
-	// in lockstep through shared analytic segments:
-	//
-	//	 <0  disabled: every device runs the scalar path;
-	//	  0  enabled with unlimited batch width (the default);
-	//	>=1  enabled with the batch width capped at Batch devices per
-	//	     recorded solve (1 never replays — behaviorally scalar).
-	//
-	// Replays are byte-identical to scalar solves for everything the
-	// report contains, so the report is the same at any value; this is
-	// a perf/debug knob, excluded from the Spec like the other
-	// execution knobs. NoRecycle implies the scalar path (it builds
-	// every device without worker scratch, which is where the caches
-	// live).
-	Batch int
-	// NoVector disables the batch path's lockstep cursor — the
-	// vectorized stepping that certifies a replay against the previous
-	// operation's recorded post-state instead of serializing the device
-	// state and probing the key index. Replays are byte-identical with
-	// the cursor on or off (it only short-circuits the lookup), so this
-	// is a perf A/B knob, excluded from the Spec like the others.
-	NoVector bool
-	// NoFuse disables fused task-engine stepping — the per-cohort
-	// task.StepFuser that records a whole engine step (task transition,
-	// RNG draw, event bookkeeping, clock advance) once and replays it
-	// across lockstep devices. Fused steps are byte-identical to scalar
-	// ones for every report-visible quantity, so this too is a perf A/B
-	// knob, excluded from the Spec. NoRecycle implies no fusion (the
-	// fusers live in worker scratch). Unlike Batch, fusion does not
-	// depend on the op-cache path being on.
-	NoFuse bool
-	// NoCohortSpin disables cohort-shared fixed-point spins — the
-	// stage-4 path where a selfFix template's spin bound (ULP regime +
-	// live constancy span + quiet bound) is computed once, cached on the
-	// template, and reused by every cohort member, with sample-free
-	// iterations applied as one span assignment instead of per-entry
-	// adds. Spins are byte-identical with sharing on or off (an
-	// iteration is applied only when its predicted end — the exact
-	// float-add sequence of the scalar path — stays inside the bound),
-	// so this is a perf A/B knob, excluded from the Spec.
-	NoCohortSpin bool
-	// NoPhaseKeys disables phase-keyed tapes and op-cache entries — the
-	// stage-4 extension that lets charges under *finite* constancy
-	// horizons (steady PWM, blackout, modulated sources) record and
-	// replay, discriminated by the source's phase regime
-	// (harvest.PhaseKey). Keys are cache discriminators, never evidence:
-	// duration coverage is re-proved live on every replay, so the report
-	// is byte-identical with keys on or off. Perf A/B knob, excluded
-	// from the Spec.
-	NoPhaseKeys bool
-	// BypassAfter/BypassBelow tune the op-cache probation heuristic:
-	// after BypassAfter calls (0 = the built-in 2^15 default), a cohort
-	// whose replay rate is below BypassBelow (0 = the built-in 60%)
-	// stops paying lookup overhead and runs scalar. Purely an execution
-	// heuristic — the report is byte-identical at any setting.
-	BypassAfter uint64
-	BypassBelow float64
 	// ChunkSize is the number of consecutive devices folded per
 	// aggregation chunk (0 = 64). It must not vary with Jobs — chunk
 	// boundaries define the fold order the determinism guarantee
@@ -259,14 +199,13 @@ type Result struct {
 	Elapsed    time.Duration
 	DevicesSec float64
 	Cache      power.CacheStats
-	Batch      sim.OpCacheStats
-	Fuse       task.FuseStats
-	// CohortCache/CohortBatch/CohortFuse break the engine diagnostics
-	// down per cohort (grid order), so divergence-heavy cohorts are
-	// visible. Nil when the corresponding layer is off.
+	// Batch and Fuse are always zero (see enginestats.go).
+	Batch BatchStats
+	Fuse  FuseStats
+	// CohortCache breaks the memo diagnostics down per cohort (grid
+	// order), so cohorts whose solves rarely recur are visible. Nil
+	// when memoization is off.
 	CohortCache []power.CacheStats
-	CohortBatch []sim.OpCacheStats
-	CohortFuse  []task.FuseStats
 	Workers     int
 }
 
@@ -377,20 +316,6 @@ func (j *Job) simulate(d int, ws *Scratch, cp *ChunkPartial) error {
 		// boosters, and sources, so their solves actually recur; split
 		// caches also give the per-cohort diagnostics for free.
 		ws.scr.Memo = ws.memoFor(j, ci)
-		if ops := ws.opsFor(j, ci); ops != nil {
-			ws.scr.Ops = ops
-			// A new device's first call is never a split/merge against
-			// the previous device's stream.
-			ops.BeginDevice()
-		} else {
-			ws.scr.Ops = nil
-		}
-		if fuse := ws.fuseFor(j, ci); fuse != nil {
-			ws.scr.Fuse = fuse
-			fuse.BeginDevice()
-		} else {
-			ws.scr.Fuse = nil
-		}
 		scr = &ws.scr
 	}
 	run, err := spec.Build(cohort.Variant, sched, nil, scr)

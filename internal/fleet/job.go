@@ -9,8 +9,6 @@ import (
 
 	"capybara/internal/apps"
 	"capybara/internal/power"
-	"capybara/internal/sim"
-	"capybara/internal/task"
 	"capybara/internal/units"
 )
 
@@ -33,9 +31,8 @@ type Job struct {
 
 // Spec is the wire-shippable subset of Config: exactly the fields the
 // canonical report is a function of. The execution knobs (Jobs, NoMemo,
-// NoRecycle, CacheSize, Batch, NoVector) are deliberately absent — they
-// never change a byte of the output, so each process in a sharded run
-// picks its own.
+// NoRecycle, CacheSize) are deliberately absent — they never change a
+// byte of the output, so each process in a sharded run picks its own.
 type Spec struct {
 	N         int
 	Seed      int64
@@ -44,21 +41,14 @@ type Spec struct {
 }
 
 // ExecOptions bundles the execution knobs a process chooses for itself
-// when reconstructing a job from a Spec: parallelism, cache layers, and
-// the batch/fused stepping paths. None of these change a byte of the
-// report — that is exactly why they are not part of Spec.
+// when reconstructing a job from a Spec: parallelism and the memo and
+// recycling layers. None of these change a byte of the report — that
+// is exactly why they are not part of Spec.
 type ExecOptions struct {
-	Jobs         int
-	NoMemo       bool
-	CacheSize    int
-	NoRecycle    bool
-	Batch        int
-	NoVector     bool
-	NoFuse       bool
-	NoCohortSpin bool
-	NoPhaseKeys  bool
-	BypassAfter  uint64
-	BypassBelow  float64
+	Jobs      int
+	NoMemo    bool
+	CacheSize int
+	NoRecycle bool
 }
 
 // Exec builds a Config from a received Spec plus local execution
@@ -66,21 +56,14 @@ type ExecOptions struct {
 // with their own parallelism and cache settings.
 func (s Spec) Exec(o ExecOptions) Config {
 	return Config{
-		N:            s.N,
-		Seed:         s.Seed,
-		Scale:        s.Scale,
-		ChunkSize:    s.ChunkSize,
-		Jobs:         o.Jobs,
-		NoMemo:       o.NoMemo,
-		CacheSize:    o.CacheSize,
-		NoRecycle:    o.NoRecycle,
-		Batch:        o.Batch,
-		NoVector:     o.NoVector,
-		NoFuse:       o.NoFuse,
-		NoCohortSpin: o.NoCohortSpin,
-		NoPhaseKeys:  o.NoPhaseKeys,
-		BypassAfter:  o.BypassAfter,
-		BypassBelow:  o.BypassBelow,
+		N:         s.N,
+		Seed:      s.Seed,
+		Scale:     s.Scale,
+		ChunkSize: s.ChunkSize,
+		Jobs:      o.Jobs,
+		NoMemo:    o.NoMemo,
+		CacheSize: o.CacheSize,
+		NoRecycle: o.NoRecycle,
 	}
 }
 
@@ -182,23 +165,22 @@ func (j *Job) specHash() string {
 }
 
 // Scratch is one worker's recycled simulation state: the application
-// build scratch (recorder + caches), the latency staging buffer, and
-// the per-cohort cache pools. Reusing one Scratch across many RunChunk
-// calls is what makes per-device cost simulation-bound; it is sound
-// because scratch contents never influence results (state containers
-// are Reset per device; cache hits are bit-identical to recomputes).
+// build scratch (recorder + memo cache), the latency staging buffer,
+// and the per-cohort memo caches. Reusing one Scratch across many
+// RunChunk calls is what makes per-device cost simulation-bound; it is
+// sound because scratch contents never influence results (state
+// containers are Reset per device; cache hits are bit-identical to
+// recomputes).
 type Scratch struct {
 	scr apps.Scratch
 	lat []units.Seconds
-	// memo/ops hold one cache per cohort, allocated lazily the first
-	// time a device of that cohort runs on this worker. Per-cohort
-	// caches are what make the lookups pay (a cohort's devices share
-	// hardware and source, so their solves actually recur) and what the
-	// per-cohort diagnostics are cut from. A nil slice means that cache
-	// layer is disabled for the job.
+	// memo holds one cache per cohort, allocated lazily the first time
+	// a device of that cohort runs on this worker. Per-cohort caches
+	// are what make the lookups pay (a cohort's devices share hardware
+	// and source, so their solves actually recur) and what the
+	// per-cohort diagnostics are cut from. A nil slice means
+	// memoization is disabled for the job.
 	memo []*power.SegmentCache
-	ops  []*sim.OpCache
-	fuse []*task.StepFuser
 }
 
 func (ws *Scratch) memoFor(j *Job, ci int) *power.SegmentCache {
@@ -211,53 +193,12 @@ func (ws *Scratch) memoFor(j *Job, ci int) *power.SegmentCache {
 	return ws.memo[ci]
 }
 
-func (ws *Scratch) opsFor(j *Job, ci int) *sim.OpCache {
-	if ws.ops == nil {
-		return nil
-	}
-	if ws.ops[ci] == nil {
-		ws.ops[ci] = sim.NewOpCache(0, j.cfg.Batch)
-		if j.cfg.NoVector {
-			ws.ops[ci].DisableVector()
-		}
-		ws.ops[ci].SetPhaseKeys(!j.cfg.NoPhaseKeys)
-		ws.ops[ci].SetProbation(j.cfg.BypassAfter, j.cfg.BypassBelow)
-	}
-	return ws.ops[ci]
-}
-
-func (ws *Scratch) fuseFor(j *Job, ci int) *task.StepFuser {
-	if ws.fuse == nil {
-		return nil
-	}
-	if ws.fuse[ci] == nil {
-		ws.fuse[ci] = task.NewStepFuser()
-		if j.cfg.NoCohortSpin {
-			ws.fuse[ci].DisableCohortSpin()
-		}
-		if j.cfg.NoPhaseKeys {
-			ws.fuse[ci].DisablePhaseKeys()
-		}
-	}
-	return ws.fuse[ci]
-}
-
 // NewScratch builds a Scratch configured for this job: per-cohort memo
-// caches unless the job disables memoization, and per-cohort op caches
-// when the batch path is enabled (Batch >= 0).
+// caches unless the job disables memoization or recycling.
 func (j *Job) NewScratch() *Scratch {
 	ws := &Scratch{}
-	if j.cfg.NoRecycle {
-		return ws
-	}
-	if !j.cfg.NoMemo {
+	if !j.cfg.NoRecycle && !j.cfg.NoMemo {
 		ws.memo = make([]*power.SegmentCache, len(j.grid))
-	}
-	if j.cfg.Batch >= 0 {
-		ws.ops = make([]*sim.OpCache, len(j.grid))
-	}
-	if !j.cfg.NoFuse {
-		ws.fuse = make([]*task.StepFuser, len(j.grid))
 	}
 	return ws
 }
@@ -271,13 +212,11 @@ type ChunkPartial struct {
 	Chunk   int
 	Cohorts []CohortAccum
 	Cache   power.CacheStats
-	// Memo/Ops/Fuse are the per-cohort engine-stat deltas for this chunk
-	// (grid order); nil when the corresponding layer is off. Like the
-	// cache stats they are execution diagnostics, excluded from the
-	// canonical report and the spec hash.
+	// Memo is the per-cohort memo-stat delta for this chunk (grid
+	// order); nil when memoization is off. Like the cache stats it is
+	// an execution diagnostic, excluded from the canonical report and
+	// the spec hash.
 	Memo []power.CacheStats
-	Ops  []sim.OpCacheStats
-	Fuse []task.FuseStats
 }
 
 // RunChunk simulates chunk ci's devices and folds them into a fresh
@@ -308,24 +247,6 @@ func (j *Job) RunChunk(ctx context.Context, ci int, ws *Scratch) (*ChunkPartial,
 			}
 		}
 	}
-	var opsBefore []sim.OpCacheStats
-	if ws.ops != nil {
-		opsBefore = make([]sim.OpCacheStats, len(ws.ops))
-		for i, c := range ws.ops {
-			if c != nil {
-				opsBefore[i] = c.Stats()
-			}
-		}
-	}
-	var fuseBefore []task.FuseStats
-	if ws.fuse != nil {
-		fuseBefore = make([]task.FuseStats, len(ws.fuse))
-		for i, f := range ws.fuse {
-			if f != nil {
-				fuseBefore[i] = f.Stats()
-			}
-		}
-	}
 	lo, hi := j.ChunkBounds(ci)
 	for d := lo; d < hi; d++ {
 		if err := ctx.Err(); err != nil {
@@ -352,51 +273,6 @@ func (j *Job) RunChunk(ctx context.Context, ci int, ws *Scratch) (*ChunkPartial,
 		}
 		// Worker-level Entries is a sum of per-cohort snapshots, not a
 		// delta; Fold zeroes it, matching the pre-cohort behavior.
-	}
-	if ws.ops != nil {
-		cp.Ops = make([]sim.OpCacheStats, len(ws.ops))
-		for i, c := range ws.ops {
-			if c == nil {
-				continue
-			}
-			after, b := c.Stats(), opsBefore[i]
-			d := sim.OpCacheStats{
-				Hits:        after.Hits - b.Hits,
-				Misses:      after.Misses - b.Misses,
-				Uncacheable: after.Uncacheable - b.Uncacheable,
-				Records:     after.Records - b.Records,
-				Bypassed:    after.Bypassed - b.Bypassed,
-				Splits:      after.Splits - b.Splits,
-				Merges:      after.Merges - b.Merges,
-				Vector:      after.Vector - b.Vector,
-				Entries:     after.Entries,
-			}
-			cp.Ops[i] = d
-		}
-	}
-	if ws.fuse != nil {
-		cp.Fuse = make([]task.FuseStats, len(ws.fuse))
-		for i, f := range ws.fuse {
-			if f == nil {
-				continue
-			}
-			after, b := f.Stats(), fuseBefore[i]
-			cp.Fuse[i] = task.FuseStats{
-				Steps:      after.Steps - b.Steps,
-				Replays:    after.Replays - b.Replays,
-				Hint:       after.Hint - b.Hint,
-				Records:    after.Records - b.Records,
-				Discards:   after.Discards - b.Discards,
-				Bypassed:   after.Bypassed - b.Bypassed,
-				Splits:     after.Splits - b.Splits,
-				Merges:     after.Merges - b.Merges,
-				Spins:      after.Spins - b.Spins,
-				SpinShared: after.SpinShared - b.SpinShared,
-				SpinIters:  after.SpinIters - b.SpinIters,
-				PhaseKeyed: after.PhaseKeyed - b.PhaseKeyed,
-				PhaseHits:  after.PhaseHits - b.PhaseHits,
-			}
-		}
 	}
 	return cp, nil
 }
@@ -442,25 +318,6 @@ func (j *Job) Fold(partials []*ChunkPartial) (*Result, error) {
 			for i, m := range cp.Memo {
 				m.Entries = 0
 				res.CohortCache[i].Add(m)
-			}
-		}
-		if len(cp.Ops) == len(j.grid) {
-			if res.CohortBatch == nil {
-				res.CohortBatch = make([]sim.OpCacheStats, len(j.grid))
-			}
-			for i, o := range cp.Ops {
-				o.Entries = 0
-				res.CohortBatch[i].Add(o)
-				res.Batch.Add(o)
-			}
-		}
-		if len(cp.Fuse) == len(j.grid) {
-			if res.CohortFuse == nil {
-				res.CohortFuse = make([]task.FuseStats, len(j.grid))
-			}
-			for i, f := range cp.Fuse {
-				res.CohortFuse[i].Add(f)
-				res.Fuse.Add(f)
 			}
 		}
 	}

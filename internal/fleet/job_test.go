@@ -55,7 +55,7 @@ func TestJobSpecHash(t *testing.T) {
 
 	// Spec round trip (what the wire ships) rebuilds the same hash.
 	spec := mustJob(t, base).Spec()
-	rebuilt := mustJob(t, spec.Exec(ExecOptions{Jobs: 3, NoMemo: true, CacheSize: 5, NoRecycle: true, Batch: -1, NoVector: true}))
+	rebuilt := mustJob(t, spec.Exec(ExecOptions{Jobs: 3, NoMemo: true, CacheSize: 5, NoRecycle: true}))
 	if rebuilt.SpecHash() != h {
 		t.Fatal("Spec round trip changed the hash")
 	}

@@ -222,77 +222,20 @@ func (r *Result) Diagnostics() string {
 	} else if r.Config.NoMemo {
 		b = append(b, "memo: disabled\n"...)
 	}
-	if s := r.Batch; s.Hits+s.Misses > 0 {
-		b = fmt.Appendf(b, "batch: %d lookups, %.1f%% replayed (%.1f%% vectored), %d records, mean width %.1f, %d splits, %d merges, %d bypassed, %d uncacheable\n",
-			s.Hits+s.Misses, 100*s.HitRate(), 100*s.VectorRate(), s.Records, s.MeanWidth(),
-			s.Splits, s.Merges, s.Bypassed, s.Uncacheable)
-	} else if r.Config.Batch < 0 {
-		b = append(b, "batch: disabled\n"...)
-	}
-	if f := r.Fuse; f.Steps > 0 {
-		b = fmt.Appendf(b, "fuse: %d steps, %.1f%% fused (%.1f%% chained), %d records, %d discards, %d splits, %d merges, %d bypassed\n",
-			f.Steps, 100*f.FusedRate(), 100*f.HintRate(), f.Records, f.Discards,
-			f.Splits, f.Merges, f.Bypassed)
-		if f.Spins > 0 {
-			b = fmt.Appendf(b, "spin: %d spins, %.1f%% shared (fold %.1fx), %d iters\n",
-				f.Spins, 100*f.CohortSpinRate(), f.SpinFold(), f.SpinIters)
-		}
-		if f.PhaseHits > 0 {
-			b = fmt.Appendf(b, "phase: %d phase-keyed replays (%.1f%% of replays)\n",
-				f.PhaseHits, 100*f.PhaseHitRate())
-		}
-	} else if r.Config.NoFuse {
-		b = append(b, "fuse: disabled\n"...)
-	}
 	b = r.appendCohortDiagnostics(b)
 	return string(b)
 }
 
 // appendCohortDiagnostics renders one line per cohort breaking the
-// memo and batch aggregates down, so divergence-heavy cohorts (low
-// replay rate, narrow width, split churn) are visible without a
-// profiler. Empty unless the run collected per-cohort stats.
+// memo aggregate down, so cohorts whose solves rarely recur are visible
+// without a profiler. Empty unless the run collected per-cohort stats.
 func (r *Result) appendCohortDiagnostics(b []byte) []byte {
-	for i := range r.Cohorts {
-		c := &r.Cohorts[i]
-		var line []byte
-		if i < len(r.CohortCache) {
-			if m := r.CohortCache[i]; m.Hits+m.Misses > 0 {
-				line = fmt.Appendf(line, " memo %5.1f%% hit (%d lookups)",
-					100*m.HitRate(), m.Hits+m.Misses)
-			}
-		}
-		if i < len(r.CohortBatch) {
-			if s := r.CohortBatch[i]; s.Hits+s.Misses+s.Bypassed > 0 {
-				line = fmt.Appendf(line, " | batch %5.1f%% replayed (%.0f%% vectored), width %.1f, %d splits, %d merges",
-					100*s.HitRate(), 100*s.VectorRate(), s.MeanWidth(), s.Splits, s.Merges)
-				if s.Bypassed > 0 {
-					line = fmt.Appendf(line, ", %d bypassed", s.Bypassed)
-				}
-			}
-		}
-		if i < len(r.CohortFuse) {
-			if f := r.CohortFuse[i]; f.Steps > 0 {
-				line = fmt.Appendf(line, " | fuse %5.1f%% fused (%.0f%% chained), %d records, %d discards, %d splits, %d merges",
-					100*f.FusedRate(), 100*f.HintRate(), f.Records, f.Discards, f.Splits, f.Merges)
-				if f.Bypassed > 0 {
-					line = fmt.Appendf(line, ", %d bypassed", f.Bypassed)
-				}
-				if f.Spins > 0 {
-					line = fmt.Appendf(line, " | spin %5.1f%% shared (fold %.1fx)",
-						100*f.CohortSpinRate(), f.SpinFold())
-				}
-				if f.PhaseHits > 0 {
-					line = fmt.Appendf(line, " | phase %5.1f%% of replays (%d keyed)",
-						100*f.PhaseHitRate(), f.PhaseHits)
-				}
-			}
-		}
-		if len(line) == 0 {
+	for i, m := range r.CohortCache {
+		if m.Hits+m.Misses == 0 {
 			continue
 		}
-		b = fmt.Appendf(b, "cohort %s/%s/%s:%s\n",
-			c.Cohort.App, c.Cohort.Variant, c.Cohort.Scenario, line)
+		b = fmt.Appendf(b, "cohort %s: memo %5.1f%% hit (%d lookups)\n",
+			r.Cohorts[i].Cohort, 100*m.HitRate(), m.Hits+m.Misses)
 	}
 	return b
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"capybara/internal/fleet"
@@ -71,11 +72,25 @@ func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "jobs": states})
 }
 
+// maxSubmitBody bounds a submit body. A real one is under 200 bytes;
+// the bound keeps a client from streaming unlimited data into the
+// decoder.
+const maxSubmitBody = 64 << 10
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil && dec.Decode(&struct{}{}) != io.EOF {
+		err = errors.New("data after the JSON object")
+	}
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, "submit body exceeds %d bytes", tooBig.Limit)
+		return
+	case err != nil:
 		writeError(w, http.StatusBadRequest, "bad submit body: %v", err)
 		return
 	}

@@ -71,6 +71,9 @@ func TestHTTPAPI(t *testing.T) {
 		{"submit rejects bad scale", "POST", "/api/v1/jobs", `{"n":8,"scale":3.5}`, http.StatusBadRequest, "bad scale"},
 		{"submit rejects malformed json", "POST", "/api/v1/jobs", `{"n":`, http.StatusBadRequest, "bad submit body"},
 		{"submit rejects unknown fields", "POST", "/api/v1/jobs", `{"n":8,"workers":4}`, http.StatusBadRequest, "bad submit body"},
+		{"submit rejects data after the object", "POST", "/api/v1/jobs", `{"n":16,"seed":4} {"n":16}`, http.StatusBadRequest, "data after the JSON object"},
+		{"submit accepts a trailing newline", "POST", "/api/v1/jobs", "{\"n\":16,\"seed\":5,\"scale\":0.02,\"chunk_size\":8}\n", http.StatusCreated, `"state"`},
+		{"submit rejects an oversized body", "POST", "/api/v1/jobs", `{"n":16,"seed":4` + strings.Repeat(" ", maxSubmitBody) + `}`, http.StatusRequestEntityTooLarge, "exceeds"},
 		{"submit is POST-only", "GET", "/api/v1/jobs/" + done.ID + "/cancel", "", http.StatusMethodNotAllowed, ""},
 		{"list", "GET", "/api/v1/jobs", "", http.StatusOK, `"jobs"`},
 		{"status ok", "GET", "/api/v1/jobs/" + done.ID, "", http.StatusOK, `"state": "done"`},
@@ -112,9 +115,9 @@ func TestHTTPAPI(t *testing.T) {
 }
 
 // TestHTTPCohortEngineStats: the ?cohorts=1 status view carries each
-// cohort's engine-stat sidecars — memo cache, batch replay, and fused
-// stepping — folded over completed chunks, so per-cohort execution
-// diagnostics are visible through the job API without the report.
+// cohort's memo-cache sidecar folded over completed chunks, so
+// per-cohort execution diagnostics are visible through the job API
+// without the report.
 func TestHTTPCohortEngineStats(t *testing.T) {
 	svc, srv := testServer(t, ServiceConfig{})
 	done, err := svc.Submit(fleet.Spec{N: 16, Seed: 2, Scale: 0.02, ChunkSize: 8})
@@ -138,18 +141,17 @@ func TestHTTPCohortEngineStats(t *testing.T) {
 	if len(doc.Cohorts) == 0 {
 		t.Fatal("no cohorts in status view")
 	}
-	fusedSteps := uint64(0)
+	lookups := uint64(0)
 	for _, c := range doc.Cohorts {
-		// All three engine layers are on by default, so every touched
-		// cohort must carry all three sidecars.
-		if c.Memo == nil || c.Batch == nil || c.Fuse == nil {
-			t.Fatalf("cohort %s missing engine stats: memo=%v batch=%v fuse=%v",
-				c.Cohort, c.Memo != nil, c.Batch != nil, c.Fuse != nil)
+		// Memoization is on by default, so every touched cohort must
+		// carry the sidecar.
+		if c.Memo == nil {
+			t.Fatalf("cohort %s missing memo stats", c.Cohort)
 		}
-		fusedSteps += c.Fuse.Steps
+		lookups += c.Memo.Hits + c.Memo.Misses
 	}
-	if fusedSteps == 0 {
-		t.Fatal("no cohort reported fused-stepping attempts — sidecar is not being folded")
+	if lookups == 0 {
+		t.Fatal("no cohort reported memo lookups — sidecar is not being folded")
 	}
 }
 

@@ -15,8 +15,6 @@ import (
 
 	"capybara/internal/fleet"
 	"capybara/internal/power"
-	"capybara/internal/sim"
-	"capybara/internal/task"
 )
 
 // Service is the fleet-as-a-service layer: a queue of fleet jobs whose
@@ -45,24 +43,6 @@ type ServiceConfig struct {
 	NoMemo    bool
 	CacheSize int
 	NoRecycle bool
-	// Batch is the device-op replay width cap (fleet Config.Batch:
-	// < 0 scalar, 0 unlimited, >= 1 cap).
-	Batch int
-	// NoVector disables the batch path's lockstep cursor (fleet
-	// Config.NoVector).
-	NoVector bool
-	// NoFuse disables fused task-engine stepping (fleet Config.NoFuse).
-	NoFuse bool
-	// NoCohortSpin disables cohort-shared fixed-point spins (fleet
-	// Config.NoCohortSpin).
-	NoCohortSpin bool
-	// NoPhaseKeys disables phase-keyed tapes and op-cache entries (fleet
-	// Config.NoPhaseKeys).
-	NoPhaseKeys bool
-	// BypassAfter/BypassBelow tune the op-cache probation heuristic
-	// (fleet Config.BypassAfter/BypassBelow; 0 = defaults).
-	BypassAfter uint64
-	BypassBelow float64
 }
 
 // Job states. queued and running survive a daemon restart (the
@@ -110,19 +90,16 @@ type JobStatus struct {
 
 // CohortProgress is one cohort's running partial fold — served while a
 // job runs, merged in chunk-index order over completed chunks only, so
-// a snapshot at a given done-count is deterministic. Memo, Batch, and
-// Fuse carry the cohort's engine-stat sidecars (memo cache, device-op
-// replay, fused stepping) folded over the same chunks; each is nil when
-// that layer was off for the run. They are execution diagnostics — they
-// never appear in the canonical report.
+// a snapshot at a given done-count is deterministic. Memo carries the
+// cohort's memo-cache sidecar folded over the same chunks; it is nil
+// when memoization was off for the run. It is an execution diagnostic —
+// it never appears in the canonical report.
 type CohortProgress struct {
 	Cohort   string            `json:"cohort"`
 	Devices  int               `json:"devices"`
 	Events   int               `json:"events"`
 	Accuracy float64           `json:"accuracy_mean"`
 	Memo     *power.CacheStats `json:"memo,omitempty"`
-	Batch    *sim.OpCacheStats `json:"batch,omitempty"`
-	Fuse     *task.FuseStats   `json:"fuse,omitempty"`
 }
 
 // jobRecord is the journaled form of a job: everything a successor
@@ -327,17 +304,10 @@ func (s *Service) engineConfig(si SpecInfo) fleet.Config {
 
 func (s *Service) execOptions() fleet.ExecOptions {
 	return fleet.ExecOptions{
-		Jobs:         s.cfg.Jobs,
-		NoMemo:       s.cfg.NoMemo,
-		CacheSize:    s.cfg.CacheSize,
-		NoRecycle:    s.cfg.NoRecycle,
-		Batch:        s.cfg.Batch,
-		NoVector:     s.cfg.NoVector,
-		NoFuse:       s.cfg.NoFuse,
-		NoCohortSpin: s.cfg.NoCohortSpin,
-		NoPhaseKeys:  s.cfg.NoPhaseKeys,
-		BypassAfter:  s.cfg.BypassAfter,
-		BypassBelow:  s.cfg.BypassBelow,
+		Jobs:      s.cfg.Jobs,
+		NoMemo:    s.cfg.NoMemo,
+		CacheSize: s.cfg.CacheSize,
+		NoRecycle: s.cfg.NoRecycle,
 	}
 }
 
@@ -546,8 +516,6 @@ func (s *Service) Cohorts(id string) ([]CohortProgress, error) {
 	grid := j.fjob.Cohorts()
 	accum := make([]fleet.CohortAccum, len(grid))
 	var memo []power.CacheStats
-	var batch []sim.OpCacheStats
-	var fuse []task.FuseStats
 	j.mu.Lock()
 	for _, cp := range j.partials {
 		if cp == nil {
@@ -562,8 +530,8 @@ func (s *Service) Cohorts(id string) ([]CohortProgress, error) {
 				return nil, err
 			}
 		}
-		// Engine-stat sidecars fold like the fleet's own Fold: per-cohort
-		// deltas sum; snapshot-valued Entries fields don't.
+		// The memo sidecar folds like the fleet's own Fold: per-cohort
+		// deltas sum; the snapshot-valued Entries field doesn't.
 		if len(cp.Memo) == len(grid) {
 			if memo == nil {
 				memo = make([]power.CacheStats, len(grid))
@@ -571,23 +539,6 @@ func (s *Service) Cohorts(id string) ([]CohortProgress, error) {
 			for i, m := range cp.Memo {
 				m.Entries = 0
 				memo[i].Add(m)
-			}
-		}
-		if len(cp.Ops) == len(grid) {
-			if batch == nil {
-				batch = make([]sim.OpCacheStats, len(grid))
-			}
-			for i, o := range cp.Ops {
-				o.Entries = 0
-				batch[i].Add(o)
-			}
-		}
-		if len(cp.Fuse) == len(grid) {
-			if fuse == nil {
-				fuse = make([]task.FuseStats, len(grid))
-			}
-			for i, f := range cp.Fuse {
-				fuse[i].Add(f)
 			}
 		}
 	}
@@ -606,14 +557,6 @@ func (s *Service) Cohorts(id string) ([]CohortProgress, error) {
 		if memo != nil {
 			m := memo[i]
 			p.Memo = &m
-		}
-		if batch != nil {
-			b := batch[i]
-			p.Batch = &b
-		}
-		if fuse != nil {
-			f := fuse[i]
-			p.Fuse = &f
 		}
 		out = append(out, p)
 	}

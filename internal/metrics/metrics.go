@@ -90,17 +90,6 @@ func rank(o Outcome) int {
 	}
 }
 
-// SampleCount returns the number of samples recorded so far. Together
-// with SampleAt it gives replay machinery (task.StepFuser) a
-// copy-free view of the tail recorded during one engine step.
-func (r *Recorder) SampleCount() int { return len(r.samples) }
-
-// SampleAt returns the i-th recorded sample time.
-func (r *Recorder) SampleAt(i int) units.Seconds { return r.samples[i] }
-
-// ReportCount returns the number of distinct event reports recorded.
-func (r *Recorder) ReportCount() int { return len(r.reports) }
-
 // Samples returns the recorded sample times in order.
 func (r *Recorder) Samples() []units.Seconds {
 	out := make([]units.Seconds, len(r.samples))

@@ -379,10 +379,8 @@ func (m *SegmentCache) put(k segKey, e *segEntry) {
 // hit) and whether the target was reached. The contract matches
 // chargeSegment: the caller must guarantee the source output is
 // constant on [t, t+dt) — AdvanceCharge and TimeToChargeTo bound their
-// iterations by segmentHorizon to establish it, and sim's fused charge
-// loop passes its own source-change horizon through directly, skipping
-// the per-iteration stepping machinery for a batch of devices crossing
-// the same segment.
+// iterations by segmentHorizon to establish it, and sim's charge loop
+// passes its own source-change horizon through directly.
 func (s *System) StepSegment(st Store, target units.Voltage, t, dt units.Seconds) (units.Seconds, bool) {
 	m := s.Memo
 	if m == nil {

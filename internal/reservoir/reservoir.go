@@ -413,20 +413,11 @@ func (a *Array) NextRevert() units.Seconds {
 
 func (a *Array) allBanks() []*storage.Bank { return a.all }
 
-// StateSize returns the number of float64 words AppendState emits: one
-// bank voltage per bank (base first) plus one latch voltage per switch.
-func (a *Array) StateSize() int { return len(a.all) + len(a.switches) }
-
 // AppendState appends the array's complete mutable electrical state —
-// every bank voltage and every latch voltage — to dst and returns the
-// extended slice plus the active-bank mask. Together with the loss
-// accumulators (LeakLoss, ShareLoss) and the Reverts counter, which the
-// caller snapshots separately, this is everything a passive tick or
-// discharge can change; the counters Reconfigurations and Bank cycle
-// counts only move under Configure/Bank.Discharge, which the replayed
-// operations never call. The sim-layer op cache uses the words as an
-// exact (bitwise) state fingerprint and as the restore image for
-// replayed operations.
+// every bank voltage (base first) and every latch voltage — to dst and
+// returns the extended slice plus the active-bank mask. Together with
+// the loss accumulators (LeakLoss, ShareLoss) and the Reverts counter,
+// this is everything a passive tick or discharge can change.
 func (a *Array) AppendState(dst []float64) ([]float64, uint64) {
 	for _, b := range a.all {
 		dst = append(dst, float64(b.Voltage()))
@@ -437,40 +428,11 @@ func (a *Array) AppendState(dst []float64) ([]float64, uint64) {
 	return dst, a.ActiveMask()
 }
 
-// RestoreState sets the array to a state previously captured by
-// AppendState: bank voltages, latch voltages, and switch positions from
-// the mask. Restoring values the array itself produced is bit-exact —
-// Bank.SetVoltage clamps to [0, rated], and captured voltages are
-// already inside that range. The active-set caches are refreshed when
-// the switch configuration changed.
-func (a *Array) RestoreState(vals []float64, mask uint64) {
-	for i, b := range a.all {
-		b.SetVoltage(units.Voltage(vals[i]))
-	}
-	nb := len(a.all)
-	changed := false
-	for i, s := range a.switches {
-		s.latchV = units.Voltage(vals[nb+i])
-		want := mask&(1<<uint(i+1)) != 0
-		if s.closed != want {
-			s.closed = want
-			changed = true
-		}
-	}
-	if changed {
-		a.refreshActive()
-	}
-}
-
 // MatchState reports whether the array's present mutable state — every
 // bank voltage, every latch voltage, and the switch configuration — is
-// bit-identical to a state previously captured by AppendState. It is
-// the sim-layer lockstep cursor's divergence check: a batch follower
-// verifies it is still on the recorded trajectory by comparing the live
-// array against the previous operation's recorded post-state, without
-// serializing the live state into a key. Comparison is on IEEE-754 bit
-// patterns, mirroring the op-cache keys (float equality would conflate
-// -0 with 0 and can never match a NaN against itself).
+// bit-identical to a state previously captured by AppendState.
+// Comparison is on IEEE-754 bit patterns: float equality would conflate
+// -0 with 0 and can never match a NaN against itself.
 func (a *Array) MatchState(vals []float64, mask uint64) bool {
 	if mask != a.actMask || len(vals) != len(a.all)+len(a.switches) {
 		return false

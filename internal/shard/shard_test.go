@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"capybara/internal/fleet"
-	"capybara/internal/task"
+	"capybara/internal/power"
 )
 
 // testConfig is small enough for unit tests but decomposes into 12
@@ -111,11 +111,11 @@ func TestShardByteIdentical(t *testing.T) {
 }
 
 // TestShardFoldsEngineStatSidecars: worker partials carry the
-// per-cohort engine-stat sidecars (memo, batch, fused stepping) over
-// the wire, and the coordinator folds them into the Result's
-// diagnostics exactly like the in-process engine — so a sharded
-// -connect run loses no cohort visibility. The sidecars must stay out
-// of the canonical report (TestShardByteIdentical pins that side).
+// per-cohort memo-stat sidecar over the wire, and the coordinator folds
+// it into the Result's diagnostics exactly like the in-process engine —
+// so a sharded -connect run loses no cohort visibility. The sidecar
+// must stay out of the canonical report (TestShardByteIdentical pins
+// that side).
 func TestShardFoldsEngineStatSidecars(t *testing.T) {
 	cfg := testConfig()
 	res, errs := serveWith(t, cfg, Options{},
@@ -127,21 +127,18 @@ func TestShardFoldsEngineStatSidecars(t *testing.T) {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
-	if res.CohortBatch == nil {
-		t.Fatal("coordinator folded no per-cohort batch stats from worker partials")
+	if res.CohortCache == nil {
+		t.Fatal("coordinator folded no per-cohort memo stats from worker partials")
 	}
-	if res.CohortFuse == nil {
-		t.Fatal("coordinator folded no per-cohort fuse stats from worker partials")
+	var sum power.CacheStats
+	for _, m := range res.CohortCache {
+		sum.Add(m)
 	}
-	var sum task.FuseStats
-	for _, f := range res.CohortFuse {
-		sum.Add(f)
+	if sum != res.Cache {
+		t.Fatalf("aggregate memo stats %+v != sum of per-cohort stats %+v", res.Cache, sum)
 	}
-	if sum != res.Fuse {
-		t.Fatalf("aggregate fuse stats %+v != sum of per-cohort stats %+v", res.Fuse, sum)
-	}
-	if res.Fuse.Steps == 0 {
-		t.Fatal("fused stepping never passed its gates — sidecar fold test is vacuous")
+	if res.Cache.Hits+res.Cache.Misses == 0 {
+		t.Fatal("memo saw no lookups — sidecar fold test is vacuous")
 	}
 }
 

@@ -23,26 +23,6 @@ type WorkerOptions struct {
 	CacheSize int
 	// NoRecycle builds every device fresh on this worker.
 	NoRecycle bool
-	// Batch is this worker's device-op replay width cap (fleet
-	// Config.Batch: < 0 scalar, 0 unlimited, >= 1 cap). Like the other
-	// knobs it never changes a byte of the report.
-	Batch int
-	// NoVector disables the batch path's lockstep cursor on this
-	// worker (fleet Config.NoVector).
-	NoVector bool
-	// NoFuse disables fused task-engine stepping on this worker (fleet
-	// Config.NoFuse).
-	NoFuse bool
-	// NoCohortSpin disables cohort-shared fixed-point spins on this
-	// worker (fleet Config.NoCohortSpin).
-	NoCohortSpin bool
-	// NoPhaseKeys disables phase-keyed tapes and op-cache entries on
-	// this worker (fleet Config.NoPhaseKeys).
-	NoPhaseKeys bool
-	// BypassAfter/BypassBelow tune this worker's op-cache probation
-	// heuristic (fleet Config.BypassAfter/BypassBelow; 0 = defaults).
-	BypassAfter uint64
-	BypassBelow float64
 	// DialRetry keeps retrying the initial connection for this long
 	// (0 = fail on the first refused dial). It lets workers start
 	// before the coordinator is listening — the usual two-terminal and
@@ -92,17 +72,10 @@ func Work(ctx context.Context, addr string, jobs int, opts WorkerOptions) error 
 		return fmt.Errorf("shard: protocol version mismatch: coordinator %d, worker %d", f.Job.Proto, protoVersion)
 	}
 	job, err := fleet.NewJob(f.Job.Spec.Exec(fleet.ExecOptions{
-		Jobs:         jobs,
-		NoMemo:       opts.NoMemo,
-		CacheSize:    opts.CacheSize,
-		NoRecycle:    opts.NoRecycle,
-		Batch:        opts.Batch,
-		NoVector:     opts.NoVector,
-		NoFuse:       opts.NoFuse,
-		NoCohortSpin: opts.NoCohortSpin,
-		NoPhaseKeys:  opts.NoPhaseKeys,
-		BypassAfter:  opts.BypassAfter,
-		BypassBelow:  opts.BypassBelow,
+		Jobs:      jobs,
+		NoMemo:    opts.NoMemo,
+		CacheSize: opts.CacheSize,
+		NoRecycle: opts.NoRecycle,
 	}))
 	if err != nil {
 		fc.write(&frame{Type: msgError, Error: err.Error()})

@@ -148,27 +148,9 @@ type Device struct {
 	// Obs, when non-nil, receives fine-grained simulator callbacks
 	// (see Observer); used by the chaos harness.
 	Obs Observer
-	// Ops, when non-nil, memoizes whole Drain/ChargeTo calls keyed on
-	// exact device state (see OpCache) — the fleet engine's batch
-	// execution path. Replays are byte-identical to direct solves for
-	// every report-visible quantity. The cache engages only while
-	// Trace, Log, and Obs are all nil (they need the intermediate
-	// events a replay skips) and never for Continuous devices.
-	Ops *OpCache
-	// Tape, when non-nil, mirrors every clock/stat mutation the
-	// simulator performs onto a step-effect tape (see StepTape) — the
-	// recording substrate for fused task-engine stepping. Attached only
-	// by the task engine while a step is being recorded; the hooks are
-	// a nil check when absent.
-	Tape *StepTape
 
 	Stats Stats
 	now   units.Seconds
-
-	// opsID/opsFor memoize the device's interned hardware fingerprint
-	// in Ops (see OpCache.deviceID).
-	opsID  uint32
-	opsFor *OpCache
 
 	// pAtT/pAt/pUntil memoize the last harvester sample and the window
 	// over which the source guarantees it constant: one simulator step
@@ -282,34 +264,18 @@ func (d *Device) Drain(loadPower units.Power, dt units.Seconds) (units.Seconds, 
 		dt = 0
 	}
 	if d.Continuous {
-		de := units.Energy(float64(loadPower) * float64(dt))
 		d.now += dt
 		d.Stats.TimeOn += dt
-		d.Stats.EnergyDrawn += de
-		d.Tape.add(dt, float64(de), TapeTimeOn|TapeDrawn)
+		d.Stats.EnergyDrawn += units.Energy(float64(loadPower) * float64(dt))
 		return dt, true
 	}
-	if c := d.Ops; c != nil && d.Trace == nil && d.Log == nil && d.Obs == nil && c.engaged() {
-		return d.drainFast(c, loadPower, dt)
-	}
-	return d.drainSlow(loadPower, dt)
-}
-
-// drainSlow is the direct (uncached) drain: discharge, advance time,
-// tick the array's passive state.
-func (d *Device) drainSlow(loadPower units.Power, dt units.Seconds) (units.Seconds, bool) {
 	set := d.Store()
 	start, v0 := d.now, set.Voltage()
 	d.Trace.record(d.now, set.Voltage(), PhaseRunning)
 	sustained, ok := d.Sys.Discharge(set, loadPower, dt)
-	de := units.Energy(float64(d.Sys.StoreDraw(loadPower)) * float64(sustained))
 	d.now += sustained
 	d.Stats.TimeOn += sustained
-	d.Stats.EnergyDrawn += de
-	if d.Tape != nil {
-		d.Tape.Sourced = true // tickSpan samples the source
-		d.Tape.add(sustained, float64(de), TapeTimeOn|TapeDrawn)
-	}
+	d.Stats.EnergyDrawn += units.Energy(float64(d.Sys.StoreDraw(loadPower)) * float64(sustained))
 	d.tickSpan(start, sustained)
 	d.Trace.record(d.now, set.Voltage(), PhaseRunning)
 	if !ok {
@@ -390,25 +356,6 @@ func (d *Device) ChargeTo(target units.Voltage, maxWait units.Seconds) (units.Se
 	if d.Continuous {
 		return 0, true
 	}
-	if d.Tape != nil {
-		d.tapeCharge(target, maxWait)
-		elapsed, ok := d.chargeDispatch(target, maxWait)
-		d.tapeChargeDone(maxWait, elapsed, ok)
-		return elapsed, ok
-	}
-	return d.chargeDispatch(target, maxWait)
-}
-
-// chargeDispatch routes a charge to the cached or direct path.
-func (d *Device) chargeDispatch(target units.Voltage, maxWait units.Seconds) (units.Seconds, bool) {
-	if c := d.Ops; c != nil && d.Trace == nil && d.Log == nil && d.Obs == nil && c.engaged() {
-		return d.chargeFast(c, target, maxWait)
-	}
-	return d.chargeSlow(target, maxWait)
-}
-
-// chargeSlow is the direct (uncached) event-driven charge loop.
-func (d *Device) chargeSlow(target units.Voltage, maxWait units.Seconds) (units.Seconds, bool) {
 	set := d.Store()
 	var elapsed units.Seconds
 	d.Trace.record(d.now, set.Voltage(), PhaseCharging)
@@ -450,17 +397,6 @@ func (d *Device) chargeSlow(target units.Voltage, maxWait units.Seconds) (units.
 			d.Stats.TimeCharging += used
 		} else {
 			d.Stats.TimeOff += used
-		}
-		if d.Tape != nil {
-			sel := TapeTimeOff
-			if charging {
-				sel = TapeTimeCharging
-			}
-			e, eSel := 0.0, uint8(0)
-			if gained := set.Energy() - before; gained > 0 {
-				e, eSel = float64(gained), TapeInto
-			}
-			d.Tape.add(used, e, sel|eSel)
 		}
 		d.Trace.record(d.now, set.Voltage(), PhaseCharging)
 		// The charge segment is observed before the passive tick: V0→V1
@@ -526,10 +462,6 @@ func (d *Device) AdvanceOff(dt units.Seconds) {
 		v0 := d.Store().Voltage()
 		d.now += step
 		d.Stats.TimeOff += step
-		if d.Tape != nil {
-			d.Tape.Sourced = true
-			d.Tape.add(step, 0, TapeTimeOff)
-		}
 		d.tickSpan(start, step)
 		d.observe(HookSpan, start, d.now, v0, d.Store().Voltage(), true)
 		dt -= step

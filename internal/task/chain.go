@@ -3,8 +3,6 @@ package task
 import (
 	"fmt"
 	"sort"
-
-	"capybara/internal/device"
 )
 
 // This file implements Chain's channel abstraction (Colin & Lucia,
@@ -61,29 +59,16 @@ func (c *Ctx) ChanIn(field string, srcs ...string) (uint64, bool) {
 	if c.probe {
 		return c.probeWord, c.probeWord != 0
 	}
-	v, found := chanLookup(c.eng.Dev.NV, srcs, c.taskName, field)
-	if r := c.eng.fuseRec; r != nil {
-		// Fused replay recomputes the same resolution on the follower's
-		// store and compares (value, found); the version counters may
-		// legitimately differ between lockstep devices.
-		r.noteChan(field, srcs, v, found)
-	}
-	return v, found
-}
-
-// chanLookup resolves Chain's latest-writer-wins multi-input read
-// against committed state — shared by ChanIn and the fused-step
-// replayer's read-set verification.
-func chanLookup(nv *device.NVStore, srcs []string, dst, field string) (uint64, bool) {
+	nv := c.eng.Dev.NV
 	var best uint64
 	var bestVer uint64
 	found := false
 	for _, src := range srcs {
-		v, ok := nv.Word(chanKey(src, dst, field))
+		v, ok := nv.Word(chanKey(src, c.taskName, field))
 		if !ok {
 			continue
 		}
-		ver, _ := nv.Word(chanVerKey(src, dst, field))
+		ver, _ := nv.Word(chanVerKey(src, c.taskName, field))
 		if !found || ver > bestVer {
 			best, bestVer, found = v, ver, true
 		}

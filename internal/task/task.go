@@ -20,7 +20,6 @@ package task
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"capybara/internal/device"
@@ -149,20 +148,6 @@ type Engine struct {
 	// "measure task energy consumption on continuous power" harness.
 	Profile map[string]*TaskProfile
 
-	// Fuse, when non-nil, enables fused stepping: lockstep engine steps
-	// are recorded once and replayed for every matching device (see
-	// fuse.go). The fuser is shared across a cohort's engines the way
-	// an OpCache is. FuseSched and Rec supply the quiet-schedule and
-	// sample-recorder evidence; fusion stays off while either is nil.
-	Fuse      *StepFuser
-	FuseSched QuietSchedule
-	Rec       SampleRecorder
-
-	// RNG is the device's private randomness stream, drawn by Ctx.Rand.
-	// Fused replay fast-forwards it by the recorded draw count so the
-	// stream position stays identical to scalar execution.
-	RNG *rand.Rand
-
 	// ctx is the reusable execution context (reset per attempt) and
 	// curTask the interned current-task name: a long sweep runs millions
 	// of task attempts, so per-attempt context and name allocations
@@ -183,11 +168,6 @@ type Engine struct {
 	// memoizes the task lookup.
 	profName string
 	prof     *TaskProfile
-	// rngDraws counts Ctx.Rand calls; fuseRec points at fuseRecStore
-	// while a step is being recorded for the fuser.
-	rngDraws     uint64
-	fuseRec      *stepRecording
-	fuseRecStore stepRecording
 }
 
 // TaskProfile is one task's accumulated execution cost.
@@ -294,25 +274,10 @@ func (e *Engine) Run(horizon units.Seconds) error {
 			}
 			e.curT = t
 		}
-		if f := e.Fuse; f != nil {
-			// Fused stepping: replay a recorded lockstep step if its
-			// evidence certifies it at this device's state and clock;
-			// otherwise arm recording for the scalar execution below.
-			if e.fuseTry(f, t.Name, alive, horizon) {
-				alive = true
-				continue
-			}
-		}
 		if !e.PM.Prepare(t, alive, horizon) {
-			e.fuseAbandon()
 			return nil // deadline reached while preparing
 		}
 		alive = true
-		if r := e.fuseRec; r != nil {
-			// The task-profile window opens here on the scalar path;
-			// replay re-derives it from this boundary index.
-			r.prepEnts = int32(len(r.tape.Ents))
-		}
 		ctx := newCtx(e, t.Name)
 		timeBefore := e.Dev.Stats.TimeOn
 		energyBefore := e.Dev.Stats.EnergyDrawn
@@ -321,7 +286,6 @@ func (e *Engine) Run(horizon units.Seconds) error {
 		if failed {
 			// Power failed mid-task: volatile state (the staged writes)
 			// is lost; the task will restart from scratch.
-			e.fuseAbandon()
 			e.Restarts++
 			prof.Failures++
 			alive = false
@@ -332,7 +296,6 @@ func (e *Engine) Run(horizon units.Seconds) error {
 		prof.Energy += e.Dev.Stats.EnergyDrawn - energyBefore
 		ctx.commit()
 		if next == Halt {
-			e.fuseAbandon()
 			e.Dev.NV.Delete(nvCurrentTask)
 			return nil
 		}
@@ -341,18 +304,11 @@ func (e *Engine) Run(horizon units.Seconds) error {
 		// the stored name is already correct, and skipping the write
 		// keeps tight sample loops free of per-iteration blob
 		// allocations.
-		nextName := name
 		if string(next) != name {
-			nt, ok := e.Prog.Task(string(next))
-			if !ok {
-				e.fuseAbandon()
+			if _, ok := e.Prog.Task(string(next)); !ok {
 				return fmt.Errorf("task: %s transitioned to undefined task %q", t.Name, next)
 			}
-			nextName = nt.Name
 			e.Dev.NV.SetBlob(nvCurrentTask, []byte(next))
-		}
-		if e.fuseRec != nil {
-			e.fuseFinalize(t.Name, nextName)
 		}
 	}
 	return nil
@@ -438,39 +394,12 @@ func newCtx(e *Engine, taskName string) *Ctx {
 	return c
 }
 
-// Now returns the simulated time. A task body that observes the
-// absolute clock directly is genuinely clock-dependent, so the call
-// kills any step recording in progress (see fuse.go); the operation
-// helpers below use the private now instead — their returned instants
-// are reconstructed boundary-exactly by fused replay.
+// Now returns the simulated time.
 func (c *Ctx) Now() units.Seconds {
-	if r := c.eng.fuseRec; r != nil {
-		r.dead = true
-	}
-	return c.now()
-}
-
-func (c *Ctx) now() units.Seconds {
 	if c.probe {
 		return 0
 	}
 	return c.eng.Dev.Now()
-}
-
-// Rand draws from the device's private randomness stream (Engine.RNG),
-// returning 0 when none is configured. Fused replay fast-forwards the
-// stream by the recorded draw count, keeping its position identical to
-// scalar execution.
-func (c *Ctx) Rand() float64 {
-	if c.probe {
-		return 0
-	}
-	e := c.eng
-	e.rngDraws++
-	if e.RNG == nil {
-		return 0
-	}
-	return e.RNG.Float64()
 }
 
 // drain consumes active time or dies trying.
@@ -500,7 +429,7 @@ func (c *Ctx) Sleep(dt units.Seconds) {
 func (c *Ctx) Sample(p device.Peripheral) units.Seconds {
 	load := p.ActivePower + c.eng.Dev.MCU.ActivePower
 	c.drain(load, p.Warmup)
-	at := c.now()
+	at := c.Now()
 	c.drain(load, p.OpTime)
 	return at
 }
@@ -511,7 +440,7 @@ func (c *Ctx) Sample(p device.Peripheral) units.Seconds {
 func (c *Ctx) Activate(p device.Peripheral, dur units.Seconds) units.Seconds {
 	load := p.ActivePower + c.eng.Dev.MCU.ActivePower
 	c.drain(load, p.Warmup)
-	at := c.now()
+	at := c.Now()
 	c.drain(load, dur)
 	return at
 }
@@ -524,7 +453,7 @@ func (c *Ctx) SampleBurst(p device.Peripheral, n int) []units.Seconds {
 	c.drain(load, p.Warmup)
 	times := make([]units.Seconds, 0, n)
 	for i := 0; i < n; i++ {
-		times = append(times, c.now())
+		times = append(times, c.Now())
 		c.drain(load, p.OpTime)
 	}
 	return times
@@ -537,7 +466,7 @@ func (c *Ctx) Transmit(r device.Radio, payloadBytes int) units.Seconds {
 	load := r.TxPower + c.eng.Dev.MCU.ActivePower
 	c.drain(load, r.StartupTime)
 	c.drain(load, r.PacketTime(payloadBytes))
-	return c.now()
+	return c.Now()
 }
 
 // Non-volatile channel operations. Reads see this task's own staged
@@ -590,12 +519,7 @@ func (c *Ctx) Word(key string) (uint64, bool) {
 	if c.probe {
 		return c.probeWord, c.probeWord != 0
 	}
-	v, ok := c.eng.Dev.NV.Word(key)
-	if r := c.eng.fuseRec; r != nil {
-		// Committed-state read: part of the step's verified read set.
-		r.noteWord(key, v, ok)
-	}
-	return v, ok
+	return c.eng.Dev.NV.Word(key)
 }
 
 // WordOr reads a durable word with a default.
@@ -694,10 +618,7 @@ func (c *Ctx) blobView(key string) []byte {
 	// The view is read-only and never outlives the staging step (every
 	// consumer either decodes it or copies it before staging), so the
 	// aliasing read is safe and saves a copy per access.
-	b, ok := c.eng.Dev.NV.PeekBlob(key)
-	if r := c.eng.fuseRec; r != nil {
-		r.noteBlob(key, b, ok)
-	}
+	b, _ := c.eng.Dev.NV.PeekBlob(key)
 	return b
 }
 
