@@ -40,13 +40,16 @@ bench-short:
 # old-ns/op are reported but never fail: at one iteration a
 # microsecond-scale benchmark measures scheduler noise, not the code.
 # Added and removed benchmarks are likewise informational only.
+# allocs/attempt (BenchmarkTaskAttempt) is a count, not a timing: it
+# repeats from run to run, so a task attempt that starts allocating
+# again fails the gate by orders of magnitude.
 BENCH_THRESHOLD ?= 1.0
 BENCH_MIN ?= 1000000
 bench-compare:
 	cp BENCH_sim.json BENCH_sim.base.json
 	$(MAKE) bench-short
 	status=0; $(GO) run ./cmd/benchjson -compare -threshold $(BENCH_THRESHOLD) -min $(BENCH_MIN) \
-		-metric devices/sec:+ -metric memo-hit-rate:+ \
+		-metric devices/sec:+ -metric memo-hit-rate:+ -metric allocs/attempt:- \
 		BENCH_sim.base.json BENCH_sim.json || status=$$?; \
 	rm -f BENCH_sim.base.json; exit $$status
 

@@ -15,9 +15,13 @@ import (
 	"sync"
 	"testing"
 
+	"capybara/internal/apps"
 	"capybara/internal/core"
+	"capybara/internal/env"
 	"capybara/internal/experiments"
 	"capybara/internal/fleet"
+	"capybara/internal/power"
+	"capybara/internal/runner"
 	"capybara/internal/shard"
 )
 
@@ -369,4 +373,59 @@ func BenchmarkMultiSeed(b *testing.B) {
 		spread = rows[1].Min - rows[0].Max
 	}
 	b.ReportMetric(spread, "capyP-min-minus-fixed-max")
+}
+
+// BenchmarkTaskAttempt measures the device-step hot path: the cost of
+// one task attempt (engine dispatch, power-manager prepare, the task
+// body's drains, commit). One op is one scale-1.0 lifecycle of one
+// device, built on recycled scratch with a memo cache as a fleet worker
+// builds it; only Execute is timed. ns/attempt and allocs/attempt
+// divide that lifecycle's time and heap allocations by its task
+// attempts (successes plus power failures, over all tasks; the named
+// self-looping task makes up nearly all of them).
+func BenchmarkTaskAttempt(b *testing.B) {
+	for _, bc := range []struct {
+		name, app string
+		variant   core.Variant
+	}{
+		{"GRC-sense/Cont", "GestureFast", core.Continuous},
+		{"GRC-sense/Fixed", "GestureFast", core.Fixed},
+		{"GRC-sense/Capy-R", "GestureFast", core.CapyR},
+		{"TA-sample/Cont", "TempAlarm", core.Continuous},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			spec, err := apps.SpecByName(bc.app)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sched := env.Poisson(runner.RNG(1, 0), spec.Events, spec.Mean, spec.Window)
+			scr := apps.Scratch{Memo: power.NewSegmentCache(0)}
+			var attempts, mallocs uint64
+			var ms runtime.MemStats
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				scr.Reset()
+				run, err := spec.Build(bc.variant, sched, nil, &scr)
+				if err != nil {
+					b.Fatal(err)
+				}
+				runtime.ReadMemStats(&ms)
+				before := ms.Mallocs
+				b.StartTimer()
+				err = run.Execute()
+				b.StopTimer()
+				runtime.ReadMemStats(&ms)
+				if err != nil {
+					b.Fatal(err)
+				}
+				mallocs += ms.Mallocs - before
+				for _, p := range run.Inst.Engine.Profile {
+					attempts += uint64(p.Runs + p.Failures)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(attempts), "ns/attempt")
+			b.ReportMetric(float64(mallocs)/float64(attempts), "allocs/attempt")
+			b.ReportMetric(float64(attempts)/float64(b.N), "attempts/lifecycle")
+		})
+	}
 }

@@ -8,8 +8,8 @@ import (
 
 // Scratch bundles the reusable per-run state an application build
 // otherwise allocates fresh: the observable recorder (whose sample
-// slice grows to tens of thousands of timestamps over a lifecycle —
-// the dominant per-device retention in fleet profiles), optional
+// slice grows to over a million timestamps in a gesture lifecycle
+// unless Rec.DropSamples is set, as the fleet sets it), optional
 // trace/event-log buffers, and the charge-solve memo cache.
 //
 // The fleet engine keeps one Scratch per worker in a sync.Pool and

@@ -103,6 +103,11 @@ type Runtime struct {
 	Modes   ModeTable
 	Variant Variant
 
+	// order is Config.Modes in declaration order: where several modes
+	// match one bank mask, the first declared decides the bring-up
+	// charge target (ranging over Modes, a map, picked one at random).
+	order []Mode
+
 	// Reconfigs counts explicit mode reconfigurations; Precharges
 	// counts preburst charge-ahead operations.
 	Reconfigs  int
@@ -177,10 +182,11 @@ func (r *Runtime) bringUp(deadline units.Seconds) bool {
 }
 
 // activeVTop returns the charge target for the physically-active
-// configuration: the matching mode's VTop, or the default.
+// configuration: the VTop of the first declared mode whose mask matches
+// it, or the default.
 func (r *Runtime) activeVTop() units.Voltage {
 	mask := r.Dev.Array.ActiveMask() &^ 1
-	for _, m := range r.Modes {
+	for _, m := range r.order {
 		if m.Mask&^1 == mask {
 			return m.vTop()
 		}
@@ -379,7 +385,7 @@ func New(cfg Config, prog *task.Program) (*Instance, error) {
 	dev := sim.NewDevice(sys, arr, cfg.MCU)
 	dev.Continuous = cfg.Variant == Continuous
 	dev.Trace = cfg.Trace
-	rt := &Runtime{Dev: dev, Modes: modes, Variant: cfg.Variant}
+	rt := &Runtime{Dev: dev, Modes: modes, Variant: cfg.Variant, order: append([]Mode(nil), cfg.Modes...)}
 	eng := task.NewEngine(dev, prog, rt)
 	return &Instance{Dev: dev, Runtime: rt, Engine: eng}, nil
 }

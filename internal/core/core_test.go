@@ -358,3 +358,35 @@ func TestTaskEnergy(t *testing.T) {
 		t.Fatalf("TaskEnergy = %v, want %g", e, want)
 	}
 }
+
+// TestBringUpTargetFollowsDeclarationOrder: when two modes share the
+// physically active bank mask but differ in VTop, the bring-up charge
+// target is the first declared mode's, on every build. The mode table
+// is a map, and resolving the target by ranging over it returned either
+// VTop at random.
+func TestBringUpTargetFollowsDeclarationOrder(t *testing.T) {
+	prog := task.MustProgram("t", &task.Task{Name: "t", Run: func(*task.Ctx) task.Next { return task.Halt }})
+	low := Mode{Name: "low", VTop: 2.0}
+	high := Mode{Name: "high", VTop: 2.4}
+	for _, tc := range []struct {
+		modes []Mode
+		want  units.Voltage
+	}{
+		{[]Mode{low, high}, 2.0},
+		{[]Mode{high, low}, 2.4},
+	} {
+		for i := 0; i < 200; i++ {
+			cfg := baseConfig(Fixed)
+			cfg.Switched = nil
+			cfg.Modes = tc.modes
+			inst, err := New(cfg, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := inst.Runtime.activeVTop(); got != tc.want {
+				t.Fatalf("modes %s then %s: build %d charges to %v, want %v",
+					tc.modes[0].Name, tc.modes[1].Name, i, got, tc.want)
+			}
+		}
+	}
+}

@@ -73,11 +73,17 @@ func (s *NVStore) SetBlob(key string, b []byte) {
 
 // SetBlobOwned durably stores b under key without copying. The caller
 // relinquishes ownership: b must not be read or written afterwards.
+// It returns the blob b replaced (nil when key held none), which the
+// store no longer references: PeekBlob views must not be kept across
+// writes, so the caller owns the old slice and may reuse its storage.
 // The task engine's commit path uses this to move staged blobs into NV
-// without a copy per transition; external callers should use SetBlob.
-func (s *NVStore) SetBlobOwned(key string, b []byte) {
+// without a copy per transition and to recycle the displaced buffer;
+// external callers should use SetBlob.
+func (s *NVStore) SetBlobOwned(key string, b []byte) (old []byte) {
+	old = s.blobs[key]
 	s.blobs[key] = b
 	s.writes++
+	return old
 }
 
 // Blob returns a copy of the blob stored under key.

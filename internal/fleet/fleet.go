@@ -3,7 +3,7 @@
 // one seeded schedule per device — and reports fleet-level statistics
 // without retaining per-device state.
 //
-// Three performance layers keep per-device cost at simulation, not
+// Four performance layers keep per-device cost at simulation, not
 // construction or retention:
 //
 //   - charge-solve memoization: each worker owns a power.SegmentCache
@@ -18,6 +18,15 @@
 //     constant-size per-cohort accumulators (metrics.Running, mergeable
 //     metrics.Histogram, integer totals) per chunk, and chunks fold in
 //     index order — memory is O(workers + cohorts), not O(devices).
+//     The worker's recorder drops sample timestamps
+//     (metrics.Recorder.DropSamples, set by Job.NewScratch): the fleet
+//     never runs the gap analysis, and a gesture device takes over a
+//     million samples;
+//   - a lean device step: a fleet-long device is mostly task attempts,
+//     so the attempt path (task.Engine.Run, sim.Device.Drain) takes
+//     one deferred recover per power failure rather than per attempt,
+//     computes each drain on plain values, and allocates nothing in
+//     steady state (DESIGN.md §7, "The device-step hot path").
 //
 // Execution decomposes into fixed-size device-index chunks behind the
 // Job/RunChunk/Fold API. Run drives the chunks through an in-process
@@ -297,43 +306,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 // chunk partial. Nothing of the device survives the call — its state
 // containers live in ws and are recycled for the next device.
 func (j *Job) simulate(d int, ws *Scratch, cp *ChunkPartial) error {
-	ci := d % len(j.grid)
-	cohort := j.grid[ci]
-	spec, err := apps.SpecByName(cohort.App)
+	run, ci, err := j.execute(d, ws)
 	if err != nil {
 		return err
 	}
-	n := int(float64(spec.Events) * j.scale)
-	if n < 1 {
-		n = 1
-	}
-	rng := runner.RNG(j.cfg.Seed, d)
-	sched := env.Poisson(rng, n, spec.Mean, spec.Window)
-	var scr *apps.Scratch
-	if !j.cfg.NoRecycle {
-		ws.scr.Reset()
-		// Caches are per cohort: within a cohort devices share banks,
-		// boosters, and sources, so their solves actually recur; split
-		// caches also give the per-cohort diagnostics for free.
-		ws.scr.Memo = ws.memoFor(j, ci)
-		scr = &ws.scr
-	}
-	run, err := spec.Build(cohort.Variant, sched, nil, scr)
-	if err != nil {
-		return err
-	}
-	// The cohort scenario modulates the built source. The swap is sound
-	// mid-construction — the device has not started running.
-	if cohort.trace != nil {
-		run.Inst.Dev.Sys.Source = harvest.Modulated{
-			Source: run.Inst.Dev.Sys.Source,
-			Trace:  cohort.trace,
-		}
-	}
-	if err := run.Execute(); err != nil {
-		return err
-	}
-
 	agg := &cp.Cohorts[ci]
 	if len(agg.LatencyHist.Edges) == 0 {
 		agg.LatencyHist.Edges = latencyEdges
@@ -358,4 +334,44 @@ func (j *Job) simulate(d int, ws *Scratch, cp *ChunkPartial) error {
 	agg.Reconfigs += run.Inst.Runtime.Reconfigs
 	agg.Precharges += run.Inst.Runtime.Precharges
 	return nil
+}
+
+// execute builds device d of cohort ci = d mod len(grid) — on ws's
+// recycled scratch unless the job disables recycling — and runs its
+// lifecycle to the horizon.
+func (j *Job) execute(d int, ws *Scratch) (*apps.Run, int, error) {
+	ci := d % len(j.grid)
+	cohort := j.grid[ci]
+	spec, err := apps.SpecByName(cohort.App)
+	if err != nil {
+		return nil, ci, err
+	}
+	n := int(float64(spec.Events) * j.scale)
+	if n < 1 {
+		n = 1
+	}
+	rng := runner.RNG(j.cfg.Seed, d)
+	sched := env.Poisson(rng, n, spec.Mean, spec.Window)
+	var scr *apps.Scratch
+	if !j.cfg.NoRecycle {
+		ws.scr.Reset()
+		// Caches are per cohort: within a cohort devices share banks,
+		// boosters, and sources, so their solves actually recur; split
+		// caches also give the per-cohort diagnostics for free.
+		ws.scr.Memo = ws.memoFor(j, ci)
+		scr = &ws.scr
+	}
+	run, err := spec.Build(cohort.Variant, sched, nil, scr)
+	if err != nil {
+		return nil, ci, err
+	}
+	// The cohort scenario modulates the built source. The swap is sound
+	// mid-construction — the device has not started running.
+	if cohort.trace != nil {
+		run.Inst.Dev.Sys.Source = harvest.Modulated{
+			Source: run.Inst.Dev.Sys.Source,
+			Trace:  cohort.trace,
+		}
+	}
+	return run, ci, run.Execute()
 }

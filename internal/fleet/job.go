@@ -194,9 +194,12 @@ func (ws *Scratch) memoFor(j *Job, ci int) *power.SegmentCache {
 }
 
 // NewScratch builds a Scratch configured for this job: per-cohort memo
-// caches unless the job disables memoization or recycling.
+// caches unless the job disables memoization or recycling, and a
+// recorder that drops sample timestamps — the fleet folds reports and
+// device counters only, never the inter-sample gaps.
 func (j *Job) NewScratch() *Scratch {
 	ws := &Scratch{}
+	ws.scr.Rec.DropSamples = true
 	if !j.cfg.NoRecycle && !j.cfg.NoMemo {
 		ws.memo = make([]*power.SegmentCache, len(j.grid))
 	}

@@ -43,18 +43,28 @@ func (r Report) Latency() units.Seconds { return r.ReportedAt - r.EventAt }
 // Recorder collects an experiment run's observables. The zero value is
 // ready to use.
 type Recorder struct {
+	// DropSamples makes RecordSample a no-op, so Samples stays empty.
+	// Only the inter-sample gap analysis (Fig. 11) reads samples, and a
+	// gesture lifecycle takes over a million of them; a caller that
+	// aggregates reports alone sets this to keep neither the timestamps
+	// nor their memory. Reset leaves it unchanged.
+	DropSamples bool
+
 	samples []units.Seconds
 	reports map[int]Report
 }
 
 // RecordSample notes that a sensor observed the world at time t.
 func (r *Recorder) RecordSample(t units.Seconds) {
+	if r.DropSamples {
+		return
+	}
 	r.samples = append(r.samples, t)
 }
 
 // Reset clears the recorder for reuse, keeping the backing storage.
 // A long lifecycle retains tens of thousands of sample timestamps, so
-// fleet-scale runs recycle recorders instead of allocating per device.
+// repeated runs recycle recorders instead of allocating per device.
 func (r *Recorder) Reset() {
 	r.samples = r.samples[:0]
 	clear(r.reports)

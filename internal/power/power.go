@@ -124,15 +124,15 @@ type System struct {
 	// unmemoized system.
 	Memo *SegmentCache
 
-	// cutEsr/cutLoad/cutV memoize recent CutoffVoltage solves keyed by
-	// the exact (esr, loadPower) pair: every drain recomputes the
-	// brownout cutoff, and the simulator cycles through a handful of
-	// fixed peripheral loads on a fixed active-set ESR. Identical inputs
-	// give the identical root, so the memo changes no result bits. The
-	// booster parameters it derives from are fixed after construction
-	// (Config.Tune runs before any simulation step).
+	// cutEsr/cutDraw/cutV memoize recent cutoff solves keyed by the
+	// exact (esr, storage draw) pair the root depends on: every drain
+	// recomputes the brownout cutoff, and the simulator cycles through a
+	// handful of fixed peripheral loads on a fixed active-set ESR.
+	// Identical inputs give the identical root, so the memo changes no
+	// result bits. The booster parameters it derives from are fixed
+	// after construction (Config.Tune runs before any simulation step).
 	cutEsr  [4]units.Resistance
-	cutLoad [4]units.Power
+	cutDraw [4]units.Power
 	cutV    [4]units.Voltage
 	cutN    int
 }
@@ -348,13 +348,19 @@ func (s *System) StoreDraw(loadPower units.Power) units.Power {
 // High ESR or high power raises the cutoff — the Fig. 4 effect that
 // strands energy in ultra-compact supercaps.
 func (s *System) CutoffVoltage(esr units.Resistance, loadPower units.Power) units.Voltage {
+	return s.cutoff(esr, s.StoreDraw(loadPower))
+}
+
+// cutoff is CutoffVoltage for a load whose storage-side draw (StoreDraw)
+// is already known.
+func (s *System) cutoff(esr units.Resistance, draw units.Power) units.Voltage {
 	for i := 0; i < s.cutN; i++ {
-		if s.cutEsr[i] == esr && s.cutLoad[i] == loadPower {
+		if s.cutEsr[i] == esr && s.cutDraw[i] == draw {
 			return s.cutV[i]
 		}
 	}
 	m := float64(s.Out.MinInput)
-	pr := float64(s.StoreDraw(loadPower)) * float64(esr)
+	pr := float64(draw) * float64(esr)
 	v := units.Voltage((m + math.Sqrt(m*m+4*pr)) / 2)
 	i := s.cutN
 	if i == len(s.cutEsr) {
@@ -362,7 +368,7 @@ func (s *System) CutoffVoltage(esr units.Resistance, loadPower units.Power) unit
 	} else {
 		s.cutN++
 	}
-	s.cutEsr[i], s.cutLoad[i], s.cutV[i] = esr, loadPower, v
+	s.cutEsr[i], s.cutDraw[i], s.cutV[i] = esr, draw, v
 	return v
 }
 
@@ -376,22 +382,37 @@ func (s *System) CanSupply(st Store, loadPower units.Power) bool {
 // time sustained. If the store hits the load's cutoff voltage first,
 // the sustained time is shorter than dt and ok is false (brownout).
 func (s *System) Discharge(st Store, loadPower units.Power, dt units.Seconds) (units.Seconds, bool) {
-	if dt <= 0 {
-		return 0, true
-	}
-	draw := s.StoreDraw(loadPower)
-	cut := s.CutoffVoltage(st.ESR(), loadPower)
 	v := st.Voltage()
+	v1, sustained, ok := s.DischargeStep(st.Capacitance(), st.ESR(), v, s.StoreDraw(loadPower), dt)
+	if sustained > 0 || v1 != v {
+		st.SetVoltage(v1)
+	}
+	return sustained, ok
+}
+
+// DischargeStep is Discharge on plain values, for callers that hold a
+// concrete store and want neither the Store interface calls nor a
+// second StoreDraw: a store of capacitance c and series resistance esr
+// at voltage v feeds a load whose storage-side draw is draw (StoreDraw
+// of the load) for up to dt. It returns the store's voltage after the
+// step, the time sustained, and whether all of dt was sustained; on a
+// brownout the voltage is the load's cutoff. When nothing can be drawn
+// (dt <= 0, or v already at or below the cutoff) it returns v and 0
+// sustained, so the caller writes the voltage back exactly when
+// sustained > 0 or the voltage moved.
+func (s *System) DischargeStep(c units.Capacitance, esr units.Resistance, v units.Voltage, draw units.Power, dt units.Seconds) (units.Voltage, units.Seconds, bool) {
+	if dt <= 0 {
+		return v, 0, true
+	}
+	cut := s.cutoff(esr, draw)
 	if v <= cut {
-		return 0, false
+		return v, 0, false
 	}
-	sustain := units.TimeToDischarge(st.Capacitance(), v, cut, draw)
+	sustain := units.TimeToDischarge(c, v, cut, draw)
 	if sustain >= dt {
-		st.SetVoltage(units.DischargeVoltageAfter(st.Capacitance(), v, draw, dt))
-		return dt, true
+		return units.DischargeVoltageAfter(c, v, draw, dt), dt, true
 	}
-	st.SetVoltage(cut)
-	return sustain, false
+	return cut, sustain, false
 }
 
 // OperatingTime returns how long the store could sustain loadPower from

@@ -60,14 +60,14 @@ func TestAnalyticMatchesNumerical(t *testing.T) {
 	f := func(kind uint8, rawC, rawV0, rawTarget, rawP, rawSrcV, rawWait, rawCold, rawDrop uint16, bypass bool) bool {
 		frac := func(r uint16) float64 { return float64(r) / math.MaxUint16 }
 
-		c := units.Capacitance(1e-5 * math.Pow(10, 3*frac(rawC)))  // 10 µF … 10 mF
-		v0 := units.Voltage(2.2 * frac(rawV0))                     // 0 … 2.2 V
-		target := v0 + units.Voltage(0.05+2.4*frac(rawTarget))     // above v0, ≤ 4.65 V
-		p := units.Power(50e-6 * math.Pow(10, 2.6*frac(rawP)))     // 50 µW … 20 mW
-		srcV := units.Voltage(0.2 + 4.8*frac(rawSrcV))             // 0.2 … 5 V
-		maxWait := units.Seconds(0.5 + 3.5*frac(rawWait))          // 0.5 … 4 s
-		coldStart := units.Voltage(1.0 + 1.0*frac(rawCold))        // 1 … 2 V
-		drop := units.Voltage(0.1 + 0.4*frac(rawDrop))             // 0.1 … 0.5 V
+		c := units.Capacitance(1e-5 * math.Pow(10, 3*frac(rawC))) // 10 µF … 10 mF
+		v0 := units.Voltage(2.2 * frac(rawV0))                    // 0 … 2.2 V
+		target := v0 + units.Voltage(0.05+2.4*frac(rawTarget))    // above v0, ≤ 4.65 V
+		p := units.Power(50e-6 * math.Pow(10, 2.6*frac(rawP)))    // 50 µW … 20 mW
+		srcV := units.Voltage(0.2 + 4.8*frac(rawSrcV))            // 0.2 … 5 V
+		maxWait := units.Seconds(0.5 + 3.5*frac(rawWait))         // 0.5 … 4 s
+		coldStart := units.Voltage(1.0 + 1.0*frac(rawCold))       // 1 … 2 V
+		drop := units.Voltage(0.1 + 0.4*frac(rawDrop))            // 0.1 … 0.5 V
 
 		var src harvest.Source
 		opaque := false

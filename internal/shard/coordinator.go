@@ -115,9 +115,9 @@ type coordinator struct {
 	remaining int   // chunks not yet done
 	exhausted []int // chunks that spent every lease attempt
 	retries   int   // re-lease events (diagnostic)
-	workers   int // currently handshaken workers
-	peak      int // max concurrent workers (diagnostic)
-	devices   int // devices in completed chunks (progress)
+	workers   int   // currently handshaken workers
+	peak      int   // max concurrent workers (diagnostic)
+	devices   int   // devices in completed chunks (progress)
 	fatal     error
 	finished  bool // remaining hit 0 or fatal set; stop leasing
 }

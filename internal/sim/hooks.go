@@ -59,8 +59,9 @@ type Observer interface {
 	Observe(d *Device, e HookEvent)
 }
 
+// observe delivers one event to d.Obs, which the caller has checked is
+// non-nil: the check sits at the call site so an unobserved device
+// evaluates no event arguments.
 func (d *Device) observe(kind HookKind, t0, t1 units.Seconds, v0, v1 units.Voltage, ok bool) {
-	if d.Obs != nil {
-		d.Obs.Observe(d, HookEvent{Kind: kind, T0: t0, T1: t1, V0: v0, V1: v1, OK: ok})
-	}
+	d.Obs.Observe(d, HookEvent{Kind: kind, T0: t0, T1: t1, V0: v0, V1: v1, OK: ok})
 }

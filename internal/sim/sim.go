@@ -67,10 +67,9 @@ type Trace struct {
 // of the ~10 progressive doublings a long run otherwise pays.
 const traceInitialCap = 1024
 
+// record appends one sample; callers check for a nil trace first, so
+// an untraced device evaluates no sample arguments.
 func (tr *Trace) record(t units.Seconds, v units.Voltage, phase Phase) {
-	if tr == nil {
-		return
-	}
 	if n := len(tr.Samples); n > 0 {
 		last := tr.Samples[n-1]
 		if t-last.T < tr.MinInterval && last.Phase == phase {
@@ -204,8 +203,10 @@ func (d *Device) Configure(mask uint64) error {
 	}
 	d.Log.add(Event{T: d.now, Kind: EventReconfig, Mask: d.Array.ActiveMask()})
 	if !d.Continuous {
-		v := d.Store().Voltage()
-		d.observe(HookReconfig, d.now, d.now, v, v, true)
+		if d.Obs != nil {
+			v := d.Store().Voltage()
+			d.observe(HookReconfig, d.now, d.now, v, v, true)
+		}
 		// Programming the latch through the GPIO interface: ~1 ms active.
 		d.Drain(d.MCU.ActivePower, 1*units.Millisecond)
 	}
@@ -269,20 +270,34 @@ func (d *Device) Drain(loadPower units.Power, dt units.Seconds) (units.Seconds, 
 		d.Stats.EnergyDrawn += units.Energy(float64(loadPower) * float64(dt))
 		return dt, true
 	}
+	// Every task operation ends here, so the step works on the concrete
+	// active set and plain values (power.DischargeStep, the physics
+	// behind power.System.Discharge) and computes the storage draw once
+	// for both the discharge and the energy account.
 	set := d.Store()
 	start, v0 := d.now, set.Voltage()
-	d.Trace.record(d.now, set.Voltage(), PhaseRunning)
-	sustained, ok := d.Sys.Discharge(set, loadPower, dt)
+	if d.Trace != nil {
+		d.Trace.record(start, v0, PhaseRunning)
+	}
+	draw := d.Sys.StoreDraw(loadPower)
+	v1, sustained, ok := d.Sys.DischargeStep(set.Capacitance(), set.ESR(), v0, draw, dt)
+	if sustained > 0 || v1 != v0 {
+		set.SetVoltage(v1)
+	}
 	d.now += sustained
 	d.Stats.TimeOn += sustained
-	d.Stats.EnergyDrawn += units.Energy(float64(d.Sys.StoreDraw(loadPower)) * float64(sustained))
+	d.Stats.EnergyDrawn += units.Energy(float64(draw) * float64(sustained))
 	d.tickSpan(start, sustained)
-	d.Trace.record(d.now, set.Voltage(), PhaseRunning)
+	if d.Trace != nil {
+		d.Trace.record(d.now, set.Voltage(), PhaseRunning)
+	}
 	if !ok {
 		d.Stats.Brownouts++
 		d.Log.add(Event{T: d.now, Kind: EventBrownout})
 	}
-	d.observe(HookDrain, start, d.now, v0, set.Voltage(), ok)
+	if d.Obs != nil {
+		d.observe(HookDrain, start, d.now, v0, set.Voltage(), ok)
+	}
 	return sustained, ok
 }
 
@@ -358,10 +373,14 @@ func (d *Device) ChargeTo(target units.Voltage, maxWait units.Seconds) (units.Se
 	}
 	set := d.Store()
 	var elapsed units.Seconds
-	d.Trace.record(d.now, set.Voltage(), PhaseCharging)
+	if d.Trace != nil {
+		d.Trace.record(d.now, set.Voltage(), PhaseCharging)
+	}
 	for {
 		if set.Voltage() >= target {
-			d.Trace.record(d.now, set.Voltage(), PhaseCharging)
+			if d.Trace != nil {
+				d.Trace.record(d.now, set.Voltage(), PhaseCharging)
+			}
 			return elapsed, true
 		}
 		if elapsed >= maxWait {
@@ -398,18 +417,26 @@ func (d *Device) ChargeTo(target units.Voltage, maxWait units.Seconds) (units.Se
 		} else {
 			d.Stats.TimeOff += used
 		}
-		d.Trace.record(d.now, set.Voltage(), PhaseCharging)
+		if d.Trace != nil {
+			d.Trace.record(d.now, set.Voltage(), PhaseCharging)
+		}
 		// The charge segment is observed before the passive tick: V0→V1
 		// is the pure analytic charge trajectory, which is what the
 		// chaos harness cross-checks numerically.
-		d.observe(HookChargeSegment, start, d.now, v0, set.Voltage(), reached)
+		if d.Obs != nil {
+			d.observe(HookChargeSegment, start, d.now, v0, set.Voltage(), reached)
+		}
 		// Success is decided before the passive tick: the voltage
 		// supervisor boots the device the instant the threshold is hit;
 		// the leakage within the same step is immaterial.
 		d.tickSpan(start, used)
-		d.observe(HookSpan, start, d.now, v0, set.Voltage(), true)
+		if d.Obs != nil {
+			d.observe(HookSpan, start, d.now, v0, set.Voltage(), true)
+		}
 		if reached {
-			d.Trace.record(d.now, set.Voltage(), PhaseCharging)
+			if d.Trace != nil {
+				d.Trace.record(d.now, set.Voltage(), PhaseCharging)
+			}
 			d.Log.add(Event{T: d.now, Kind: EventChargeDone, V: set.Voltage(), Elapsed: elapsed})
 			return elapsed, true
 		}
@@ -422,7 +449,7 @@ func (d *Device) ChargeTo(target units.Voltage, maxWait units.Seconds) (units.Se
 func (d *Device) Boot() bool {
 	d.Stats.Boots++
 	d.Log.add(Event{T: d.now, Kind: EventBoot})
-	if !d.Continuous {
+	if !d.Continuous && d.Obs != nil {
 		v := d.Store().Voltage()
 		d.observe(HookBoot, d.now, d.now, v, v, true)
 	}
@@ -463,7 +490,9 @@ func (d *Device) AdvanceOff(dt units.Seconds) {
 		d.now += step
 		d.Stats.TimeOff += step
 		d.tickSpan(start, step)
-		d.observe(HookSpan, start, d.now, v0, d.Store().Voltage(), true)
+		if d.Obs != nil {
+			d.observe(HookSpan, start, d.now, v0, d.Store().Voltage(), true)
+		}
 		dt -= step
 	}
 }

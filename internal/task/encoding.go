@@ -24,10 +24,20 @@ func appendFloatInPlace(b []byte, v float64) []byte {
 	return append(b, buf[:]...)
 }
 
-func decodeFloats(b []byte) []float64 {
-	out := make([]float64, 0, len(b)/8)
-	for i := 0; i+8 <= len(b); i += 8 {
-		out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(b[i:])))
+// floatHeadroom is the spare capacity decodeFloats leaves past the
+// decoded values, so a caller can push onto the series in place.
+const floatHeadroom = 8
+
+// decodeFloats decodes b into buf's storage, reallocating only when buf
+// lacks room for the values plus floatHeadroom.
+func decodeFloats(buf []float64, b []byte) []float64 {
+	n := len(b) / 8
+	if cap(buf) < n+floatHeadroom {
+		buf = make([]float64, 0, n+floatHeadroom)
 	}
-	return out
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return buf
 }

@@ -156,18 +156,18 @@ type Engine struct {
 	curTask string
 	// curT memoizes the *Task for curTask: sample loops revisit the
 	// same task millions of times, and the name-keyed map lookup was a
-	// measurable slice of the scheduler iteration.
-	curT *Task
+	// measurable slice of the scheduler iteration. curProf caches
+	// curT's Profile entry: reset when curT changes and filled when an
+	// attempt of curT is credited, so no entry is created ahead of an
+	// attempt.
+	curT    *Task
+	curProf *TaskProfile
 	// curGen/curValid validate curTask against the NV store's write
 	// counter: the durable pointer can only move when NV is written, so
 	// between writes the blob read (a map lookup per scheduler
 	// iteration) is skipped entirely.
 	curGen   int
 	curValid bool
-	// profName/prof memoize the last Profile entry the same way curT
-	// memoizes the task lookup.
-	profName string
-	prof     *TaskProfile
 }
 
 // TaskProfile is one task's accumulated execution cost.
@@ -210,16 +210,18 @@ func NewEngine(dev *sim.Device, prog *Program, pm PowerManager) *Engine {
 	return &Engine{Dev: dev, Prog: prog, PM: pm, Profile: make(map[string]*TaskProfile)}
 }
 
-func (e *Engine) profileFor(name string) *TaskProfile {
-	if e.prof != nil && e.profName == name {
-		return e.prof
+// profile returns the current task's Profile entry, creating it on
+// first use.
+func (e *Engine) profile() *TaskProfile {
+	if e.curProf != nil {
+		return e.curProf
 	}
-	p, ok := e.Profile[name]
+	p, ok := e.Profile[e.curT.Name]
 	if !ok {
 		p = &TaskProfile{}
-		e.Profile[name] = p
+		e.Profile[e.curT.Name] = p
 	}
-	e.profName, e.prof = name, p
+	e.curProf = p
 	return p
 }
 
@@ -262,7 +264,52 @@ func (e *Engine) CurrentTask() string {
 // the program halts, or the power manager gives up (e.g. the source
 // died for good). It returns an error only for malformed transitions.
 func (e *Engine) Run(horizon units.Seconds) error {
+	for {
+		// A segment that is not done ended in a power failure mid-task:
+		// volatile state (the staged writes) is lost, and the next
+		// segment restarts the task from scratch once the power manager
+		// has brought the device back up.
+		if done, err := e.runSegment(horizon); done {
+			return err
+		}
+	}
+}
+
+// powerFailure is the internal control-flow signal for a brownout
+// mid-operation. It never escapes the package (Effective Go's
+// "internal panic, external error" rule).
+type powerFailure struct{}
+
+// runSegment runs task attempts back to back, starting with the device
+// off, until a power failure ends one (done is false; the failure has
+// been credited) or Run is finished (done is true).
+//
+// A brownout unwinds the task body with a powerFailure panic from the
+// Ctx operation that hit it. One deferred recover per segment, rather
+// than one per attempt, takes the defer off the attempt path: a
+// self-looping sense task runs about a million attempts per lifecycle
+// and fails a few thousand times. This is sound because nothing
+// between two attempts depends on which attempt ran in which segment:
+// the only local the loop carries across attempts is alive, which a
+// failure sets to false and a new segment starts false, and each
+// attempt otherwise begins from the engine's fields and the device.
+func (e *Engine) runSegment(horizon units.Seconds) (done bool, err error) {
 	alive := false
+	// inBody is set while a task body (the current task's) executes:
+	// only a body's Ctx operations raise powerFailure, so a panic from
+	// anywhere else, such as the power manager or a commit, is not ours.
+	inBody := false
+	defer func() {
+		if !inBody {
+			return
+		}
+		r := recover()
+		if _, ok := r.(powerFailure); !ok {
+			panic(r)
+		}
+		e.Restarts++
+		e.profile().Failures++
+	}()
 	for e.Dev.Now() < horizon {
 		name := e.CurrentTask()
 		t := e.curT
@@ -270,34 +317,30 @@ func (e *Engine) Run(horizon units.Seconds) error {
 			var ok bool
 			t, ok = e.Prog.Task(name)
 			if !ok {
-				return fmt.Errorf("task: transition to undefined task %q", name)
+				return true, fmt.Errorf("task: transition to undefined task %q", name)
 			}
-			e.curT = t
+			e.curT, e.curProf = t, nil
 		}
 		if !e.PM.Prepare(t, alive, horizon) {
-			return nil // deadline reached while preparing
+			return true, nil // deadline reached while preparing
 		}
 		alive = true
 		ctx := newCtx(e, t.Name)
 		timeBefore := e.Dev.Stats.TimeOn
 		energyBefore := e.Dev.Stats.EnergyDrawn
-		next, failed := e.exec(t, ctx)
-		prof := e.profileFor(t.Name)
-		if failed {
-			// Power failed mid-task: volatile state (the staged writes)
-			// is lost; the task will restart from scratch.
-			e.Restarts++
-			prof.Failures++
-			alive = false
-			continue
-		}
+		inBody = true
+		next := t.Run(ctx)
+		inBody = false
+		prof := e.profile()
 		prof.Runs++
 		prof.Time += e.Dev.Stats.TimeOn - timeBefore
 		prof.Energy += e.Dev.Stats.EnergyDrawn - energyBefore
-		ctx.commit()
+		if ctx.staged() {
+			ctx.commit()
+		}
 		if next == Halt {
 			e.Dev.NV.Delete(nvCurrentTask)
-			return nil
+			return true, nil
 		}
 		// Self-transitions need no validation (the running task is by
 		// construction defined) and leave the durable pointer untouched:
@@ -306,31 +349,12 @@ func (e *Engine) Run(horizon units.Seconds) error {
 		// allocations.
 		if string(next) != name {
 			if _, ok := e.Prog.Task(string(next)); !ok {
-				return fmt.Errorf("task: %s transitioned to undefined task %q", t.Name, next)
+				return true, fmt.Errorf("task: %s transitioned to undefined task %q", t.Name, next)
 			}
 			e.Dev.NV.SetBlob(nvCurrentTask, []byte(next))
 		}
 	}
-	return nil
-}
-
-// powerFailure is the internal control-flow signal for a brownout
-// mid-operation. It never escapes the package (Effective Go's
-// "internal panic, external error" rule).
-type powerFailure struct{}
-
-func (e *Engine) exec(t *Task, ctx *Ctx) (next Next, failed bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(powerFailure); ok {
-				failed = true
-				next = Next(t.Name)
-				return
-			}
-			panic(r)
-		}
-	}()
-	return t.Run(ctx), false
+	return true, nil
 }
 
 // Ctx is the execution context a task body runs against. All operations
@@ -349,6 +373,14 @@ type Ctx struct {
 	stagedBlobs []kvBlob
 	stagedDel   []string
 	stagedChans []kvChan
+
+	// floats is FloatSeries' decode buffer and spare the encode buffer
+	// SetFloats stages, both kept across attempts so a sliding window
+	// (TA's series: read, push, trim, write back) allocates nothing per
+	// attempt. spare passes to the staged write when used; commit
+	// refills it with the blob that write displaces from NV.
+	floats []float64
+	spare  []byte
 
 	// taskName is the executing task, used to address its channels.
 	taskName string
@@ -556,15 +588,23 @@ func (c *Ctx) AppendFloat(key string, v float64) {
 	c.setBlob(key, appendFloatBytes(cur, v))
 }
 
-// FloatSeries reads a durable series including staged appends.
+// FloatSeries reads a durable series including staged appends. The
+// result is the context's decode buffer: it is valid until the next
+// FloatSeries call, and its spare capacity lets the caller append a
+// value (a sliding window's push) without reallocating.
 func (c *Ctx) FloatSeries(key string) []float64 {
-	return decodeFloats(c.blobView(key))
+	c.floats = decodeFloats(c.floats, c.blobView(key))
+	return c.floats
 }
 
 // SetFloats stages a durable series wholesale — used to keep bounded
 // sliding windows (e.g. TA's "most recent time series").
 func (c *Ctx) SetFloats(key string, vals []float64) {
-	b := make([]byte, 0, len(vals)*8)
+	b := c.spare[:0]
+	c.spare = nil
+	if cap(b) < len(vals)*8 {
+		b = make([]byte, 0, len(vals)*8)
+	}
 	for _, v := range vals {
 		b = appendFloatInPlace(b, v)
 	}
@@ -622,6 +662,12 @@ func (c *Ctx) blobView(key string) []byte {
 	return b
 }
 
+// staged reports whether the attempt staged any write; Run skips
+// commit for the many attempts that stage none.
+func (c *Ctx) staged() bool {
+	return len(c.stagedWords)+len(c.stagedBlobs)+len(c.stagedDel)+len(c.stagedChans) > 0
+}
+
 // commit applies the staged writes to non-volatile memory in one
 // atomic step (Chain commits channel writes at the task transition).
 // Each key space commits in sorted key order, so the NV write sequence
@@ -655,8 +701,13 @@ func (c *Ctx) commit() {
 		for i := range c.stagedBlobs {
 			// Ownership of the staged slice moves to NV: the next
 			// newCtx truncates the staged entries before anything can
-			// touch them again.
-			c.eng.Dev.NV.SetBlobOwned(c.stagedBlobs[i].k, c.stagedBlobs[i].b)
+			// touch them again. The blob it displaces is no longer
+			// referenced (PeekBlob views do not outlive a write), so
+			// the larger of it and spare becomes the next encode buffer.
+			old := c.eng.Dev.NV.SetBlobOwned(c.stagedBlobs[i].k, c.stagedBlobs[i].b)
+			if cap(old) > cap(c.spare) {
+				c.spare = old[:0]
+			}
 		}
 	}
 	c.commitChans()
