@@ -2,7 +2,7 @@ GO ?= go
 # bash for pipefail in the bench targets.
 SHELL := /bin/bash
 
-.PHONY: build test vet race bench bench-short bench-compare chaos fuzz-smoke fleet-shard-smoke fleet-resume-smoke verify
+.PHONY: build test vet fmt-check race bench bench-short bench-compare chaos fuzz-smoke fleet-shard-smoke fleet-resume-smoke verify
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Fails if any tracked Go file is not gofmt-clean. It lists tracked
+# files only, so build and benchmark caches (.bench_build/) are never
+# walked.
+fmt-check:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 # The whole suite must be race-clean: the experiment sweeps fan out
 # across goroutines and the determinism golden tests run them at
@@ -49,7 +55,7 @@ bench-compare:
 	cp BENCH_sim.json BENCH_sim.base.json
 	$(MAKE) bench-short
 	status=0; $(GO) run ./cmd/benchjson -compare -threshold $(BENCH_THRESHOLD) -min $(BENCH_MIN) \
-		-metric devices/sec:+ -metric memo-hit-rate:+ -metric allocs/attempt:- \
+		-metric devices/sec:+ -metric allocs/attempt:- \
 		BENCH_sim.base.json BENCH_sim.json || status=$$?; \
 	rm -f BENCH_sim.base.json; exit $$status
 
@@ -87,4 +93,4 @@ fleet-resume-smoke:
 	bash scripts/resume_smoke.sh
 
 # The full verify path: what CI runs.
-verify: build vet test race
+verify: build vet fmt-check test race

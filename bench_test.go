@@ -20,7 +20,6 @@ import (
 	"capybara/internal/env"
 	"capybara/internal/experiments"
 	"capybara/internal/fleet"
-	"capybara/internal/power"
 	"capybara/internal/runner"
 	"capybara/internal/shard"
 )
@@ -275,40 +274,14 @@ func fleetBenchConfig() fleet.Config {
 	return fleet.Config{N: 10_000, Seed: 1, Scale: 0.05}
 }
 
-// BenchmarkFleet measures fleet-engine throughput at -jobs=GOMAXPROCS
-// with all three perf layers on (worker-shared memo caches, recycled
-// scratch, streaming aggregation). devices/sec is the headline;
-// memo-hit-rate is the cache-effectiveness diagnostic. The speedup
-// claim is this benchmark against BenchmarkFleetBaseline: the engine
-// parallelizes across cohort-independent devices, so on a P-core
-// machine the ratio is ~P times the single-worker gain (measured
-// serially here: recycling+memo alone give ~1.1x; P>=4 cores puts the
-// combined ratio well past 5x).
+// BenchmarkFleet measures fleet-engine throughput at -jobs=GOMAXPROCS:
+// recycled scratch, streaming aggregation and the lean device step.
+// devices/sec is the headline; devices are independent, so it scales
+// with cores.
 func BenchmarkFleet(b *testing.B) {
 	var res *fleet.Result
 	for i := 0; i < b.N; i++ {
 		r, err := fleet.Run(context.Background(), fleetBenchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = r
-	}
-	b.ReportMetric(res.DevicesSec, "devices/sec")
-	b.ReportMetric(res.Cache.HitRate(), "memo-hit-rate")
-}
-
-// BenchmarkFleetBaseline is the pre-fleet single-device loop on the
-// identical workload: serial, every device built fresh with its own
-// per-instance memo cache (fleet.Config.NoRecycle). The report is
-// byte-identical to BenchmarkFleet's (TestFleetRecycleInvariant); only
-// throughput differs.
-func BenchmarkFleetBaseline(b *testing.B) {
-	var res *fleet.Result
-	for i := 0; i < b.N; i++ {
-		cfg := fleetBenchConfig()
-		cfg.Jobs = 1
-		cfg.NoRecycle = true
-		r, err := fleet.Run(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -378,11 +351,10 @@ func BenchmarkMultiSeed(b *testing.B) {
 // BenchmarkTaskAttempt measures the device-step hot path: the cost of
 // one task attempt (engine dispatch, power-manager prepare, the task
 // body's drains, commit). One op is one scale-1.0 lifecycle of one
-// device, built on recycled scratch with a memo cache as a fleet worker
-// builds it; only Execute is timed. ns/attempt and allocs/attempt
-// divide that lifecycle's time and heap allocations by its task
-// attempts (successes plus power failures, over all tasks; the named
-// self-looping task makes up nearly all of them).
+// device, built on recycled scratch; only Execute is timed. ns/attempt
+// and allocs/attempt divide that lifecycle's time and heap allocations
+// by its task attempts (successes plus power failures, over all tasks;
+// the named self-looping task makes up nearly all of them).
 func BenchmarkTaskAttempt(b *testing.B) {
 	for _, bc := range []struct {
 		name, app string
@@ -399,7 +371,7 @@ func BenchmarkTaskAttempt(b *testing.B) {
 				b.Fatal(err)
 			}
 			sched := env.Poisson(runner.RNG(1, 0), spec.Events, spec.Mean, spec.Window)
-			scr := apps.Scratch{Memo: power.NewSegmentCache(0)}
+			var scr apps.Scratch
 			var attempts, mallocs uint64
 			var ms runtime.MemStats
 			b.StopTimer()

@@ -28,7 +28,7 @@
 // Custom ReportMetric series gate too, with an explicit direction —
 // ns/op always reads "lower is better", but devices/sec does not:
 //
-//	benchjson -compare -metric devices/sec:+ -metric memo-hit-rate:+:0.05 old.json new.json
+//	benchjson -compare -metric devices/sec:+ -metric allocs/attempt:-:0.05 old.json new.json
 //
 // Each -metric is name:dir[:threshold]: dir is '+' (higher is better,
 // a drop fails) or '-' (lower is better, a rise fails); the optional

@@ -91,10 +91,12 @@ func run(fig string, seed int64, asCSV bool, orbits int, plot bool, outDir strin
 			if err != nil {
 				return err
 			}
-			defer f.Close()
 			if err := t.WriteCSV(f); err != nil {
+				f.Close()
 				return err
 			}
+			// A failed write-back (NFS, quota) surfaces only here.
+			return f.Close()
 		}
 		return nil
 	}

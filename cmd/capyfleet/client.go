@@ -151,16 +151,11 @@ func clientFetchReport(c *apiClient, o *options, st fleetsvc.JobStatus) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("fetching report: %s: %s", resp.Status, data)
 	}
-	var w io.Writer = os.Stdout
-	if o.out != "" {
-		f, err := os.Create(o.out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if _, err := w.Write(data); err != nil {
+	err = writeOutput(o.out, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "capyfleet: job %s done: %d chunks (%d loaded, %d computed)\n",

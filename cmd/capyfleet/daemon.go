@@ -52,9 +52,6 @@ func serveHTTP(ctx context.Context, o *options, ready chan<- string) error {
 		Store:         store,
 		Jobs:          o.jobs,
 		MaxConcurrent: o.maxJobs,
-		NoMemo:        o.noMemo,
-		CacheSize:     o.cacheSize,
-		NoRecycle:     o.noRecycle,
 	})
 	if err != nil {
 		return err

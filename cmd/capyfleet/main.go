@@ -5,7 +5,6 @@
 // Usage:
 //
 //	capyfleet -n 10000 [-seed S] [-jobs N] [-scale F] [-json] [-o FILE]
-//	          [-memo=false] [-cache N] [-recycle=false]
 //	          [-cpuprofile F] [-memprofile F]
 //
 // Sharded (multi-process) mode splits one run across machines:
@@ -28,11 +27,10 @@
 // share work across runs.
 //
 // The report (CSV by default, -json for JSON) is a pure function of
-// (-n, -seed, -scale, -chunk): it is byte-identical at any -jobs, with
-// the charge-solve memo cache on or off — and in sharded or daemon mode
-// at any worker count, topology, failure schedule, or crash/resume
-// history. Throughput, lease, and cache-effectiveness diagnostics go to
-// stderr — they depend on scheduling and wall clock, so they are
+// (-n, -seed, -scale, -chunk): it is byte-identical at any -jobs — and
+// in sharded or daemon mode at any worker count, topology, failure
+// schedule, or crash/resume history. Throughput and lease diagnostics
+// go to stderr — they depend on scheduling and wall clock, so they are
 // deliberately not part of the report.
 package main
 
@@ -54,16 +52,13 @@ import (
 
 // options is the parsed and validated command line.
 type options struct {
-	n         int
-	seed      int64
-	jobs      int
-	scale     float64
-	chunk     int
-	asJSON    bool
-	out       string
-	noMemo    bool
-	cacheSize int
-	noRecycle bool
+	n      int
+	seed   int64
+	jobs   int
+	scale  float64
+	chunk  int
+	asJSON bool
+	out    string
 
 	serveAddr    string
 	connectAddr  string
@@ -114,9 +109,6 @@ func (o *options) validate() error {
 	if o.jobs < 1 {
 		return fmt.Errorf("-jobs must be >= 1, got %d", o.jobs)
 	}
-	if o.cacheSize < 0 {
-		return fmt.Errorf("-cache must be >= 0, got %d", o.cacheSize)
-	}
 	if o.chunk < 0 {
 		return fmt.Errorf("-chunk must be >= 0, got %d", o.chunk)
 	}
@@ -133,7 +125,7 @@ func (o *options) validate() error {
 	}
 	if o.connectAddr != "" {
 		// Worker mode: the job spec (n, seed, scale) arrives from the
-		// coordinator; only local execution knobs apply.
+		// coordinator; only -jobs and -dial-retry apply.
 		if o.storeDir != "" {
 			return fmt.Errorf("-store does not apply to -connect (the coordinator owns checkpoints)")
 		}
@@ -176,9 +168,6 @@ func main() {
 	flag.Float64Var(&o.scale, "scale", 1.0, "event-count scale per device in (0, 1]")
 	flag.BoolVar(&o.asJSON, "json", false, "emit JSON instead of CSV")
 	flag.StringVar(&o.out, "o", "", "write the report to this file instead of stdout")
-	memo := flag.Bool("memo", true, "enable per-worker charge-solve memoization")
-	flag.IntVar(&o.cacheSize, "cache", 0, "memo cache entries per worker (0 = default)")
-	recycle := flag.Bool("recycle", true, "recycle per-worker scratch (recorders, shared memo cache); false builds every device fresh")
 	flag.IntVar(&o.chunk, "chunk", 0, "devices per chunk — the checkpoint/lease granularity (0 = default)")
 	flag.StringVar(&o.serveAddr, "serve", "", "run as shard coordinator listening on this address (host:port); workers join with -connect")
 	flag.StringVar(&o.connectAddr, "connect", "", "run as shard worker connecting to a coordinator at this address")
@@ -196,8 +185,6 @@ func main() {
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write an allocation profile to this file on exit")
 	flag.Parse()
-	o.noMemo = !*memo
-	o.noRecycle = !*recycle
 
 	if err := o.validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "capyfleet: %v\n", err)
@@ -242,35 +229,40 @@ func (o *options) fleetConfig() fleet.Config {
 		Jobs:      o.jobs,
 		Scale:     o.scale,
 		ChunkSize: o.chunk,
-		NoMemo:    o.noMemo,
-		CacheSize: o.cacheSize,
-		NoRecycle: o.noRecycle,
 	}
 }
 
 // writeReport renders res to -o (or stdout) and its diagnostics to
 // stderr.
 func writeReport(o *options, res *fleet.Result) error {
-	var w io.Writer = os.Stdout
-	if o.out != "" {
-		f, err := os.Create(o.out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	var err error
+	render := res.WriteCSV
 	if o.asJSON {
-		err = res.WriteJSON(w)
-	} else {
-		err = res.WriteCSV(w)
+		render = res.WriteJSON
 	}
-	if err != nil {
+	if err := writeOutput(o.out, render); err != nil {
 		return err
 	}
 	fmt.Fprint(os.Stderr, res.Diagnostics())
 	return nil
+}
+
+// writeOutput hands write the file at path, or stdout when path is
+// empty. The file's Close error is returned: it is where a failed
+// write-back (NFS, quota) surfaces, and dropping it would exit 0 with a
+// truncated report.
+func writeOutput(path string, write func(io.Writer) error) error {
+	if path == "" {
+		return write(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // run executes the whole fleet in this process. With -store, completed
@@ -365,12 +357,7 @@ func runCoordinator(o *options) error {
 // runWorker joins a coordinator and runs leased chunks until done.
 func runWorker(o *options) error {
 	fmt.Fprintf(os.Stderr, "capyfleet: worker connecting to %s (%d jobs)\n", o.connectAddr, o.jobs)
-	err := shard.Work(context.Background(), o.connectAddr, o.jobs, shard.WorkerOptions{
-		NoMemo:    o.noMemo,
-		CacheSize: o.cacheSize,
-		NoRecycle: o.noRecycle,
-		DialRetry: o.dialRetry,
-	})
+	err := shard.Work(context.Background(), o.connectAddr, o.jobs, shard.WorkerOptions{DialRetry: o.dialRetry})
 	if err != nil {
 		return err
 	}

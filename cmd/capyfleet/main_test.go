@@ -26,16 +26,15 @@ func testOptions(n int, jobs int) *options {
 }
 
 // TestRunEndToEnd exercises the CLI path: CSV and JSON reports land in
-// the output file, and the bytes are identical across worker counts and
-// with the memo disabled (the CLI-level view of the engine's
-// determinism guarantee).
+// the output file, the bytes are identical across worker counts (the
+// CLI-level view of the engine's determinism guarantee), and a report
+// that cannot be written is an error, not a truncated file and exit 0.
 func TestRunEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	emit := func(name string, jobs int, asJSON, noMemo bool) string {
+	emit := func(name string, jobs int, asJSON bool) string {
 		t.Helper()
 		o := testOptions(48, jobs)
 		o.asJSON = asJSON
-		o.noMemo = noMemo
 		o.out = filepath.Join(dir, name)
 		if err := run(o); err != nil {
 			t.Fatal(err)
@@ -50,20 +49,28 @@ func TestRunEndToEnd(t *testing.T) {
 		return string(b)
 	}
 
-	csv1 := emit("j1.csv", 1, false, false)
-	csv4 := emit("j4.csv", 4, false, false)
+	csv1 := emit("j1.csv", 1, false)
+	csv4 := emit("j4.csv", 4, false)
 	if csv1 != csv4 {
 		t.Fatal("CSV differs between -jobs 1 and -jobs 4")
 	}
-	csvNoMemo := emit("nomemo.csv", 2, false, true)
-	if csv1 != csvNoMemo {
-		t.Fatal("CSV differs with -memo=false")
-	}
-	js1 := emit("j1.json", 1, true, false)
-	js4 := emit("j4.json", 4, true, false)
+	js1 := emit("j1.json", 1, true)
+	js4 := emit("j4.json", 4, true)
 	if js1 != js4 {
 		t.Fatal("JSON differs between -jobs 1 and -jobs 4")
 	}
+
+	t.Run("unwritable", func(t *testing.T) {
+		// /dev/full accepts the open and fails every write with ENOSPC.
+		if _, err := os.Stat("/dev/full"); err != nil {
+			t.Skipf("no /dev/full: %v", err)
+		}
+		o := testOptions(48, 2)
+		o.out = "/dev/full"
+		if err := run(o); err == nil {
+			t.Fatal("-o /dev/full: run succeeded; a failed report write must be an error")
+		}
+	})
 }
 
 // TestValidate pins the up-front flag validation: every bad flag is a
@@ -90,7 +97,6 @@ func TestValidate(t *testing.T) {
 		{"big scale", func(o *options) { o.scale = 1.5 }, "-scale"},
 		{"nan scale", func(o *options) { o.scale = nan() }, "-scale"},
 		{"zero jobs", func(o *options) { o.jobs = 0 }, "-jobs"},
-		{"negative cache", func(o *options) { o.cacheSize = -1 }, "-cache"},
 		{"serve and connect", func(o *options) { o.serveAddr = ":1"; o.connectAddr = ":2" }, "mutually exclusive"},
 		{"serve and serve-http", func(o *options) { o.serveAddr = ":1"; o.serveHTTPAddr = ":2" }, "mutually exclusive"},
 		{"serve-http and http", func(o *options) { o.serveHTTPAddr = ":1"; o.httpURL = "http://x" }, "mutually exclusive"},

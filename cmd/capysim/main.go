@@ -113,12 +113,19 @@ func run(app, system string, events int, mean float64, seed int64, tracePath str
 	return nil
 }
 
-func writeTrace(path string, tr *sim.Trace) error {
+// writeTrace writes the trace as CSV to path. The file's Close error is
+// returned when nothing failed before it: it is where a failed
+// write-back (NFS, quota) surfaces.
+func writeTrace(path string, tr *sim.Trace) (err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	if _, err := fmt.Fprintln(f, "t_seconds,voltage,phase"); err != nil {
 		return err
 	}

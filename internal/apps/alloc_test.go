@@ -5,7 +5,6 @@ import (
 
 	"capybara/internal/core"
 	"capybara/internal/env"
-	"capybara/internal/power"
 	"capybara/internal/units"
 )
 
@@ -36,7 +35,7 @@ func TestSteadyAttemptsAllocFree(t *testing.T) {
 			// that runs.
 			const eventAt = 1200
 			sched := env.Schedule{Events: []env.Event{{Index: 0, At: eventAt, Window: spec.Window}}}
-			scr := Scratch{Memo: power.NewSegmentCache(0)}
+			var scr Scratch
 			// A first lifecycle grows the recorder's sample slice; the
 			// measured run reuses it, as recycled fleet scratch does.
 			warm, err := spec.Build(tc.variant, sched, nil, &scr)

@@ -172,27 +172,14 @@ const (
 // buildConfig assembles the per-variant platform configuration. Fixed
 // and Continuous use a single statically-provisioned bank (modes map to
 // the base bank); the Capybara variants get a switched big bank.
-//
-// When a Scratch is supplied the instance uses exactly scr.Memo as its
-// charge-solve cache (nil disables memoization): the scratch owner —
-// typically a fleet worker sharing one cache across its devices —
-// controls caching fully, and the default per-instance cache is never
-// allocated.
 func buildConfig(variant core.Variant, src harvest.Source,
-	fixed, small, big *storage.Bank, trace *sim.Trace, scr *Scratch) core.Config {
+	fixed, small, big *storage.Bank, trace *sim.Trace) core.Config {
 	cfg := core.Config{
 		Variant:    variant,
 		Source:     src,
 		MCU:        device.MSP430FR5969(),
 		SwitchKind: reservoir.NormallyOpen,
 		Trace:      trace,
-	}
-	if scr != nil {
-		if scr.Memo != nil {
-			cfg.Memo = scr.Memo
-		} else {
-			cfg.NoMemo = true
-		}
 	}
 	switch variant {
 	case core.Continuous, core.Fixed:
@@ -226,8 +213,8 @@ type Spec struct {
 	// Horizon is the experiment duration.
 	Horizon units.Seconds
 	// Build constructs a run for the variant and schedule. A non-nil
-	// scr recycles the run's state containers and memo cache (see
-	// Scratch); nil allocates fresh.
+	// scr recycles the run's state containers (see Scratch); nil
+	// allocates fresh.
 	Build func(v core.Variant, sched env.Schedule, trace *sim.Trace, scr *Scratch) (*Run, error)
 }
 

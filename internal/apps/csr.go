@@ -78,7 +78,7 @@ func NewCSR(variant core.Variant, sched env.Schedule, trace *sim.Trace, scr *Scr
 		},
 	}
 
-	cfg := buildConfig(variant, grcSupply(), csrFixedBank(), csrSmallBank(), csrBigBank(), trace, scr)
+	cfg := buildConfig(variant, grcSupply(), csrFixedBank(), csrSmallBank(), csrBigBank(), trace)
 	prog := task.MustProgram("sample", sample, report)
 	inst, err := core.New(cfg, prog)
 	if err != nil {

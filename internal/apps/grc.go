@@ -146,7 +146,7 @@ func NewGRC(variant core.Variant, fast bool, sched env.Schedule, trace *sim.Trac
 	if !fast {
 		big = grcCompactBigBank()
 	}
-	cfg := buildConfig(variant, grcSupply(), grcFixedBank(), grcSmallBank(), big, trace, scr)
+	cfg := buildConfig(variant, grcSupply(), grcFixedBank(), grcSmallBank(), big, trace)
 	prog := task.MustProgram("sense", tasks...)
 	inst, err := core.New(cfg, prog)
 	if err != nil {

@@ -9,8 +9,8 @@ import (
 // Scratch bundles the reusable per-run state an application build
 // otherwise allocates fresh: the observable recorder (whose sample
 // slice grows to over a million timestamps in a gesture lifecycle
-// unless Rec.DropSamples is set, as the fleet sets it), optional
-// trace/event-log buffers, and the charge-solve memo cache.
+// unless Rec.DropSamples is set, as the fleet sets it) and optional
+// trace/event-log buffers.
 //
 // The fleet engine keeps one Scratch per worker in a sync.Pool and
 // calls Reset between devices, so per-device cost is simulation state,
@@ -31,16 +31,13 @@ type Scratch struct {
 	// trace argument to use it).
 	Trace sim.Trace
 	Log   sim.EventLog
-	// Memo, when non-nil, is attached to the built instance in place of
-	// a fresh per-instance cache; nil disables memoization for the
-	// instance entirely. Either way results are bit-identical to the
-	// uncached solver (see power/memo.go) — only speed changes.
+	// Memo is ignored: no build reads it. It survives only because
+	// perfbench/layers.go:66 still assigns it; remove it with that line.
 	Memo *power.SegmentCache
 }
 
-// Reset clears the run state for the next device. Backing storage and
-// the memo cache survive: stale memo entries can only produce
-// bit-identical replays, never wrong results.
+// Reset clears the run state for the next device, keeping only backing
+// storage.
 func (s *Scratch) Reset() {
 	s.Rec.Reset()
 	s.Trace.Reset()

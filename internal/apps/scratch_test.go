@@ -5,15 +5,14 @@ import (
 	"testing"
 
 	"capybara/internal/core"
-	"capybara/internal/power"
 )
 
 // TestScratchReuseIdentical is the recycling soundness property the
 // fleet engine depends on: running every application through one dirty,
-// repeatedly-Reset Scratch (with a shared memo cache, like a fleet
-// worker) yields exactly the observables of fresh allocation.
+// repeatedly-Reset Scratch (like a fleet worker's) yields exactly the
+// observables of fresh allocation.
 func TestScratchReuseIdentical(t *testing.T) {
-	scr := &Scratch{Memo: power.NewSegmentCache(0)}
+	scr := &Scratch{}
 	for round := 0; round < 2; round++ { // round 1 reuses dirty state
 		for _, name := range SpecNames() {
 			spec, _ := SpecByName(name)
@@ -28,9 +27,6 @@ func TestScratchReuseIdentical(t *testing.T) {
 				}
 				if run.Rec != &scr.Rec {
 					t.Fatalf("%s/%v: scratch recorder not wired in", name, v)
-				}
-				if run.Inst.Dev.Sys.Memo != scr.Memo {
-					t.Fatalf("%s/%v: scratch memo cache not wired in", name, v)
 				}
 				if err := run.Execute(); err != nil {
 					t.Fatalf("%s/%v scratch execute: %v", name, v, err)
@@ -47,22 +43,5 @@ func TestScratchReuseIdentical(t *testing.T) {
 				}
 			}
 		}
-	}
-	if st := scr.Memo.Stats(); st.Hits == 0 {
-		t.Error("shared memo cache saw no hits across reused runs")
-	}
-}
-
-// TestScratchNilMemoDisables checks the other half of the contract:
-// a Scratch with no cache builds an instance with memoization off.
-func TestScratchNilMemoDisables(t *testing.T) {
-	spec, _ := SpecByName("TempAlarm")
-	scr := &Scratch{}
-	run, err := spec.Build(core.CapyR, shortSchedule(spec, 2), nil, scr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Inst.Dev.Sys.Memo != nil {
-		t.Fatal("nil-Memo scratch still attached a cache")
 	}
 }

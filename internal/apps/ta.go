@@ -81,7 +81,7 @@ func NewTA(variant core.Variant, sched env.Schedule, trace *sim.Trace, scr *Scra
 		},
 	}
 
-	cfg := buildConfig(variant, taSupply(), taFixedBank(), taSmallBank(), taBigBank(), trace, scr)
+	cfg := buildConfig(variant, taSupply(), taFixedBank(), taSmallBank(), taBigBank(), trace)
 	prog := task.MustProgram("sample", sample, alarm)
 	inst, err := core.New(cfg, prog)
 	if err != nil {

@@ -330,14 +330,6 @@ type Config struct {
 	Trace *sim.Trace
 	// Tune adjusts the power system after construction (optional).
 	Tune func(*power.System)
-	// NoMemo disables the charge-solve memo cache. Memoization is on by
-	// default because cache hits are bit-identical to direct solves
-	// (power/memo.go) — results never depend on this flag, only speed.
-	NoMemo bool
-	// Memo, when non-nil, attaches a caller-owned cache instead of a
-	// fresh per-instance one (the fleet engine shares one per worker).
-	// Ignored when NoMemo is set.
-	Memo *power.SegmentCache
 }
 
 // Instance is a ready-to-run platform: device, runtime, and engine.
@@ -374,13 +366,6 @@ func New(cfg Config, prog *task.Program) (*Instance, error) {
 	sys := power.NewSystem(cfg.Source)
 	if cfg.Tune != nil {
 		cfg.Tune(sys)
-	}
-	if !cfg.NoMemo {
-		if cfg.Memo != nil {
-			sys.Memo = cfg.Memo
-		} else {
-			sys.Memo = power.NewSegmentCache(0)
-		}
 	}
 	dev := sim.NewDevice(sys, arr, cfg.MCU)
 	dev.Continuous = cfg.Variant == Continuous

@@ -1,9 +1,20 @@
 package fleet
 
-// Result.Batch and Result.Fuse are always zero. They exist only
-// because perfbench (perfbench/engine.go) reads them for its sim.op_*
-// and task.* per-layer counts, so each type keeps exactly the members
-// it reads. Remove them together with those counts.
+// Result.Cache, Result.Batch and Result.Fuse are always zero. They
+// exist only because perfbench (perfbench/engine.go) reads them for its
+// power.memo_*, sim.op_* and task.* per-layer counts, so each type
+// keeps exactly the members it reads. Remove them together with those
+// counts.
+
+// CacheStats is the always-zero charge-solve memo counter set:
+// perfbench/engine.go:12 reads Result.Cache, and lines 14–15 its Hits,
+// Misses and HitRate.
+type CacheStats struct {
+	Hits, Misses uint64
+}
+
+// HitRate is 0: nothing is memoized.
+func (CacheStats) HitRate() float64 { return 0 }
 
 // BatchStats is the always-zero device-op replay counter set.
 type BatchStats struct {

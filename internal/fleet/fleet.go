@@ -3,17 +3,15 @@
 // one seeded schedule per device — and reports fleet-level statistics
 // without retaining per-device state.
 //
-// Four performance layers keep per-device cost at simulation, not
+// Three performance layers keep per-device cost at simulation, not
 // construction or retention:
 //
-//   - charge-solve memoization: each worker owns a power.SegmentCache
-//     (recycled through a sync.Pool) shared by every device it
-//     simulates, so the periodic charge segments a cohort revisits are
-//     solved once and replayed bit-identically;
-//   - shared immutable artifacts: cohort environment traces are built
-//     once and shared by every device in the cohort (harvest.Modulated
-//     wraps the built source without copying it), and the storage
-//     technology catalog is already interned package-level state;
+//   - shared immutable artifacts and recycled scratch: cohort
+//     environment traces are built once and shared by every device in
+//     the cohort (harvest.Modulated wraps the built source without
+//     copying it), the storage technology catalog is already interned
+//     package-level state, and each worker's recorder and buffers are
+//     recycled through a sync.Pool and reset between devices;
 //   - streaming aggregation: per-device observables fold into
 //     constant-size per-cohort accumulators (metrics.Running, mergeable
 //     metrics.Histogram, integer totals) per chunk, and chunks fold in
@@ -37,10 +35,8 @@
 // Determinism: device d derives everything random from runner.RNG(seed,
 // d) and chunk boundaries are a fixed size independent of the worker
 // count, so the folded report is byte-identical at any Jobs — or at any
-// shard topology or failure schedule. Memo caches cannot break this —
-// hits are bit-identical to direct solves — but their hit/miss counters
-// do depend on how chunks land on workers, so cache stats are reported
-// as diagnostics, never in the Report.
+// shard topology or failure schedule. Wall-clock throughput depends on
+// scheduling, so it is reported as a diagnostic, never in the Report.
 package fleet
 
 import (
@@ -55,7 +51,6 @@ import (
 	"capybara/internal/env"
 	"capybara/internal/harvest"
 	"capybara/internal/metrics"
-	"capybara/internal/power"
 	"capybara/internal/runner"
 	"capybara/internal/units"
 )
@@ -116,18 +111,6 @@ type Config struct {
 	// Scale scales each application's event count in (0, 1]; 0 means
 	// 1.0. Smaller scales shorten every lifecycle proportionally.
 	Scale float64
-	// NoMemo disables charge-solve memoization (results are identical
-	// either way; this is a perf A/B knob).
-	NoMemo bool
-	// NoRecycle builds every device fresh the pre-fleet way — no scratch
-	// recycling, no worker-shared memo cache; each instance gets its own
-	// default cache, exactly as a plain spec.Build loop would. Results
-	// are identical either way; with Jobs=1 this is the single-device-
-	// loop baseline BenchmarkFleet's speedup is measured against.
-	NoRecycle bool
-	// CacheSize bounds each worker's per-cohort memo caches (0 =
-	// default).
-	CacheSize int
 	// ChunkSize is the number of consecutive devices folded per
 	// aggregation chunk (0 = 64). It must not vary with Jobs — chunk
 	// boundaries define the fold order the determinism guarantee
@@ -207,15 +190,11 @@ type Result struct {
 	// depend on wall clock and on how chunks land on workers.
 	Elapsed    time.Duration
 	DevicesSec float64
-	Cache      power.CacheStats
-	// Batch and Fuse are always zero (see enginestats.go).
+	Workers    int
+	// Cache, Batch and Fuse are always zero (see enginestats.go).
+	Cache CacheStats
 	Batch BatchStats
 	Fuse  FuseStats
-	// CohortCache breaks the memo diagnostics down per cohort (grid
-	// order), so cohorts whose solves rarely recur are visible. Nil
-	// when memoization is off.
-	CohortCache []power.CacheStats
-	Workers     int
 }
 
 // cohortGrid builds the population grid: every application × variant ×
@@ -232,9 +211,7 @@ func cohortGrid(seed int64) ([]Cohort, error) {
 			for s := Scenario(0); s < numScenarios; s++ {
 				c := Cohort{App: name, Variant: v, Scenario: s}
 				// Scenario parameters are drawn per cohort, not per
-				// device: the trace is a shared immutable artifact, and
-				// devices of a cohort revisiting the same source levels is
-				// what makes the per-worker memo caches pay.
+				// device: the trace is a shared immutable artifact.
 				rng := runner.RNG(seed^0x5ca1ab1e, idx)
 				switch s {
 				case PWM:
@@ -273,11 +250,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	// Per-worker scratch — recorder, latency buffer, and memo cache —
-	// recycled across chunks through a sync.Pool. Scratch returned dirty
-	// is fine: simulate Resets the state containers before each device,
-	// and stale memo entries can only produce bit-identical replays,
-	// never wrong results.
+	// Per-worker scratch — recorder and latency buffer — recycled
+	// across chunks through a sync.Pool. Scratch returned dirty is fine:
+	// execute Resets the state containers before each device.
 	scratches := sync.Pool{New: func() any { return job.NewScratch() }}
 
 	start := time.Now()
@@ -306,7 +281,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 // chunk partial. Nothing of the device survives the call — its state
 // containers live in ws and are recycled for the next device.
 func (j *Job) simulate(d int, ws *Scratch, cp *ChunkPartial) error {
-	run, ci, err := j.execute(d, ws)
+	run, ci, err := j.execute(d, &ws.scr)
 	if err != nil {
 		return err
 	}
@@ -336,10 +311,10 @@ func (j *Job) simulate(d int, ws *Scratch, cp *ChunkPartial) error {
 	return nil
 }
 
-// execute builds device d of cohort ci = d mod len(grid) — on ws's
-// recycled scratch unless the job disables recycling — and runs its
-// lifecycle to the horizon.
-func (j *Job) execute(d int, ws *Scratch) (*apps.Run, int, error) {
+// execute builds device d of cohort ci = d mod len(grid) on scr, reset
+// first, and runs its lifecycle to the horizon. A nil scr builds every
+// container fresh, as the experiments do.
+func (j *Job) execute(d int, scr *apps.Scratch) (*apps.Run, int, error) {
 	ci := d % len(j.grid)
 	cohort := j.grid[ci]
 	spec, err := apps.SpecByName(cohort.App)
@@ -352,14 +327,8 @@ func (j *Job) execute(d int, ws *Scratch) (*apps.Run, int, error) {
 	}
 	rng := runner.RNG(j.cfg.Seed, d)
 	sched := env.Poisson(rng, n, spec.Mean, spec.Window)
-	var scr *apps.Scratch
-	if !j.cfg.NoRecycle {
-		ws.scr.Reset()
-		// Caches are per cohort: within a cohort devices share banks,
-		// boosters, and sources, so their solves actually recur; split
-		// caches also give the per-cohort diagnostics for free.
-		ws.scr.Memo = ws.memoFor(j, ci)
-		scr = &ws.scr
+	if scr != nil {
+		scr.Reset()
 	}
 	run, err := spec.Build(cohort.Variant, sched, nil, scr)
 	if err != nil {

@@ -3,14 +3,15 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
 
 // testConfig keeps wall time small: 96 devices covers every cohort of
 // the 48-cell grid twice at 5% event scale.
-func testConfig(jobs int, noMemo bool) Config {
-	return Config{N: 96, Seed: 1, Jobs: jobs, Scale: 0.05, NoMemo: noMemo}
+func testConfig(jobs int) Config {
+	return Config{N: 96, Seed: 1, Jobs: jobs, Scale: 0.05}
 }
 
 func render(t *testing.T, cfg Config) (string, string) {
@@ -32,9 +33,9 @@ func render(t *testing.T, cfg Config) (string, string) {
 // TestFleetDeterministicAcrossJobs is the engine's core guarantee: the
 // canonical report is byte-identical at any worker count.
 func TestFleetDeterministicAcrossJobs(t *testing.T) {
-	baseCSV, baseJSON := render(t, testConfig(1, false))
+	baseCSV, baseJSON := render(t, testConfig(1))
 	for _, jobs := range []int{3, 8} {
-		csv, js := render(t, testConfig(jobs, false))
+		csv, js := render(t, testConfig(jobs))
 		if csv != baseCSV {
 			t.Fatalf("CSV differs at jobs=%d:\n--- jobs=1 ---\n%s--- jobs=%d ---\n%s",
 				jobs, baseCSV, jobs, csv)
@@ -45,35 +46,50 @@ func TestFleetDeterministicAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestFleetMemoInvariant: disabling the memo cache must not change a
-// byte of the report — hits replay the exact float operations of the
-// direct solver.
-func TestFleetMemoInvariant(t *testing.T) {
-	onCSV, onJSON := render(t, testConfig(2, false))
-	offCSV, offJSON := render(t, testConfig(2, true))
-	if onCSV != offCSV {
-		t.Fatalf("memo changed the CSV report:\n--- memo on ---\n%s--- memo off ---\n%s",
-			onCSV, offCSV)
-	}
-	if onJSON != offJSON {
-		t.Fatal("memo changed the JSON report")
-	}
-}
-
-// TestFleetRecycleInvariant: the scratch-recycling layer (pooled
-// recorders, worker-shared memo caches) must not change a byte of the
-// report versus building every device fresh.
+// TestFleetRecycleInvariant: building a device on a worker's recycled,
+// dirty scratch must not change anything it simulates. For every
+// device, a build on the fleet's scratch and a fresh build (nil
+// scratch, as the experiments build) agree on every statistic
+// TestFleetStatsGolden hashes, on accuracy, and on every reported
+// latency, bit for bit.
 func TestFleetRecycleInvariant(t *testing.T) {
-	cfg := testConfig(2, false)
-	onCSV, onJSON := render(t, cfg)
-	cfg.NoRecycle = true
-	offCSV, offJSON := render(t, cfg)
-	if onCSV != offCSV {
-		t.Fatalf("recycling changed the CSV report:\n--- recycle ---\n%s--- fresh ---\n%s",
-			onCSV, offCSV)
+	j, err := NewJob(testConfig(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if onJSON != offJSON {
-		t.Fatal("recycling changed the JSON report")
+	ws := j.NewScratch()
+	restarts := 0
+	for d := 0; d < j.cfg.N; d++ {
+		recycled, _, err := j.execute(d, &ws.scr)
+		if err != nil {
+			t.Fatalf("device %d recycled: %v", d, err)
+		}
+		fresh, _, err := j.execute(d, nil)
+		if err != nil {
+			t.Fatalf("device %d fresh: %v", d, err)
+		}
+		var got, want bytes.Buffer
+		writeDeviceStats(&got, d, recycled)
+		writeDeviceStats(&want, d, fresh)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("device %d: recycled build's statistics differ from a fresh build's", d)
+		}
+		if got, want := recycled.Accuracy(), fresh.Accuracy(); got != want {
+			t.Fatalf("device %d: accuracy %+v, fresh %+v", d, got, want)
+		}
+		gotLat, wantLat := recycled.Rec.Latencies(), fresh.Rec.Latencies()
+		if len(gotLat) != len(wantLat) {
+			t.Fatalf("device %d: %d latencies, fresh %d", d, len(gotLat), len(wantLat))
+		}
+		for i := range gotLat {
+			if math.Float64bits(float64(gotLat[i])) != math.Float64bits(float64(wantLat[i])) {
+				t.Fatalf("device %d: latency %d is %v, fresh %v", d, i, gotLat[i], wantLat[i])
+			}
+		}
+		restarts += fresh.Inst.Engine.Restarts
+	}
+	if restarts == 0 {
+		t.Fatal("no device restarted a task; the spec no longer covers power failures")
 	}
 }
 
@@ -81,7 +97,7 @@ func TestFleetRecycleInvariant(t *testing.T) {
 // cohort got devices, events were scheduled, and the Capybara variants
 // actually exercised reconfiguration.
 func TestFleetReportShape(t *testing.T) {
-	res, err := Run(context.Background(), testConfig(0, false))
+	res, err := Run(context.Background(), testConfig(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,9 +123,6 @@ func TestFleetReportShape(t *testing.T) {
 	}
 	if res.DevicesSec <= 0 {
 		t.Fatalf("throughput diagnostic %v", res.DevicesSec)
-	}
-	if res.Cache.Hits == 0 {
-		t.Fatalf("memo never hit across the fleet: %+v", res.Cache)
 	}
 	if res.Diagnostics() == "" {
 		t.Fatal("empty diagnostics")
@@ -147,7 +160,7 @@ func TestFleetConfigValidation(t *testing.T) {
 func TestFleetCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, testConfig(2, false)); err == nil {
+	if _, err := Run(ctx, testConfig(2)); err == nil {
 		t.Fatal("canceled run completed")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"capybara/internal/apps"
-	"capybara/internal/power"
 	"capybara/internal/units"
 )
 
@@ -30,9 +29,9 @@ type Job struct {
 }
 
 // Spec is the wire-shippable subset of Config: exactly the fields the
-// canonical report is a function of. The execution knobs (Jobs, NoMemo,
-// NoRecycle, CacheSize) are deliberately absent — they never change a
-// byte of the output, so each process in a sharded run picks its own.
+// canonical report is a function of. The worker count (Jobs) is
+// deliberately absent — it never changes a byte of the output, so each
+// process in a sharded run picks its own.
 type Spec struct {
 	N         int
 	Seed      int64
@@ -40,31 +39,11 @@ type Spec struct {
 	ChunkSize int
 }
 
-// ExecOptions bundles the execution knobs a process chooses for itself
-// when reconstructing a job from a Spec: parallelism and the memo and
-// recycling layers. None of these change a byte of the report — that
-// is exactly why they are not part of Spec.
-type ExecOptions struct {
-	Jobs      int
-	NoMemo    bool
-	CacheSize int
-	NoRecycle bool
-}
-
-// Exec builds a Config from a received Spec plus local execution
-// options. Shard workers use it to reconstruct the coordinator's job
-// with their own parallelism and cache settings.
-func (s Spec) Exec(o ExecOptions) Config {
-	return Config{
-		N:         s.N,
-		Seed:      s.Seed,
-		Scale:     s.Scale,
-		ChunkSize: s.ChunkSize,
-		Jobs:      o.Jobs,
-		NoMemo:    o.NoMemo,
-		CacheSize: o.CacheSize,
-		NoRecycle: o.NoRecycle,
-	}
+// Exec builds a Config from a received Spec plus this process's worker
+// count. Shard workers and the fleet service use it to reconstruct a
+// job with their own parallelism.
+func (s Spec) Exec(jobs int) Config {
+	return Config{N: s.N, Seed: s.Seed, Scale: s.Scale, ChunkSize: s.ChunkSize, Jobs: jobs}
 }
 
 // NewJob validates cfg, applies defaults, and builds the cohort grid.
@@ -165,70 +144,42 @@ func (j *Job) specHash() string {
 }
 
 // Scratch is one worker's recycled simulation state: the application
-// build scratch (recorder + memo cache), the latency staging buffer,
-// and the per-cohort memo caches. Reusing one Scratch across many
-// RunChunk calls is what makes per-device cost simulation-bound; it is
-// sound because scratch contents never influence results (state
-// containers are Reset per device; cache hits are bit-identical to
-// recomputes).
+// build scratch and the latency staging buffer. Reusing one Scratch
+// across many RunChunk calls is what makes per-device cost
+// simulation-bound; it is sound because scratch contents never
+// influence results (state containers are Reset per device).
 type Scratch struct {
 	scr apps.Scratch
 	lat []units.Seconds
-	// memo holds one cache per cohort, allocated lazily the first time
-	// a device of that cohort runs on this worker. Per-cohort caches
-	// are what make the lookups pay (a cohort's devices share hardware
-	// and source, so their solves actually recur) and what the
-	// per-cohort diagnostics are cut from. A nil slice means
-	// memoization is disabled for the job.
-	memo []*power.SegmentCache
 }
 
-func (ws *Scratch) memoFor(j *Job, ci int) *power.SegmentCache {
-	if ws.memo == nil {
-		return nil
-	}
-	if ws.memo[ci] == nil {
-		ws.memo[ci] = power.NewSegmentCache(j.cfg.CacheSize)
-	}
-	return ws.memo[ci]
-}
-
-// NewScratch builds a Scratch configured for this job: per-cohort memo
-// caches unless the job disables memoization or recycling, and a
-// recorder that drops sample timestamps — the fleet folds reports and
-// device counters only, never the inter-sample gaps.
+// NewScratch builds a Scratch whose recorder drops sample timestamps:
+// the fleet folds reports and device counters only, never the
+// inter-sample gaps.
 func (j *Job) NewScratch() *Scratch {
 	ws := &Scratch{}
 	ws.scr.Rec.DropSamples = true
-	if !j.cfg.NoRecycle && !j.cfg.NoMemo {
-		ws.memo = make([]*power.SegmentCache, len(j.grid))
-	}
 	return ws
 }
 
-// ChunkPartial is one chunk's fold: per-cohort accumulators (indexed by
-// cohort-grid position; untouched cohorts stay zero) plus the cache
-// deltas observed while running the chunk (diagnostic only). Every
-// field is exported and value-typed so partials round-trip through
-// gob/JSON for the shard wire protocol.
+// ChunkPartial is one chunk's fold: per-cohort accumulators, indexed by
+// cohort-grid position (untouched cohorts stay zero). Every field is
+// exported and value-typed so partials round-trip through gob/JSON for
+// the shard wire protocol. Partials written by earlier binaries carry
+// diagnostic fields this type no longer has; gob skips them, so old
+// stores still load (TestDecodeLegacyEntry).
 type ChunkPartial struct {
 	Chunk   int
 	Cohorts []CohortAccum
-	Cache   power.CacheStats
-	// Memo is the per-cohort memo-stat delta for this chunk (grid
-	// order); nil when memoization is off. Like the cache stats it is
-	// an execution diagnostic, excluded from the canonical report and
-	// the spec hash.
-	Memo []power.CacheStats
 }
 
 // RunChunk simulates chunk ci's devices and folds them into a fresh
 // partial. ws may be nil (a throwaway scratch is built); passing a
-// reused Scratch amortizes recorder and memo-cache allocations across
-// chunks. The partial is a pure function of (Spec, ci): any process
-// running the same chunk of the same job produces bit-identical
-// accumulators, which is the whole basis of the shard protocol's
-// determinism and of its freedom to re-lease chunks after failures.
+// reused Scratch amortizes recorder allocations across chunks. The
+// partial is a pure function of (Spec, ci): any process running the
+// same chunk of the same job produces bit-identical accumulators,
+// which is the whole basis of the shard protocol's determinism and of
+// its freedom to re-lease chunks after failures.
 func (j *Job) RunChunk(ctx context.Context, ci int, ws *Scratch) (*ChunkPartial, error) {
 	if ci < 0 || ci >= j.NumChunks() {
 		return nil, fmt.Errorf("fleet: chunk %d out of range [0, %d)", ci, j.NumChunks())
@@ -237,19 +188,6 @@ func (j *Job) RunChunk(ctx context.Context, ci int, ws *Scratch) (*ChunkPartial,
 		ws = j.NewScratch()
 	}
 	cp := &ChunkPartial{Chunk: ci, Cohorts: make([]CohortAccum, len(j.grid))}
-	// Snapshot the recycled caches so the chunk reports deltas: caches
-	// accumulate across chunks, and only deltas sum meaningfully. The
-	// lookup totals are deterministic; the hit/miss split depends on
-	// cache warmth, which is why all of this is diagnostic only.
-	var memoBefore []power.CacheStats
-	if ws.memo != nil {
-		memoBefore = make([]power.CacheStats, len(ws.memo))
-		for i, c := range ws.memo {
-			if c != nil {
-				memoBefore[i] = c.Stats()
-			}
-		}
-	}
 	lo, hi := j.ChunkBounds(ci)
 	for d := lo; d < hi; d++ {
 		if err := ctx.Err(); err != nil {
@@ -258,24 +196,6 @@ func (j *Job) RunChunk(ctx context.Context, ci int, ws *Scratch) (*ChunkPartial,
 		if err := j.simulate(d, ws, cp); err != nil {
 			return nil, fmt.Errorf("fleet: device %d: %w", d, err)
 		}
-	}
-	if ws.memo != nil {
-		cp.Memo = make([]power.CacheStats, len(ws.memo))
-		for i, c := range ws.memo {
-			if c == nil {
-				continue
-			}
-			after, b := c.Stats(), memoBefore[i]
-			cp.Memo[i] = power.CacheStats{
-				Hits:        after.Hits - b.Hits,
-				Misses:      after.Misses - b.Misses,
-				Uncacheable: after.Uncacheable - b.Uncacheable,
-				Entries:     after.Entries,
-			}
-			cp.Cache.Add(cp.Memo[i])
-		}
-		// Worker-level Entries is a sum of per-cohort snapshots, not a
-		// delta; Fold zeroes it, matching the pre-cohort behavior.
 	}
 	return cp, nil
 }
@@ -309,18 +229,6 @@ func (j *Job) Fold(partials []*ChunkPartial) (*Result, error) {
 			}
 			if err := res.Cohorts[i].CohortAccum.Merge(&cp.Cohorts[i]); err != nil {
 				return nil, err
-			}
-		}
-		cache := cp.Cache
-		cache.Entries = 0 // per-chunk snapshots of recycled caches don't sum
-		res.Cache.Add(cache)
-		if len(cp.Memo) == len(j.grid) {
-			if res.CohortCache == nil {
-				res.CohortCache = make([]power.CacheStats, len(j.grid))
-			}
-			for i, m := range cp.Memo {
-				m.Entries = 0
-				res.CohortCache[i].Add(m)
 			}
 		}
 	}

@@ -8,9 +8,9 @@ import (
 )
 
 // The canonical report: everything written here is a pure function of
-// Config, so the bytes are identical at any worker count and with the
-// memo cache on or off. Wall-clock and cache diagnostics deliberately
-// live outside it (Result fields, rendered by Diagnostics).
+// Config, so the bytes are identical at any worker count. Wall-clock
+// diagnostics deliberately live outside it (Result fields, rendered by
+// Diagnostics).
 
 // cohortRow is the JSON shape of one cohort.
 type cohortRow struct {
@@ -209,33 +209,10 @@ func (r *Result) total() CohortStats {
 	return t
 }
 
-// Diagnostics renders the non-canonical run facts: throughput and memo
-// cache effectiveness. Separate from the report because both depend on
-// scheduling, not on Config.
+// Diagnostics renders the non-canonical run facts: wall time,
+// throughput and worker count. Separate from the report because they
+// depend on scheduling, not on Config.
 func (r *Result) Diagnostics() string {
-	var b []byte
-	b = fmt.Appendf(b, "fleet: %d devices in %v (%.0f devices/sec, %d workers)\n",
+	return fmt.Sprintf("fleet: %d devices in %v (%.0f devices/sec, %d workers)\n",
 		r.Config.N, r.Elapsed.Round(1e6), r.DevicesSec, r.Workers)
-	if c := r.Cache; c.Hits+c.Misses > 0 {
-		b = fmt.Appendf(b, "memo: %d lookups, %.1f%% hit, %d uncacheable\n",
-			c.Hits+c.Misses, 100*c.HitRate(), c.Uncacheable)
-	} else if r.Config.NoMemo {
-		b = append(b, "memo: disabled\n"...)
-	}
-	b = r.appendCohortDiagnostics(b)
-	return string(b)
-}
-
-// appendCohortDiagnostics renders one line per cohort breaking the
-// memo aggregate down, so cohorts whose solves rarely recur are visible
-// without a profiler. Empty unless the run collected per-cohort stats.
-func (r *Result) appendCohortDiagnostics(b []byte) []byte {
-	for i, m := range r.CohortCache {
-		if m.Hits+m.Misses == 0 {
-			continue
-		}
-		b = fmt.Appendf(b, "cohort %s: memo %5.1f%% hit (%d lookups)\n",
-			r.Cohorts[i].Cohort, 100*m.HitRate(), m.Hits+m.Misses)
-	}
-	return b
 }

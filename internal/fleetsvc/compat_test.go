@@ -12,9 +12,10 @@ import (
 )
 
 // legacyEntry is chunk 2 of legacySpec as daemons wrote it before
-// ChunkPartial dropped its per-cohort Ops and Fuse stat sidecars: the
-// gob payload still carries both. Existing stores are full of such
-// entries, and they must keep loading.
+// ChunkPartial dropped its per-cohort Ops and Fuse stat sidecars and,
+// later, its Cache and Memo ones: the gob payload still carries all
+// four (Cache records 61 misses, Memo 48 cohorts). Existing stores are
+// full of such entries, and they must keep loading.
 const legacyEntry = "testdata/spec-n64-seed3-chunk2.cp"
 
 var legacySpec = fleet.Spec{N: 64, Seed: 3, Scale: 0.05, ChunkSize: 16}
@@ -28,7 +29,7 @@ func TestDecodeLegacyEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := fleet.NewJob(legacySpec.Exec(fleet.ExecOptions{Jobs: 1}))
+	job, err := fleet.NewJob(legacySpec.Exec(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestWarmRunLoadsLegacyEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := legacySpec.Exec(fleet.ExecOptions{Jobs: 1})
+	cfg := legacySpec.Exec(1)
 	job, err := fleet.NewJob(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -24,8 +24,8 @@ import (
 // wrapper, or {"error": "..."} with a matching HTTP status.
 
 // SubmitRequest is the POST /jobs body: the canonical report spec.
-// Execution knobs (parallelism, caches) are deliberately absent — they
-// belong to the daemon, and they cannot change a byte of the report.
+// Parallelism is deliberately absent — it belongs to the daemon, and
+// it cannot change a byte of the report.
 type SubmitRequest struct {
 	N         int     `json:"n"`
 	Seed      int64   `json:"seed"`

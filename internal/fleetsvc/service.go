@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"capybara/internal/fleet"
-	"capybara/internal/power"
 )
 
 // Service is the fleet-as-a-service layer: a queue of fleet jobs whose
@@ -39,10 +38,6 @@ type ServiceConfig struct {
 	// MaxConcurrent bounds how many jobs run at once (<= 0 means 2).
 	// Queued jobs start in submission order as slots free up.
 	MaxConcurrent int
-	// Execution knobs forwarded to the engine (never affect reports).
-	NoMemo    bool
-	CacheSize int
-	NoRecycle bool
 }
 
 // Job states. queued and running survive a daemon restart (the
@@ -90,16 +85,12 @@ type JobStatus struct {
 
 // CohortProgress is one cohort's running partial fold — served while a
 // job runs, merged in chunk-index order over completed chunks only, so
-// a snapshot at a given done-count is deterministic. Memo carries the
-// cohort's memo-cache sidecar folded over the same chunks; it is nil
-// when memoization was off for the run. It is an execution diagnostic —
-// it never appears in the canonical report.
+// a snapshot at a given done-count is deterministic.
 type CohortProgress struct {
-	Cohort   string            `json:"cohort"`
-	Devices  int               `json:"devices"`
-	Events   int               `json:"events"`
-	Accuracy float64           `json:"accuracy_mean"`
-	Memo     *power.CacheStats `json:"memo,omitempty"`
+	Cohort   string  `json:"cohort"`
+	Devices  int     `json:"devices"`
+	Events   int     `json:"events"`
+	Accuracy float64 `json:"accuracy_mean"`
 }
 
 // jobRecord is the journaled form of a job: everything a successor
@@ -299,16 +290,7 @@ func idNumber(id string) int {
 }
 
 func (s *Service) engineConfig(si SpecInfo) fleet.Config {
-	return si.spec().Exec(s.execOptions())
-}
-
-func (s *Service) execOptions() fleet.ExecOptions {
-	return fleet.ExecOptions{
-		Jobs:      s.cfg.Jobs,
-		NoMemo:    s.cfg.NoMemo,
-		CacheSize: s.cfg.CacheSize,
-		NoRecycle: s.cfg.NoRecycle,
-	}
+	return si.spec().Exec(s.cfg.Jobs)
 }
 
 // track registers a job in the in-memory table. Callers hold s.mu or
@@ -334,7 +316,7 @@ func (s *Service) track(id string, fj *fleet.Job, spec SpecInfo) *job {
 // status is the freshly queued job (it may already be running by the
 // time the caller reads the snapshot).
 func (s *Service) Submit(spec fleet.Spec) (JobStatus, error) {
-	fj, err := fleet.NewJob(spec.Exec(s.execOptions()))
+	fj, err := fleet.NewJob(spec.Exec(s.cfg.Jobs))
 	if err != nil {
 		return JobStatus{}, err
 	}
@@ -515,7 +497,6 @@ func (s *Service) Cohorts(id string) ([]CohortProgress, error) {
 	}
 	grid := j.fjob.Cohorts()
 	accum := make([]fleet.CohortAccum, len(grid))
-	var memo []power.CacheStats
 	j.mu.Lock()
 	for _, cp := range j.partials {
 		if cp == nil {
@@ -530,17 +511,6 @@ func (s *Service) Cohorts(id string) ([]CohortProgress, error) {
 				return nil, err
 			}
 		}
-		// The memo sidecar folds like the fleet's own Fold: per-cohort
-		// deltas sum; the snapshot-valued Entries field doesn't.
-		if len(cp.Memo) == len(grid) {
-			if memo == nil {
-				memo = make([]power.CacheStats, len(grid))
-			}
-			for i, m := range cp.Memo {
-				m.Entries = 0
-				memo[i].Add(m)
-			}
-		}
 	}
 	j.mu.Unlock()
 	var out []CohortProgress
@@ -548,17 +518,12 @@ func (s *Service) Cohorts(id string) ([]CohortProgress, error) {
 		if accum[i].Devices == 0 {
 			continue
 		}
-		p := CohortProgress{
+		out = append(out, CohortProgress{
 			Cohort:   grid[i].String(),
 			Devices:  accum[i].Devices,
 			Events:   accum[i].Events,
 			Accuracy: accum[i].Accuracy.Mean,
-		}
-		if memo != nil {
-			m := memo[i]
-			p.Memo = &m
-		}
-		out = append(out, p)
+		})
 	}
 	return out, nil
 }

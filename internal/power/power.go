@@ -118,12 +118,6 @@ type System struct {
 	Bypass BypassDiode
 	Out    OutputBooster
 
-	// Memo, when non-nil, memoizes charge-segment solves (see memo.go).
-	// Hits are bit-identical to direct solves, so attaching or sharing a
-	// cache never changes results — only speed. Leave nil for an
-	// unmemoized system.
-	Memo *SegmentCache
-
 	// cutEsr/cutDraw/cutV memoize recent cutoff solves keyed by the
 	// exact (esr, storage draw) pair the root depends on: every drain
 	// recomputes the brownout cutoff, and the simulator cycles through a
@@ -214,16 +208,19 @@ func (s *System) segmentHorizon(t, remain units.Seconds) units.Seconds {
 	return h
 }
 
-// chargeSegment charges the store for at most dt starting at time t,
-// under the contract that the source output is constant on [t, t+dt).
-// It advances analytically through the bypass / cold-start / started
-// phases (the charge power is constant within each phase, so each
-// phase is one closed-form solve) and stops early when the store
-// reaches target (0 means no target). It returns the time actually
-// consumed (dt unless the target was hit) and whether the target was
-// reached. The target voltage is snapped exactly so callers can
-// compare against it without float-asymptote drift.
-func (s *System) chargeSegment(st Store, target units.Voltage, t, dt units.Seconds) (units.Seconds, bool) {
+// StepSegment charges the store for at most dt starting at time t,
+// under the contract that the source output is constant on [t, t+dt):
+// AdvanceCharge and TimeToChargeTo bound their iterations by
+// segmentHorizon to establish it, and sim's charge loop passes its own
+// source-change horizon through directly. It advances analytically
+// through the bypass / cold-start / started phases (the charge power is
+// constant within each phase, so each phase is one closed-form solve)
+// and stops early when the store reaches target (0 means no target).
+// It returns the time actually consumed (dt unless the target was hit)
+// and whether the target was reached. The target voltage is snapped
+// exactly so callers can compare against it without float-asymptote
+// drift.
+func (s *System) StepSegment(st Store, target units.Voltage, t, dt units.Seconds) (units.Seconds, bool) {
 	rated := ratedCeiling(st)
 	elapsed := units.Seconds(0)
 	for elapsed < dt {

@@ -42,9 +42,13 @@ func WriteHeap(path string) error {
 	if err != nil {
 		return fmt.Errorf("mem profile: %w", err)
 	}
-	defer f.Close()
 	runtime.GC()
 	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return fmt.Errorf("mem profile: %w", err)
+	}
+	// A failed write-back (NFS, quota) surfaces only at Close.
+	if err := f.Close(); err != nil {
 		return fmt.Errorf("mem profile: %w", err)
 	}
 	return nil

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"capybara/internal/fleet"
-	"capybara/internal/power"
 )
 
 // testConfig is small enough for unit tests but decomposes into 12
@@ -91,7 +90,7 @@ func TestShardByteIdentical(t *testing.T) {
 	wantCSV, wantJSON := renderRun(t, cfg)
 	res, errs := serveWith(t, cfg, Options{},
 		worker(2, WorkerOptions{}),
-		worker(1, WorkerOptions{NoMemo: true}), // heterogeneous knobs must not matter
+		worker(1, WorkerOptions{}), // heterogeneous parallelism must not matter
 	)
 	for i, err := range errs {
 		if err != nil {
@@ -107,38 +106,6 @@ func TestShardByteIdentical(t *testing.T) {
 	}
 	if res.Workers != 2 {
 		t.Fatalf("peak workers %d, want 2", res.Workers)
-	}
-}
-
-// TestShardFoldsEngineStatSidecars: worker partials carry the
-// per-cohort memo-stat sidecar over the wire, and the coordinator folds
-// it into the Result's diagnostics exactly like the in-process engine —
-// so a sharded -connect run loses no cohort visibility. The sidecar
-// must stay out of the canonical report (TestShardByteIdentical pins
-// that side).
-func TestShardFoldsEngineStatSidecars(t *testing.T) {
-	cfg := testConfig()
-	res, errs := serveWith(t, cfg, Options{},
-		worker(2, WorkerOptions{}),
-		worker(2, WorkerOptions{}),
-	)
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-	}
-	if res.CohortCache == nil {
-		t.Fatal("coordinator folded no per-cohort memo stats from worker partials")
-	}
-	var sum power.CacheStats
-	for _, m := range res.CohortCache {
-		sum.Add(m)
-	}
-	if sum != res.Cache {
-		t.Fatalf("aggregate memo stats %+v != sum of per-cohort stats %+v", res.Cache, sum)
-	}
-	if res.Cache.Hits+res.Cache.Misses == 0 {
-		t.Fatal("memo saw no lookups — sidecar fold test is vacuous")
 	}
 }
 
@@ -204,7 +171,7 @@ func rawDial(t *testing.T, addr string, capacity int) (*frameConn, *frame) {
 	if err != nil || jobFrame.Type != msgJob {
 		t.Fatalf("handshake read: %v (type %v)", err, jobFrame.Type)
 	}
-	job, err := fleet.NewJob(jobFrame.Job.Spec.Exec(fleet.ExecOptions{Jobs: 1}))
+	job, err := fleet.NewJob(jobFrame.Job.Spec.Exec(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +368,7 @@ func chunk0Refuser(addr string) error {
 			fc.close()
 			return nil
 		}
-		job, err := fleet.NewJob(jobFrame.Job.Spec.Exec(fleet.ExecOptions{Jobs: 1}))
+		job, err := fleet.NewJob(jobFrame.Job.Spec.Exec(1))
 		if err != nil {
 			fc.close()
 			return err

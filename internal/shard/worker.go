@@ -12,17 +12,11 @@ import (
 	"capybara/internal/fleet"
 )
 
-// WorkerOptions carries a worker's local execution knobs. None of them
+// WorkerOptions carries a worker's deployment settings. None of them
 // affect a byte of the report — the canonical fields arrive in the job
-// spec from the coordinator — so heterogeneous workers (different
-// parallelism, cache sizes, memo on/off) are free to mix in one run.
+// spec from the coordinator, and the parallelism passed to Work is the
+// worker's own choice — so heterogeneous workers mix freely in one run.
 type WorkerOptions struct {
-	// NoMemo disables charge-solve memoization on this worker.
-	NoMemo bool
-	// CacheSize bounds this worker's memo caches (0 = default).
-	CacheSize int
-	// NoRecycle builds every device fresh on this worker.
-	NoRecycle bool
 	// DialRetry keeps retrying the initial connection for this long
 	// (0 = fail on the first refused dial). It lets workers start
 	// before the coordinator is listening — the usual two-terminal and
@@ -71,12 +65,7 @@ func Work(ctx context.Context, addr string, jobs int, opts WorkerOptions) error 
 	if f.Job.Proto != protoVersion {
 		return fmt.Errorf("shard: protocol version mismatch: coordinator %d, worker %d", f.Job.Proto, protoVersion)
 	}
-	job, err := fleet.NewJob(f.Job.Spec.Exec(fleet.ExecOptions{
-		Jobs:      jobs,
-		NoMemo:    opts.NoMemo,
-		CacheSize: opts.CacheSize,
-		NoRecycle: opts.NoRecycle,
-	}))
+	job, err := fleet.NewJob(f.Job.Spec.Exec(jobs))
 	if err != nil {
 		fc.write(&frame{Type: msgError, Error: err.Error()})
 		return fmt.Errorf("shard: bad job spec: %w", err)
