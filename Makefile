@@ -2,7 +2,7 @@ GO ?= go
 # bash for pipefail in the bench targets.
 SHELL := /bin/bash
 
-.PHONY: build test vet fmt-check race bench bench-short bench-compare chaos fuzz-smoke fleet-shard-smoke fleet-resume-smoke verify
+.PHONY: build test vet fmt-check race perfbench-check bench bench-short bench-compare chaos fuzz-smoke fleet-shard-smoke fleet-resume-smoke verify
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,12 @@ fmt-check:
 # several worker counts.
 race:
 	$(GO) test -race ./...
+
+# perfbench is its own module over the engine's internal API, so the
+# root build and tests never compile it; a change that breaks it must
+# fail here, not in the benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # One benchmark per paper figure/table, plus the parallel sweep-engine
 # speedup (BenchmarkMatrixParallel). The run is piped through benchjson,
@@ -93,4 +99,4 @@ fleet-resume-smoke:
 	bash scripts/resume_smoke.sh
 
 # The full verify path: what CI runs.
-verify: build vet fmt-check test race
+verify: build vet fmt-check test race perfbench-check

@@ -60,7 +60,9 @@ func main() {
 	} else {
 		err = run(*fig, *seed, *asCSV, *orbits, *plot, *outDir, *jobs)
 	}
-	stop()
+	if serr := stop(); err == nil {
+		err = serr
+	}
 	if err == nil {
 		err = prof.WriteHeap(*memProfile)
 	}

@@ -204,11 +204,13 @@ func main() {
 	case o.connectAddr != "":
 		err = runWorker(&o)
 	case o.serveAddr != "":
-		err = runCoordinator(&o)
+		err = runCoordinator(&o, nil)
 	default:
 		err = run(&o)
 	}
-	stop()
+	if serr := stop(); err == nil {
+		err = serr
+	}
 	if err == nil {
 		err = prof.WriteHeap(o.memProfile)
 	}
@@ -270,50 +272,31 @@ func writeOutput(path string, write func(io.Writer) error) error {
 // interrupted run resumes where it left off (and an identical later
 // spec reuses the work) with byte-identical output.
 func run(o *options) error {
-	if o.storeDir == "" {
-		res, err := fleet.Run(context.Background(), o.fleetConfig())
-		if err != nil {
+	var store *fleetsvc.Store
+	if o.storeDir != "" {
+		var err error
+		if store, err = fleetsvc.Open(o.storeDir); err != nil {
 			return err
 		}
-		return writeReport(o, res)
-	}
-	store, err := fleetsvc.Open(o.storeDir)
-	if err != nil {
-		return err
 	}
 	res, stats, err := fleetsvc.RunWithStore(context.Background(), store, o.fleetConfig(), nil)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "capyfleet: store %s: %d/%d chunks loaded, %d computed\n",
-		o.storeDir, stats.Loaded, stats.Chunks, stats.Computed)
+	if store != nil {
+		fmt.Fprintf(os.Stderr, "capyfleet: store %s: %d/%d chunks loaded, %d computed\n",
+			o.storeDir, stats.Loaded, stats.Chunks, stats.Computed)
+	}
 	return writeReport(o, res)
-}
-
-// loadCompleted reloads a spec's checkpointed chunks from the store.
-// Corrupt entries are quarantined by Get and simply skipped — they land
-// back on the to-compute side.
-func loadCompleted(store *fleetsvc.Store, hash string) ([]*fleet.ChunkPartial, error) {
-	indices, err := store.Completed(hash)
-	if err != nil {
-		return nil, err
-	}
-	var completed []*fleet.ChunkPartial
-	for _, ci := range indices {
-		cp, err := store.Get(hash, ci)
-		if err != nil {
-			continue // missing or quarantined: recompute it
-		}
-		completed = append(completed, cp)
-	}
-	return completed, nil
 }
 
 // runCoordinator listens for shard workers, leases them chunks, and
 // folds the identical report the in-process path would produce. With
 // -store, already-checkpointed chunks are never leased and every newly
-// completed chunk is checkpointed before it folds.
-func runCoordinator(o *options) error {
+// completed chunk is checkpointed before it folds. ready, when non-nil,
+// receives the resolved listen address once workers can connect (for
+// tests that bind port 0).
+func runCoordinator(o *options, ready chan<- string) error {
 	opt := shard.Options{
 		LeaseTimeout: o.leaseTimeout,
 		MaxAttempts:  o.leaseRetries,
@@ -328,17 +311,21 @@ func runCoordinator(o *options) error {
 		if err != nil {
 			return err
 		}
-		hash := job.SpecHash()
-		completed, err := loadCompleted(store, hash)
-		if err != nil {
+		if opt.Completed, err = store.Load(context.Background(), job); err != nil {
 			return err
 		}
-		opt.Completed = completed
+		hash := job.SpecHash()
 		opt.OnChunk = func(cp *fleet.ChunkPartial) error {
 			return store.Put(hash, cp.Chunk, cp)
 		}
+		have := 0
+		for _, cp := range opt.Completed {
+			if cp != nil {
+				have++
+			}
+		}
 		fmt.Fprintf(os.Stderr, "capyfleet: store %s: %d/%d chunks already checkpointed\n",
-			o.storeDir, len(completed), job.NumChunks())
+			o.storeDir, have, job.NumChunks())
 	}
 	ln, err := net.Listen("tcp", o.serveAddr)
 	if err != nil {
@@ -347,6 +334,9 @@ func runCoordinator(o *options) error {
 	// The resolved address matters when -serve used port 0.
 	fmt.Fprintf(os.Stderr, "capyfleet: coordinating on %s (workers: capyfleet -connect %s)\n",
 		ln.Addr(), ln.Addr())
+	if ready != nil {
+		ready <- ln.Addr().String()
+	}
 	res, err := shard.Serve(context.Background(), ln, o.fleetConfig(), opt)
 	if err != nil {
 		return err

@@ -1,9 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -150,18 +150,18 @@ func nan() float64 {
 }
 
 // TestRunWithStoreResumes: the one-shot path with -store produces the
-// same bytes as the storeless path, and a second identical run is
-// served from checkpoints (every chunk present in the store afterward).
+// bytes fleet.Run renders, and a second identical run is served from
+// checkpoints (every chunk present in the store afterward).
 func TestRunWithStoreResumes(t *testing.T) {
 	dir := t.TempDir()
-	plain := testOptions(48, 2)
-	plain.chunk = 8
-	plain.out = filepath.Join(dir, "plain.csv")
-	if err := run(plain); err != nil {
+	cfg := testOptions(48, 2)
+	cfg.chunk = 8
+	res, err := fleet.Run(context.Background(), cfg.fleetConfig())
+	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(plain.out)
-	if err != nil {
+	var want bytes.Buffer
+	if err := res.WriteCSV(&want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -177,28 +177,35 @@ func TestRunWithStoreResumes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(got) != string(want) {
-			t.Fatalf("store run %d differs from the storeless report", i)
+		if string(got) != want.String() {
+			t.Fatalf("store run %d differs from fleet.Run's report", i)
 		}
 	}
 
 	// All 6 chunks must be checkpointed for the spec the runs used.
-	store, err := fleetsvc.Open(filepath.Join(dir, "store"))
+	requireCheckpointed(t, filepath.Join(dir, "store"), cfg)
+}
+
+// requireCheckpointed fails unless the store at dir holds every chunk
+// of o's spec.
+func requireCheckpointed(t *testing.T, dir string, o *options) {
+	t.Helper()
+	store, err := fleetsvc.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testOptions(48, 2)
-	cfg.chunk = 8
-	job, err := fleet.NewJob(cfg.fleetConfig())
+	job, err := fleet.NewJob(o.fleetConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	completed, err := store.Completed(job.SpecHash())
+	loaded, err := store.Load(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(completed) != job.NumChunks() {
-		t.Fatalf("store holds %d chunks, want %d", len(completed), job.NumChunks())
+	for ci, cp := range loaded {
+		if cp == nil {
+			t.Fatalf("chunk %d of %d not checkpointed", ci, len(loaded))
+		}
 	}
 }
 
@@ -287,69 +294,135 @@ func TestDaemonServerTimeouts(t *testing.T) {
 	}
 }
 
-// TestServeConnectEndToEnd drives the CLI coordinator and two CLI
-// workers over loopback and asserts the sharded report is byte-for-byte
-// the single-process report.
-func TestServeConnectEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-
-	single := testOptions(96, 2)
-	single.out = filepath.Join(dir, "single.csv")
-	if err := run(single); err != nil {
-		t.Fatal(err)
+// startCoordinator runs the CLI coordinator in the background and
+// returns its address once it is listening, plus the channel its result
+// arrives on. Workers started after it returns connect at once, so none
+// can miss a run that another worker finishes quickly.
+func startCoordinator(t *testing.T, o *options) (string, <-chan error) {
+	t.Helper()
+	ready := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() { done <- runCoordinator(o, ready) }()
+	select {
+	case addr := <-ready:
+		return addr, done
+	case err := <-done:
+		t.Fatalf("coordinator exited before listening: %v", err)
+		return "", nil
 	}
+}
 
-	// Reserve a port for the coordinator.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
+// coordinatorOptions is a loopback coordinator for n devices in chunks
+// of chunk (0 = default) that writes its report to out.
+func coordinatorOptions(n, chunk int, out string) *options {
+	o := testOptions(n, 2)
+	o.chunk = chunk
+	o.serveAddr = "127.0.0.1:0"
+	o.out = out
+	o.leaseTimeout = time.Minute
+	o.leaseRetries = 3
+	return o
+}
 
-	co := testOptions(96, 2)
-	co.serveAddr = addr
-	co.out = filepath.Join(dir, "sharded.csv")
-	co.leaseTimeout = time.Minute
-	co.leaseRetries = 3
-
+// runWorkers runs n CLI workers against addr and returns their errors.
+func runWorkers(addr string, n int) []error {
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	var serveErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		serveErr = runCoordinator(co)
-	}()
-	workerErrs := make([]error, 2)
-	for i := range workerErrs {
+	for i := range errs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			wo := testOptions(0, 1)
 			wo.connectAddr = addr
 			wo.dialRetry = 10 * time.Second
-			workerErrs[i] = runWorker(wo)
+			errs[i] = runWorker(wo)
 		}(i)
 	}
 	wg.Wait()
-	if serveErr != nil {
-		t.Fatalf("coordinator: %v", serveErr)
+	return errs
+}
+
+// requireSameFile fails unless the file at path holds exactly want.
+func requireSameFile(t *testing.T, path string, want []byte) {
+	t.Helper()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 || !bytes.Equal(got, want) {
+		t.Fatalf("%s differs from the single-process report:\n--- single ---\n%s--- got ---\n%s", path, want, got)
+	}
+}
+
+// singleReport renders n devices in chunks of chunk through the
+// one-shot CLI path.
+func singleReport(t *testing.T, n, chunk int) []byte {
+	t.Helper()
+	o := testOptions(n, 2)
+	o.chunk = chunk
+	o.out = filepath.Join(t.TempDir(), "single.csv")
+	if err := run(o); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(o.out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestServeConnectEndToEnd drives the CLI coordinator and two CLI
+// workers over loopback and asserts the sharded report is byte-for-byte
+// the single-process report.
+func TestServeConnectEndToEnd(t *testing.T) {
+	dir := t.TempDir()
+	co := coordinatorOptions(96, 0, filepath.Join(dir, "sharded.csv"))
+	want := singleReport(t, 96, 0)
+
+	addr, served := startCoordinator(t, co)
+	workerErrs := runWorkers(addr, 2)
+	if err := <-served; err != nil {
+		t.Fatalf("coordinator: %v", err)
 	}
 	for i, err := range workerErrs {
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
+	requireSameFile(t, co.out, want)
+}
 
-	want, err := os.ReadFile(single.out)
-	if err != nil {
-		t.Fatal(err)
+// TestServeStoreResumes: a sharded run with -store checkpoints every
+// chunk, and a second coordinator over the same store, with no workers
+// at all, folds the single-process report from the checkpoints alone.
+func TestServeStoreResumes(t *testing.T) {
+	dir := t.TempDir()
+	want := singleReport(t, 96, 8)
+
+	first := coordinatorOptions(96, 8, filepath.Join(dir, "first.csv"))
+	first.storeDir = filepath.Join(dir, "store")
+	addr, served := startCoordinator(t, first)
+	for i, err := range runWorkers(addr, 2) {
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
 	}
-	got, err := os.ReadFile(co.out)
-	if err != nil {
-		t.Fatal(err)
+	if err := <-served; err != nil {
+		t.Fatalf("first coordinator: %v", err)
 	}
-	if len(got) == 0 || string(got) != string(want) {
-		t.Fatalf("sharded CLI report differs from single-process report:\n--- single ---\n%s--- sharded ---\n%s", want, got)
+	requireSameFile(t, first.out, want)
+	requireCheckpointed(t, first.storeDir, first)
+
+	second := coordinatorOptions(96, 8, filepath.Join(dir, "second.csv"))
+	second.storeDir = first.storeDir
+	_, served = startCoordinator(t, second)
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("second coordinator: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a coordinator over a complete store is still waiting for workers")
 	}
+	requireSameFile(t, second.out, want)
 }

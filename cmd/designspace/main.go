@@ -48,7 +48,9 @@ func main() {
 	}
 	// os.Exit skips defers, so the profile stop runs explicitly before
 	// any error exit — a truncated profile is worse than none.
-	stop()
+	if serr := stop(); err == nil {
+		err = serr
+	}
 	if err == nil {
 		err = prof.WriteHeap(*memProfile)
 	}

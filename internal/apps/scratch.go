@@ -12,9 +12,9 @@ import (
 // unless Rec.DropSamples is set, as the fleet sets it) and optional
 // trace/event-log buffers.
 //
-// The fleet engine keeps one Scratch per worker in a sync.Pool and
-// calls Reset between devices, so per-device cost is simulation state,
-// not construction. Passing nil to the constructors preserves the
+// The fleet engine gives each fleet.Job.Compute goroutine one Scratch
+// for its lifetime and calls Reset between devices, so per-device cost
+// is simulation state, not construction. Passing nil to the constructors preserves the
 // original allocate-fresh behaviour.
 //
 // Reuse is sound because Reset restores every container to its empty

@@ -10,8 +10,8 @@
 //     environment traces are built once and shared by every device in
 //     the cohort (harvest.Modulated wraps the built source without
 //     copying it), the storage technology catalog is already interned
-//     package-level state, and each worker's recorder and buffers are
-//     recycled through a sync.Pool and reset between devices;
+//     package-level state, and each Compute goroutine owns one recorder
+//     and buffer set for its lifetime, reset between devices;
 //   - streaming aggregation: per-device observables fold into
 //     constant-size per-cohort accumulators (metrics.Running, mergeable
 //     metrics.Histogram, integer totals) per chunk, and chunks fold in
@@ -27,10 +27,11 @@
 //     steady state (DESIGN.md §7, "The device-step hot path").
 //
 // Execution decomposes into fixed-size device-index chunks behind the
-// Job/RunChunk/Fold API. Run drives the chunks through an in-process
-// worker pool; internal/shard drives the identical chunks across
-// worker processes over TCP. Either way the partials fold in chunk
-// order, so the report is a pure function of the Spec.
+// Job/Compute/Fold API. Run, fleetsvc.RunWithStore and shard workers
+// all run their chunks through Job.Compute; internal/shard spreads the
+// identical chunks across worker processes over TCP. Either way the
+// partials fold in chunk order, so the report is a pure function of the
+// Spec.
 //
 // Determinism: device d derives everything random from runner.RNG(seed,
 // d) and chunk boundaries are a fixed size independent of the worker
@@ -42,8 +43,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"capybara/internal/apps"
@@ -237,35 +236,33 @@ func cohortGrid(seed int64) ([]Cohort, error) {
 	return grid, nil
 }
 
-// Run executes the fleet in-process and folds the report: chunks fan
-// out across a runner pool and fold in index order. internal/shard runs
-// the identical chunk decomposition across worker processes.
+// Run executes the fleet in-process and folds the report: every chunk
+// goes through Compute and the partials fold in index order.
+// internal/shard runs the identical chunk decomposition across worker
+// processes.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	job, err := NewJob(cfg)
 	if err != nil {
 		return nil, err
 	}
-	workers := cfg.Jobs
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	n := job.NumChunks()
+	chunks := make(chan int, n)
+	for ci := 0; ci < n; ci++ {
+		chunks <- ci
 	}
-
-	// Per-worker scratch — recorder and latency buffer — recycled
-	// across chunks through a sync.Pool. Scratch returned dirty is fine:
-	// execute Resets the state containers before each device.
-	scratches := sync.Pool{New: func() any { return job.NewScratch() }}
+	close(chunks)
+	partials := make([]*ChunkPartial, n)
 
 	start := time.Now()
-	folds, err := runner.Map(ctx, cfg.Jobs, job.NumChunks(), func(ctx context.Context, ci int) (*ChunkPartial, error) {
-		ws := scratches.Get().(*Scratch)
-		defer scratches.Put(ws)
-		return job.RunChunk(ctx, ci, ws)
+	workers, err := job.Compute(ctx, cfg.Jobs, chunks, func(cp *ChunkPartial) error {
+		partials[cp.Chunk] = cp
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	res, err := job.Fold(folds)
+	res, err := job.Fold(partials)
 	if err != nil {
 		return nil, err
 	}

@@ -6,8 +6,10 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strconv"
+	"sync"
 
 	"capybara/internal/apps"
+	"capybara/internal/runner"
 	"capybara/internal/units"
 )
 
@@ -16,7 +18,7 @@ import (
 // between the in-process engine (Run) and the distributed shard
 // protocol (internal/shard): a coordinator and its workers each build a
 // Job from the same Spec, agree on SpecHash before any chunk is leased,
-// and then RunChunk/Fold are the only execution primitives either side
+// and then Compute/Fold are the only execution primitives either side
 // needs. Chunk boundaries depend only on the Spec — never on worker
 // count or topology — which is what makes the folded report
 // byte-identical however the chunks are distributed.
@@ -198,6 +200,69 @@ func (j *Job) RunChunk(ctx context.Context, ci int, ws *Scratch) (*ChunkPartial,
 		}
 	}
 	return cp, nil
+}
+
+// Compute runs every chunk index received on chunks across workers
+// goroutines (<= 0 means GOMAXPROCS) and returns the count it used. It
+// is the one chunk executor: Run, the fleet service and shard workers
+// all drive their chunks through it. Each goroutine owns one Scratch
+// for its lifetime. done receives every partial in completion order,
+// which depends on scheduling, and its calls never overlap, so it needs
+// no lock of its own.
+//
+// Compute returns once chunks is closed and drained, or once ctx is
+// done. The first error from a chunk or from done cancels the rest and
+// is returned, never the context.Canceled it caused in sibling chunks.
+// A panic in a chunk or in done comes back as a *runner.PanicError
+// whose Job is the chunk index.
+func (j *Job) Compute(ctx context.Context, workers int, chunks <-chan int, done func(*ChunkPartial) error) (int, error) {
+	if workers <= 0 {
+		workers = runner.DefaultJobs()
+	}
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	var mu sync.Mutex // serializes done
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ws := j.NewScratch()
+			for {
+				select {
+				case <-ctx.Done():
+					return
+				case ci, ok := <-chunks:
+					if !ok {
+						return
+					}
+					if err := j.computeChunk(ctx, ci, ws, &mu, done); err != nil {
+						cancel(err) // the first cause sticks; later ones are no-ops
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return workers, context.Cause(ctx)
+}
+
+// computeChunk runs chunk ci on ws and hands its partial to done under
+// mu, recovering a panic in either into a *runner.PanicError.
+func (j *Job) computeChunk(ctx context.Context, ci int, ws *Scratch, mu *sync.Mutex, done func(*ChunkPartial) error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &runner.PanicError{Job: ci, Value: r}
+		}
+	}()
+	cp, err := j.RunChunk(ctx, ci, ws)
+	if err != nil {
+		return err
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	return done(cp)
 }
 
 // Fold combines every chunk's partial, in chunk-index order, into the

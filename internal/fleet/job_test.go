@@ -4,7 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"capybara/internal/runner"
 )
 
 func mustJob(t *testing.T, cfg Config) *Job {
@@ -141,4 +147,108 @@ func TestRunChunkValidation(t *testing.T) {
 	if _, err := job.Fold([]*ChunkPartial{cp, cp}); err == nil {
 		t.Fatal("mislabeled partial accepted")
 	}
+}
+
+// TestJobCompute pins the executor's contract: every chunk sent reaches
+// done exactly once, done calls never overlap, the first failure comes
+// back as itself rather than the context.Canceled it caused in sibling
+// chunks (a panic in done as a *runner.PanicError naming the chunk),
+// and Compute returns on a cancelled ctx or a closed, empty channel.
+func TestJobCompute(t *testing.T) {
+	job := mustJob(t, Config{N: 96, Seed: 1, Scale: 0.01, ChunkSize: 4})
+	n := job.NumChunks()
+	all := func() <-chan int {
+		ch := make(chan int, n)
+		for ci := 0; ci < n; ci++ {
+			ch <- ci
+		}
+		close(ch)
+		return ch
+	}
+	ctx := context.Background()
+	const k = 5
+
+	t.Run("every chunk once, never overlapping", func(t *testing.T) {
+		seen := make([]int, n) // unsynchronized: -race flags overlapping calls
+		var inflight, overlaps atomic.Int32
+		workers, err := job.Compute(ctx, 4, all(), func(cp *ChunkPartial) error {
+			if inflight.Add(1) != 1 {
+				overlaps.Add(1)
+			}
+			seen[cp.Chunk]++
+			time.Sleep(time.Millisecond) // widen the window an overlap needs
+			inflight.Add(-1)
+			return nil
+		})
+		if err != nil || workers != 4 {
+			t.Fatalf("Compute = (%d, %v), want (4, nil)", workers, err)
+		}
+		for ci, c := range seen {
+			if c != 1 {
+				t.Fatalf("chunk %d reached done %d times", ci, c)
+			}
+		}
+		if o := overlaps.Load(); o != 0 {
+			t.Fatalf("%d overlapping done calls", o)
+		}
+	})
+
+	t.Run("done error", func(t *testing.T) {
+		boom := errors.New("boom")
+		_, err := job.Compute(ctx, 4, all(), func(cp *ChunkPartial) error {
+			if cp.Chunk == k {
+				return boom
+			}
+			return nil
+		})
+		if err != boom {
+			t.Fatalf("err = %v, want %v", err, boom)
+		}
+	})
+
+	t.Run("done panic", func(t *testing.T) {
+		_, err := job.Compute(ctx, 4, all(), func(cp *ChunkPartial) error {
+			if cp.Chunk == k {
+				panic("exploded")
+			}
+			return nil
+		})
+		var pe *runner.PanicError
+		if !errors.As(err, &pe) || pe.Job != k || pe.Value != "exploded" {
+			t.Fatalf("err = %#v, want *runner.PanicError{Job: %d}", err, k)
+		}
+	})
+
+	t.Run("cancel with the channel open", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		chunks := make(chan int) // never closed
+		ret := make(chan error, 1)
+		go func() {
+			_, err := job.Compute(ctx, 2, chunks, func(*ChunkPartial) error { return nil })
+			ret <- err
+		}()
+		chunks <- 0
+		cancel()
+		select {
+		case err := <-ret:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Compute did not return after ctx was cancelled")
+		}
+	})
+
+	t.Run("closed empty channel", func(t *testing.T) {
+		chunks := make(chan int)
+		close(chunks)
+		workers, err := job.Compute(ctx, 0, chunks, func(*ChunkPartial) error {
+			t.Error("done called with no chunks")
+			return nil
+		})
+		if err != nil || workers != runtime.GOMAXPROCS(0) {
+			t.Fatalf("Compute = (%d, %v), want (%d, nil)", workers, err, runtime.GOMAXPROCS(0))
+		}
+	})
 }

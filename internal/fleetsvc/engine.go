@@ -2,10 +2,7 @@ package fleetsvc
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"capybara/internal/fleet"
@@ -13,7 +10,7 @@ import (
 
 // The chunked engine: the in-process fleet.Job path with the store in
 // the loop. Load every chunk the store already holds, compute only the
-// rest, and checkpoint each computed chunk the moment it folds — after
+// rest, and checkpoint each computed chunk before it is recorded — after
 // a crash at any instant, a rerun repeats at most the chunks that were
 // in flight. The final fold is fleet.Fold in fixed chunk-index order,
 // so the report is byte-identical to an uninterrupted fleet.Run
@@ -43,24 +40,20 @@ type Progress struct {
 
 // RunWithStore executes cfg in-process, resuming from and checkpointing
 // to store (which may be nil: a plain uncheckpointed run). onProgress,
-// when non-nil, observes every completed chunk; it is called from the
-// engine's fold goroutine only, never concurrently.
+// when non-nil, observes every completed chunk; its calls never
+// overlap.
 func RunWithStore(ctx context.Context, store *Store, cfg fleet.Config, onProgress func(Progress)) (*fleet.Result, RunStats, error) {
 	job, err := fleet.NewJob(cfg)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	workers := cfg.Jobs
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	n := job.NumChunks()
 	stats := RunStats{Chunks: n}
 	partials := make([]*fleet.ChunkPartial, n)
-	hash := job.SpecHash()
 	devices := 0
 	emit := func(cp *fleet.ChunkPartial) {
+		lo, hi := job.ChunkBounds(cp.Chunk)
+		devices += hi - lo
 		if onProgress != nil {
 			onProgress(Progress{
 				Done:    stats.Loaded + stats.Computed,
@@ -72,45 +65,41 @@ func RunWithStore(ctx context.Context, store *Store, cfg fleet.Config, onProgres
 		}
 	}
 
-	// Phase 1: fold everything the store already holds. Corrupt entries
-	// are quarantined inside Get and come back ErrNotFound, landing on
-	// the compute list like any other miss.
-	var missing []int
-	for ci := 0; ci < n; ci++ {
-		if err := ctx.Err(); err != nil {
+	// Phase 1: fold everything the store already holds.
+	if store != nil {
+		if partials, err = store.Load(ctx, job); err != nil {
 			return nil, stats, err
 		}
-		if store != nil {
-			cp, err := store.Get(hash, ci)
-			if err == nil {
-				partials[ci] = cp
-				stats.Loaded++
-				lo, hi := job.ChunkBounds(ci)
-				devices += hi - lo
-				emit(cp)
-				continue
-			}
-			if !errors.Is(err, ErrNotFound) {
-				return nil, stats, err
-			}
-		}
-		missing = append(missing, ci)
 	}
-
-	// Phase 2: compute the rest on a local worker pool, checkpointing
-	// each chunk as it lands. Completion order is scheduling-dependent;
-	// only the final index-ordered fold is canonical.
-	start := time.Now()
-	if len(missing) > 0 {
-		if err := computeChunks(ctx, job, store, workers, missing, func(cp *fleet.ChunkPartial) {
-			partials[cp.Chunk] = cp
-			stats.Computed++
-			lo, hi := job.ChunkBounds(cp.Chunk)
-			devices += hi - lo
-			emit(cp)
-		}); err != nil {
-			return nil, stats, err
+	missing := make(chan int, n)
+	for ci, cp := range partials {
+		if cp == nil {
+			missing <- ci
+			continue
 		}
+		stats.Loaded++
+		emit(cp)
+	}
+	close(missing)
+
+	// Phase 2: compute the rest, checkpointing each chunk before it is
+	// recorded. Completion order is scheduling-dependent; only the final
+	// index-ordered fold is canonical.
+	hash := job.SpecHash()
+	start := time.Now()
+	workers, err := job.Compute(ctx, cfg.Jobs, missing, func(cp *fleet.ChunkPartial) error {
+		if store != nil {
+			if err := store.Put(hash, cp.Chunk, cp); err != nil {
+				return fmt.Errorf("checkpointing chunk %d: %w", cp.Chunk, err)
+			}
+		}
+		partials[cp.Chunk] = cp
+		stats.Computed++
+		emit(cp)
+		return nil
+	})
+	if err != nil {
+		return nil, stats, err
 	}
 
 	res, err := job.Fold(partials)
@@ -123,88 +112,4 @@ func RunWithStore(ctx context.Context, store *Store, cfg fleet.Config, onProgres
 		res.DevicesSec = float64(cfg.N) / secs
 	}
 	return res, stats, nil
-}
-
-// computeChunks runs the given chunk indices on `workers` goroutines,
-// each owning one recycled Scratch, calling fold (single-goroutine) for
-// every completed chunk. A chunk is checkpointed to the store before it
-// is folded, so a crash after fold observes it never loses it. The
-// first error (simulation, checkpoint write, or ctx) cancels the rest.
-func computeChunks(ctx context.Context, job *fleet.Job, store *Store, workers int, chunks []int, fold func(*fleet.ChunkPartial)) error {
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	work := make(chan int)
-	done := make(chan *fleet.ChunkPartial)
-	errs := make(chan error, workers+1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := job.NewScratch()
-			for ci := range work {
-				cp, err := job.RunChunk(ctx, ci, ws)
-				if err == nil && store != nil {
-					if perr := store.Put(job.SpecHash(), ci, cp); perr != nil {
-						err = fmt.Errorf("checkpointing chunk %d: %w", ci, perr)
-					}
-				}
-				if err != nil {
-					select {
-					case errs <- err:
-					default:
-					}
-					cancel()
-					return
-				}
-				select {
-				case done <- cp:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		defer close(work)
-		for _, ci := range chunks {
-			select {
-			case work <- ci:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-
-	folded := 0
-	for cp := range done {
-		fold(cp)
-		folded++
-	}
-	if err := ctx.Err(); err != nil && folded < len(chunks) {
-		// Prefer the root cause a worker recorded over the bare ctx err.
-		select {
-		case werr := <-errs:
-			return werr
-		default:
-		}
-		return err
-	}
-	select {
-	case werr := <-errs:
-		return werr
-	default:
-	}
-	if folded < len(chunks) {
-		return fmt.Errorf("fleetsvc: %d of %d chunks unaccounted for", len(chunks)-folded, len(chunks))
-	}
-	return nil
 }

@@ -25,15 +25,13 @@
 package fleetsvc
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -270,34 +268,23 @@ func (s *Store) Get(hash string, ci int) (*fleet.ChunkPartial, error) {
 	return cp, nil
 }
 
-// Completed lists the chunk indices with an entry present for hash, in
-// ascending order. Presence is judged by filename only — the cheap scan
-// a resuming job uses to size its work; each entry is still fully
-// validated by the Get that follows.
-func (s *Store) Completed(hash string) ([]int, error) {
-	if err := validHash(hash); err != nil {
-		return nil, err
-	}
-	ents, err := os.ReadDir(s.hashDir(hash))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
+// Load reads every checkpointed chunk of job. The result has one entry
+// per chunk, nil wherever the store holds no valid entry: corrupt
+// entries are quarantined by Get and come back nil like any other miss,
+// so the caller recomputes exactly the nil chunks.
+func (s *Store) Load(ctx context.Context, job *fleet.Job) ([]*fleet.ChunkPartial, error) {
+	hash := job.SpecHash()
+	out := make([]*fleet.ChunkPartial, job.NumChunks())
+	for ci := range out {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		return nil, fmt.Errorf("fleetsvc: scanning store: %w", err)
-	}
-	var out []int
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".cp") {
-			continue
+		cp, err := s.Get(hash, ci)
+		if err != nil && !errors.Is(err, ErrNotFound) {
+			return nil, err
 		}
-		ci, err := strconv.Atoi(strings.TrimSuffix(name, ".cp"))
-		if err != nil {
-			continue
-		}
-		out = append(out, ci)
+		out[ci] = cp
 	}
-	sort.Ints(out)
 	return out, nil
 }
 

@@ -76,20 +76,24 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatalf("report from stored partials differs:\n--- direct ---\n%s--- stored ---\n%s", want, got)
 	}
 
-	completed, err := s.Completed(hash)
+	if st := s.Stats(); st.Puts != int64(job.NumChunks()) || st.Hits != int64(job.NumChunks()) || st.Quarantined != 0 {
+		t.Fatalf("stats %+v after clean round trip", st)
+	}
+
+	all, err := s.Load(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(completed) != job.NumChunks() {
-		t.Fatalf("Completed lists %d chunks, want %d", len(completed), job.NumChunks())
+	if len(all) != job.NumChunks() {
+		t.Fatalf("Load returned %d entries, want %d", len(all), job.NumChunks())
 	}
-	for i, ci := range completed {
-		if ci != i {
-			t.Fatalf("Completed[%d] = %d", i, ci)
+	for ci, cp := range all {
+		if cp == nil {
+			t.Fatalf("Load: chunk %d missing", ci)
 		}
 	}
-	if st := s.Stats(); st.Puts != int64(job.NumChunks()) || st.Hits != int64(job.NumChunks()) || st.Quarantined != 0 {
-		t.Fatalf("stats %+v after clean round trip", st)
+	if got := renderFold(t, job, all); got != want {
+		t.Fatalf("report from Load differs:\n--- direct ---\n%s--- loaded ---\n%s", want, got)
 	}
 }
 
@@ -138,7 +142,8 @@ var corruptions = []struct {
 
 // TestStoreCorruptionQuarantined: every corruption in the table is
 // detected on Get, the entry moves to quarantine/, and the slot reads
-// as ErrNotFound afterwards — the recompute path.
+// as ErrNotFound afterwards — the recompute path. Load treats the same
+// corruption as a miss.
 func TestStoreCorruptionQuarantined(t *testing.T) {
 	job := testJob(t)
 	hash := job.SpecHash()
@@ -181,6 +186,24 @@ func TestStoreCorruptionQuarantined(t *testing.T) {
 			}
 			if _, err := s.Get(hash, 2); err != nil {
 				t.Fatalf("refilled slot: %v", err)
+			}
+
+			// Load meets the same corruption as a miss: nil, quarantined.
+			if data, err = os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.mangle(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := s.Load(context.Background(), job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loaded[2] != nil {
+				t.Fatal("Load returned the corrupt chunk")
+			}
+			if st := s.Stats(); st.Quarantined != 2 {
+				t.Fatalf("stats %+v: Load did not quarantine the corrupt entry", st)
 			}
 		})
 	}

@@ -28,8 +28,8 @@ import (
 	"sync"
 )
 
-// DefaultJobs is the worker count used when a Pool (or the -jobs flag)
-// does not specify one: every available CPU.
+// DefaultJobs is the worker count Map uses when given workers <= 0:
+// every available CPU.
 func DefaultJobs() int { return runtime.GOMAXPROCS(0) }
 
 // PanicError is a job panic converted into an error. Job is the index
@@ -41,26 +41,6 @@ type PanicError struct {
 
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("runner: job %d panicked: %v", e.Job, e.Value)
-}
-
-// Pool is a reusable sweep configuration. The zero value runs with
-// DefaultJobs workers.
-type Pool struct {
-	// Workers is the number of concurrent jobs; <= 0 means
-	// DefaultJobs(). Workers == 1 runs the jobs serially on the
-	// calling goroutine, in index order.
-	Workers int
-}
-
-// Run executes fn for every job index in [0, n) across the pool's
-// workers with Map's ordering, error, and panic guarantees, for sweeps
-// whose jobs write their own results (methods cannot be generic, so
-// the typed variant is the free function Map).
-func (p Pool) Run(ctx context.Context, n int, fn func(ctx context.Context, job int) error) error {
-	_, err := Map(ctx, p.Workers, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
 }
 
 // Map runs fn(ctx, i) for every i in [0, n) across workers goroutines

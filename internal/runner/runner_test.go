@@ -157,31 +157,6 @@ func TestMapCancelledContext(t *testing.T) {
 	}
 }
 
-// TestPoolRun: the untyped wrapper keeps Map's guarantees.
-func TestPoolRun(t *testing.T) {
-	hits := make([]atomic.Int32, 10)
-	if err := (Pool{Workers: 3}).Run(context.Background(), len(hits), func(_ context.Context, i int) error {
-		hits[i].Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range hits {
-		if hits[i].Load() != 1 {
-			t.Fatalf("job %d ran %d times", i, hits[i].Load())
-		}
-	}
-	wantErr := errors.New("nope")
-	if err := (Pool{}).Run(context.Background(), 3, func(_ context.Context, i int) error {
-		if i == 1 {
-			return wantErr
-		}
-		return nil
-	}); !errors.Is(err, wantErr) {
-		t.Fatalf("Pool.Run err = %v, want %v", err, wantErr)
-	}
-}
-
 // TestRNG: streams are a pure function of (seed, job), and neighboring
 // jobs or seeds do not alias.
 func TestRNG(t *testing.T) {
@@ -206,9 +181,8 @@ func TestRNG(t *testing.T) {
 
 // --- Fleet-scale stress tests -----------------------------------------
 //
-// The fleet engine (internal/fleet) pushes tens of thousands of jobs
-// through Map in one call. These tests pin the behaviors that matter at
-// that scale: a mid-stream failure stops dispatch promptly instead of
+// A fleet-sized sweep pushes tens of thousands of jobs through Map in
+// one call. These tests pin the behaviors that matter at that scale: a mid-stream failure stops dispatch promptly instead of
 // draining the queue, a panic deep in the job stream still surfaces as
 // a *PanicError naming its index, and external cancellation aborts the
 // run without waiting for the tail.
@@ -294,39 +268,5 @@ func TestMapFleetScaleCancel(t *testing.T) {
 	}
 	if n := started.Load(); int(n) >= fleetJobs {
 		t.Fatalf("all %d jobs started despite cancellation at 500", n)
-	}
-}
-
-// TestPoolRunFleetScale: the untyped wrapper handles a fleet-sized
-// stream — every job runs exactly once on the happy path, and a late
-// failure still cancels the remainder.
-func TestPoolRunFleetScale(t *testing.T) {
-	hits := make([]atomic.Int32, fleetJobs)
-	if err := (Pool{Workers: 8}).Run(context.Background(), len(hits), func(_ context.Context, i int) error {
-		hits[i].Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range hits {
-		if hits[i].Load() != 1 {
-			t.Fatalf("job %d ran %d times", i, hits[i].Load())
-		}
-	}
-
-	boom := errors.New("late failure")
-	var started atomic.Int32
-	err := (Pool{Workers: 8}).Run(context.Background(), fleetJobs, func(_ context.Context, i int) error {
-		started.Add(1)
-		if i == 9000 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
-	}
-	if n := started.Load(); int(n) >= fleetJobs {
-		t.Fatalf("all %d jobs started despite failure at 9000", n)
 	}
 }

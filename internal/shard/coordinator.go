@@ -26,14 +26,9 @@ type Options struct {
 	// times out or dies MaxAttempts times is presumed to crash workers
 	// deterministically, and retrying forever would hide it.
 	MaxAttempts int
-	// RetryBackoff delays a failed chunk's re-lease, doubling per prior
-	// attempt and clamped at maxRetryBackoff (0 = 250ms). It keeps a
-	// crash-looping chunk from hot-cycling through the worker pool.
-	RetryBackoff time.Duration
 	// Progress, when non-nil, receives a line of chunk/worker/
-	// throughput state every ProgressEvery (0 = 2s).
-	Progress      io.Writer
-	ProgressEvery time.Duration
+	// throughput state every progressEvery.
+	Progress io.Writer
 	// Completed pre-seeds chunks a previous run already computed (e.g.
 	// reloaded from a checkpoint store): they are marked done before any
 	// lease is granted, so workers only ever see the missing chunks.
@@ -49,7 +44,16 @@ type Options struct {
 	// same chunk twice; both are harmless against an idempotent
 	// content-addressed store.
 	OnChunk func(*fleet.ChunkPartial) error
+
+	// retryBackoff delays a failed chunk's re-lease, doubling per prior
+	// attempt and clamped at maxRetryBackoff (0 = 250ms). It keeps a
+	// crash-looping chunk from hot-cycling through the worker pool;
+	// tests shorten it.
+	retryBackoff time.Duration
 }
+
+// progressEvery is the interval between Progress lines.
+const progressEvery = 2 * time.Second
 
 // ChunkError is the failure Serve returns when chunks exhaust their
 // lease attempts: Failed lists every exhausted chunk index (sorted), so
@@ -74,11 +78,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 3
 	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 250 * time.Millisecond
-	}
-	if o.ProgressEvery <= 0 {
-		o.ProgressEvery = 2 * time.Second
+	if o.retryBackoff <= 0 {
+		o.retryBackoff = 250 * time.Millisecond
 	}
 	return o
 }
@@ -289,7 +290,7 @@ func (c *coordinator) monitor(stop <-chan struct{}) {
 
 // progress reports chunk/worker/throughput state on the Progress writer.
 func (c *coordinator) progress(stop <-chan struct{}, start time.Time) {
-	t := time.NewTicker(c.opt.ProgressEvery)
+	t := time.NewTicker(progressEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -336,7 +337,7 @@ func (c *coordinator) requeueLocked(ci int, cause error) {
 		c.cond.Broadcast()
 		return
 	}
-	st.notBefore = time.Now().Add(retryDelay(c.opt.RetryBackoff, st.attempts))
+	st.notBefore = time.Now().Add(retryDelay(c.opt.retryBackoff, st.attempts))
 }
 
 // maxRetryBackoff caps the exponential lease-retry backoff: past it,

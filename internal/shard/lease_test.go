@@ -31,7 +31,7 @@ func newTestCoordinator(t *testing.T, opt Options) *coordinator {
 }
 
 // TestRetryDelayClampedMonotone is the regression test for the lease
-// backoff overflow: the old `RetryBackoff << (attempts-1)` expression
+// backoff overflow: the old `retryBackoff << (attempts-1)` expression
 // overflows time.Duration around attempt 40 with a 100ms base,
 // producing a negative delay (backoff silently vanishes) or an
 // astronomically-future notBefore (the chunk is never re-leased and the

@@ -115,7 +115,7 @@ func TestShardByteIdentical(t *testing.T) {
 func TestShardWorkerKilledMidRun(t *testing.T) {
 	cfg := testConfig()
 	wantCSV, wantJSON := renderRun(t, cfg)
-	res, errs := serveWith(t, cfg, Options{RetryBackoff: time.Millisecond},
+	res, errs := serveWith(t, cfg, Options{retryBackoff: time.Millisecond},
 		worker(2, WorkerOptions{dieAfterResults: 1}),
 		worker(2, WorkerOptions{}),
 	)
@@ -139,7 +139,7 @@ func TestShardWorkerKilledMidRun(t *testing.T) {
 func TestShardSoleWorkerDiesThenReplacementFinishes(t *testing.T) {
 	cfg := testConfig()
 	wantCSV, _ := renderRun(t, cfg)
-	res, errs := serveWith(t, cfg, Options{RetryBackoff: time.Millisecond},
+	res, errs := serveWith(t, cfg, Options{retryBackoff: time.Millisecond},
 		worker(1, WorkerOptions{dieAfterResults: 2}),
 		func(addr string) error {
 			time.Sleep(150 * time.Millisecond) // arrive after the first worker died
@@ -259,7 +259,7 @@ func TestShardWorkerRejectsBadCoordinator(t *testing.T) {
 func TestShardMalformedFrameReLeased(t *testing.T) {
 	cfg := testConfig()
 	wantCSV, _ := renderRun(t, cfg)
-	res, errs := serveWith(t, cfg, Options{RetryBackoff: time.Millisecond},
+	res, errs := serveWith(t, cfg, Options{retryBackoff: time.Millisecond},
 		worker(2, WorkerOptions{}),
 		func(addr string) error {
 			fc, _ := rawDial(t, addr, 1)
@@ -300,7 +300,7 @@ func TestShardLeaseTimeoutReLeased(t *testing.T) {
 	// subject is re-leasing, not attempt exhaustion (that's
 	// TestShardRetriesExhausted).
 	res, errs := serveWith(t, cfg,
-		Options{LeaseTimeout: 200 * time.Millisecond, RetryBackoff: time.Millisecond, MaxAttempts: 64},
+		Options{LeaseTimeout: 200 * time.Millisecond, retryBackoff: time.Millisecond, MaxAttempts: 64},
 		worker(2, WorkerOptions{}),
 		func(addr string) error {
 			fc, _ := rawDial(t, addr, 1)
@@ -341,7 +341,7 @@ func TestShardRetriesExhausted(t *testing.T) {
 		}
 	}()
 	_, err := Serve(context.Background(), ln, testConfig(),
-		Options{LeaseTimeout: 50 * time.Millisecond, MaxAttempts: 1, RetryBackoff: time.Millisecond})
+		Options{LeaseTimeout: 50 * time.Millisecond, MaxAttempts: 1, retryBackoff: time.Millisecond})
 	if err == nil || !strings.Contains(err.Error(), "lease attempts") {
 		t.Fatalf("exhausted retries did not fail hard: %v", err)
 	}
@@ -439,7 +439,7 @@ func TestShardCheckpointResumeRetriesOnlyFailed(t *testing.T) {
 	}()
 	_, err = Serve(context.Background(), ln, cfg, Options{
 		MaxAttempts:  2,
-		RetryBackoff: time.Millisecond,
+		retryBackoff: time.Millisecond,
 		OnChunk: func(cp *fleet.ChunkPartial) error {
 			mu.Lock()
 			checkpointed[cp.Chunk] = cp
@@ -475,7 +475,7 @@ func TestShardCheckpointResumeRetriesOnlyFailed(t *testing.T) {
 	}
 	var recomputed []int
 	res, errs := serveWith(t, cfg, Options{
-		RetryBackoff: time.Millisecond,
+		retryBackoff: time.Millisecond,
 		Completed:    completed,
 		OnChunk: func(cp *fleet.ChunkPartial) error {
 			mu.Lock()

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"runtime"
-	"sync"
 	"time"
 
 	"capybara/internal/fleet"
@@ -81,95 +80,43 @@ func Work(ctx context.Context, addr string, jobs int, opts WorkerOptions) error 
 	}
 	fc.setDeadline(time.Time{})
 
-	// Local pipeline: the read loop feeds leases to `jobs` runner
-	// goroutines, each owning one recycled Scratch; a writer goroutine
-	// serializes results back onto the connection. `dead` tears the
-	// pipeline down from any side without anyone blocking on a channel
-	// whose consumer is gone.
+	// The read loop feeds leases to Compute; done streams each partial
+	// back (frameConn.write is serialized). Compute failing on its own
+	// tells the coordinator (best effort) and kills the connection, which
+	// unwinds the read loop; the read loop stopping for any reason stops
+	// Compute.
+	cctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 	leases := make(chan int, jobs)
-	results := make(chan *fleet.ChunkPartial)
-	dead := make(chan struct{})
-	errs := make(chan error, jobs+1) // first failure wins; others drop
-	var once sync.Once
-	closeLeases := func() { once.Do(func() { close(leases) }) }
-	defer closeLeases()
-	var stopOnce sync.Once
-	stopPipeline := func() { stopOnce.Do(func() { close(dead) }) }
-	defer stopPipeline()
-
-	var runners sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		runners.Add(1)
-		go func() {
-			defer runners.Done()
-			ws := job.NewScratch()
-			for ci := range leases {
-				cp, err := job.RunChunk(ctx, ci, ws)
-				if err != nil {
-					select {
-					case errs <- err:
-					default:
-					}
-					// A simulation error is fatal for this worker: tell
-					// the coordinator (best effort) and kill the
-					// connection so the read loop unwinds.
-					fc.write(&frame{Type: msgError, Error: fmt.Sprintf("chunk %d: %v", ci, err)})
-					fc.close()
-					return
-				}
-				select {
-				case results <- cp:
-				case <-dead:
-					return
-				}
-			}
-		}()
-	}
-	var writer sync.WaitGroup
-	writer.Add(1)
+	stopped := make(chan struct{})
+	var failed error // Compute's own failure, not errStopped
 	go func() {
-		defer writer.Done()
+		defer close(stopped)
 		sent := 0
-		for {
-			select {
-			case cp := <-results:
-				if err := fc.write(&frame{Type: msgResult, Result: *cp}); err != nil {
-					select {
-					case errs <- fmt.Errorf("shard: sending result: %w", err):
-					default:
-					}
-					fc.close()
-					return
-				}
-				sent++
-				if opts.dieAfterResults > 0 && sent >= opts.dieAfterResults {
-					select {
-					case errs <- errDied:
-					default:
-					}
-					fc.close() // simulated crash: vanish mid-protocol
-					return
-				}
-			case <-dead:
-				return
+		_, err := job.Compute(cctx, jobs, leases, func(cp *fleet.ChunkPartial) error {
+			if err := fc.write(&frame{Type: msgResult, Result: *cp}); err != nil {
+				return fmt.Errorf("shard: sending result: %w", err)
 			}
+			sent++
+			if opts.dieAfterResults > 0 && sent >= opts.dieAfterResults {
+				fc.close() // simulated crash: vanish mid-protocol
+				return errDied
+			}
+			return nil
+		})
+		if err != nil && !errors.Is(err, errStopped) {
+			failed = err
+			fc.write(&frame{Type: msgError, Error: err.Error()})
+			fc.close()
 		}
 	}()
-
 	finish := func(ret error) error {
-		closeLeases()
-		stopPipeline()
-		runners.Wait()
-		writer.Wait()
-		if ret == nil {
-			return nil
-		}
-		// Prefer the root cause recorded by the pipeline (or ctx) over
-		// the read error it provoked.
-		select {
-		case err := <-errs:
-			return err
-		default:
+		cancel(errStopped)
+		close(leases)
+		<-stopped
+		// Prefer the root cause over the read error it provoked.
+		if ret != nil && failed != nil {
+			return failed
 		}
 		return ret
 	}
@@ -183,13 +130,13 @@ func Work(ctx context.Context, addr string, jobs int, opts WorkerOptions) error 
 		case msgLease:
 			select {
 			case leases <- f.Lease.Chunk:
-			case <-dead:
+			case <-stopped:
 				return finish(errors.New("shard: pipeline failed"))
 			}
 		case msgDone:
 			// The coordinator only signals done once every chunk's
-			// result has been received, so the local pipeline is
-			// necessarily drained: shut it down and exit cleanly.
+			// result has been received, so anything still running is a
+			// duplicate: stop Compute and exit cleanly.
 			return finish(nil)
 		case msgError:
 			return finish(fmt.Errorf("shard: coordinator: %s", f.Error))
@@ -201,6 +148,10 @@ func Work(ctx context.Context, addr string, jobs int, opts WorkerOptions) error 
 
 // errDied marks the deliberate test-hook crash.
 var errDied = errors.New("shard: worker killed by test hook")
+
+// errStopped is the cause Work cancels Compute with once its read loop
+// has stopped.
+var errStopped = errors.New("shard: worker stopping")
 
 // wrapCtx substitutes the context's error for the I/O error it caused.
 func wrapCtx(ctx context.Context, err error) error {
