@@ -94,9 +94,10 @@ fleet-shard-smoke:
 # kill -9 it once checkpoints appear, restart it over the same store,
 # and diff the resumed job's report against the single-process
 # reference — byte-identical, with checkpointed chunks reloaded rather
-# than recomputed.
+# than recomputed. Then resubmit the spec to the restarted daemon: it
+# must compute nothing and serve the same bytes.
 fleet-resume-smoke:
 	bash scripts/resume_smoke.sh
 
 # The full verify path: what CI runs.
-verify: build vet fmt-check test race perfbench-check
+verify: build vet fmt-check test race perfbench-check fleet-shard-smoke fleet-resume-smoke

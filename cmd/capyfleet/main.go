@@ -272,14 +272,17 @@ func writeOutput(path string, write func(io.Writer) error) error {
 // interrupted run resumes where it left off (and an identical later
 // spec reuses the work) with byte-identical output.
 func run(o *options) error {
+	job, err := fleet.NewJob(o.fleetConfig())
+	if err != nil {
+		return err
+	}
 	var store *fleetsvc.Store
 	if o.storeDir != "" {
-		var err error
 		if store, err = fleetsvc.Open(o.storeDir); err != nil {
 			return err
 		}
 	}
-	res, stats, err := fleetsvc.RunWithStore(context.Background(), store, o.fleetConfig(), nil)
+	res, stats, err := fleetsvc.RunWithStore(context.Background(), store, job, nil)
 	if err != nil {
 		return err
 	}

@@ -211,13 +211,17 @@ func cohortGrid(seed int64) ([]Cohort, error) {
 				c := Cohort{App: name, Variant: v, Scenario: s}
 				// Scenario parameters are drawn per cohort, not per
 				// device: the trace is a shared immutable artifact.
-				rng := runner.RNG(seed^0x5ca1ab1e, idx)
+				// Only the cases that draw seed a generator; idx still
+				// counts every cohort, so each stream is fixed by the
+				// cohort's grid position.
 				switch s {
 				case PWM:
+					rng := runner.RNG(seed^0x5ca1ab1e, idx)
 					duty := 0.3 + 0.4*rng.Float64()
 					period := units.Seconds(4 + 8*rng.Float64())
 					c.trace = harvest.PWMTrace(duty, period)
 				case Blackout:
+					rng := runner.RNG(seed^0x5ca1ab1e, idx)
 					var windows [][2]units.Seconds
 					t := units.Seconds(0)
 					for len(windows) < 8 {

@@ -3,6 +3,7 @@ package fleetsvc
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -68,10 +69,7 @@ func TestWarmRunLoadsLegacyEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, stats, err := RunWithStore(context.Background(), s, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, stats := runWithStore(t, s, cfg)
 	if stats.Loaded != 1 || stats.Computed != job.NumChunks()-1 {
 		t.Fatalf("run stats %+v: want the legacy chunk loaded and the rest computed", stats)
 	}
@@ -91,5 +89,87 @@ func TestWarmRunLoadsLegacyEntry(t *testing.T) {
 	}
 	if got.String() != want.String() {
 		t.Fatalf("report differs:\n--- store ---\n%s--- direct ---\n%s", got.String(), want.String())
+	}
+}
+
+// TestServiceLegacyReportLayout: daemons used to keep each done job's
+// reports at jobs/<id>.report.{csv,json}, with no reports/ directory.
+// Restarted on such a store, the done job finds no report for its spec
+// hash, is re-run from its checkpoints without computing a chunk, and
+// serves the reports fleet.Run renders. The legacy files are not read
+// as journals.
+func TestServiceLegacyReportLayout(t *testing.T) {
+	cfg := fleet.Config{N: 48, Seed: 3, Scale: 0.05, ChunkSize: 8}
+	job, err := fleet.NewJob(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := fleet.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv, js bytes.Buffer
+	if err := direct.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	if err := direct.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	store, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci := 0; ci < job.NumChunks(); ci++ {
+		if err := store.Put(job.SpecHash(), ci, runChunk(t, job, ci)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const id = "j000001"
+	sp := job.Spec()
+	rec, err := json.MarshalIndent(jobRecord{
+		ID:       id,
+		Spec:     SpecInfo{N: sp.N, Seed: sp.Seed, Scale: sp.Scale, ChunkSize: sp.ChunkSize},
+		SpecHash: job.SpecHash(),
+		State:    StateDone,
+	}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		id + ".json":        append(rec, '\n'),
+		id + ".report.csv":  csv.Bytes(),
+		id + ".report.json": js.Bytes(),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, "jobs", name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.RemoveAll(filepath.Join(dir, "reports")); err != nil {
+		t.Fatal(err)
+	}
+
+	svc := openService(t, dir, ServiceConfig{})
+	defer svc.Close()
+	st := waitDone(t, svc, id)
+	if st.State != StateDone || st.Computed != 0 || st.Loaded != st.Chunks {
+		t.Fatalf("legacy done job came back %s (%s), computed %d loaded %d of %d chunks",
+			st.State, st.Error, st.Computed, st.Loaded, st.Chunks)
+	}
+	if n := len(svc.List()); n != 1 {
+		t.Fatalf("daemon lists %d jobs, want 1", n)
+	}
+	for _, want := range []struct {
+		asJSON bool
+		data   []byte
+	}{{false, csv.Bytes()}, {true, js.Bytes()}} {
+		got, err := svc.Report(id, want.asJSON)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.data) {
+			t.Fatalf("json=%v: served report differs from fleet.Run's", want.asJSON)
+		}
 	}
 }

@@ -38,15 +38,12 @@ type Progress struct {
 	Partial *fleet.ChunkPartial
 }
 
-// RunWithStore executes cfg in-process, resuming from and checkpointing
-// to store (which may be nil: a plain uncheckpointed run). onProgress,
-// when non-nil, observes every completed chunk; its calls never
-// overlap.
-func RunWithStore(ctx context.Context, store *Store, cfg fleet.Config, onProgress func(Progress)) (*fleet.Result, RunStats, error) {
-	job, err := fleet.NewJob(cfg)
-	if err != nil {
-		return nil, RunStats{}, err
-	}
+// RunWithStore executes job in-process on job.Config().Jobs workers,
+// resuming from and checkpointing to store (which may be nil: a plain
+// uncheckpointed run). onProgress, when non-nil, observes every
+// completed chunk; its calls never overlap.
+func RunWithStore(ctx context.Context, store *Store, job *fleet.Job, onProgress func(Progress)) (*fleet.Result, RunStats, error) {
+	cfg := job.Config()
 	n := job.NumChunks()
 	stats := RunStats{Chunks: n}
 	partials := make([]*fleet.ChunkPartial, n)
@@ -67,6 +64,7 @@ func RunWithStore(ctx context.Context, store *Store, cfg fleet.Config, onProgres
 
 	// Phase 1: fold everything the store already holds.
 	if store != nil {
+		var err error
 		if partials, err = store.Load(ctx, job); err != nil {
 			return nil, stats, err
 		}

@@ -40,8 +40,9 @@ type ServiceConfig struct {
 	MaxConcurrent int
 }
 
-// Job states. queued and running survive a daemon restart (the
-// successor re-enqueues them); done, failed, and canceled are terminal.
+// Job states. On disk a job is queued until it reaches one of the
+// terminal states done, failed, or canceled; a successor daemon
+// re-enqueues every queued job. running is held in memory only.
 const (
 	StateQueued   = "queued"
 	StateRunning  = "running"
@@ -95,10 +96,11 @@ type CohortProgress struct {
 
 // jobRecord is the journaled form of a job: everything a successor
 // daemon needs to resume it. The spec hash is recorded for diagnosis
-// but recomputed by the resuming binary — checkpoints are addressed by
-// the recomputed hash, so a drifted binary recomputes instead of
-// folding stale partials (the same guarantee the shard handshake gives
-// across processes, here across daemon generations).
+// but recomputed by the resuming binary — checkpoints and reports are
+// addressed by the recomputed hash, so a binary whose cohort grid
+// drifted recomputes instead of folding stale partials (the same check
+// the shard handshake makes across processes, here across daemon
+// generations).
 type jobRecord struct {
 	ID       string   `json:"id"`
 	Spec     SpecInfo `json:"spec"`
@@ -171,8 +173,8 @@ type Service struct {
 }
 
 // NewService opens a service over cfg.Store, re-enqueues every
-// journaled job that was queued or running when the previous owner
-// died, and starts accepting submissions.
+// journaled job that was not terminal when the previous owner died,
+// and starts accepting submissions.
 func NewService(cfg ServiceConfig) (*Service, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("fleetsvc: service requires a store")
@@ -198,7 +200,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 }
 
 // Close stops the service: running jobs are interrupted mid-chunk and
-// left journaled as running, exactly like a crash, so a successor
+// left journaled as queued, exactly like a crash, so a successor
 // resumes them from their completed chunks. Blocks until every job
 // goroutine has unwound.
 func (s *Service) Close() {
@@ -212,12 +214,25 @@ func (s *Service) journalPath(id string) string {
 	return filepath.Join(s.jobsDir(), id+".json")
 }
 
-func (s *Service) reportPath(id string, asJSON bool) string {
-	ext := ".report.csv"
+func (s *Service) reportsDir() string { return filepath.Join(s.store.Dir(), "reports") }
+
+// reportName is the file in reports/ that holds the report of every job
+// whose spec hashes to hash: a report is a pure function of the hash.
+func reportName(hash string, asJSON bool) string {
 	if asJSON {
-		ext = ".report.json"
+		return hash + ".json"
 	}
-	return filepath.Join(s.jobsDir(), id+ext)
+	return hash + ".csv"
+}
+
+// haveReports reports whether both report formats for hash are on disk.
+func (s *Service) haveReports(hash string) bool {
+	for _, asJSON := range []bool{false, true} {
+		if _, err := os.Stat(filepath.Join(s.reportsDir(), reportName(hash, asJSON))); err != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // recover loads the journal and re-enqueues unfinished jobs in ID order
@@ -229,8 +244,10 @@ func (s *Service) recover() error {
 	}
 	var ids []string
 	for _, e := range ents {
+		// Not journals: a temp file an interrupted write left behind,
+		// and the per-job reports older binaries wrote here.
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") || strings.Contains(name, ".report.") {
+		if e.IsDir() || strings.HasPrefix(name, ".tmp-") || !strings.HasSuffix(name, ".json") || strings.Contains(name, ".report.") {
 			continue
 		}
 		ids = append(ids, strings.TrimSuffix(name, ".json"))
@@ -248,7 +265,7 @@ func (s *Service) recover() error {
 		if n := idNumber(id); n >= s.nextID {
 			s.nextID = n + 1
 		}
-		fj, err := fleet.NewJob(s.engineConfig(rec.Spec))
+		fj, err := fleet.NewJob(rec.Spec.spec().Exec(s.cfg.Jobs))
 		if err != nil {
 			// A journaled spec this binary rejects: mark it failed, keep
 			// the record for inspection, don't poison startup.
@@ -264,16 +281,18 @@ func (s *Service) recover() error {
 		j.errMsg = rec.Error
 		switch rec.State {
 		case StateDone:
-			// Trust the persisted report if it exists; otherwise re-run —
+			// Trust the spec's reports if they exist; otherwise re-run —
 			// every chunk is checkpointed, so the redo only re-renders.
-			if _, err := os.Stat(s.reportPath(id, false)); err != nil {
+			// A done job from a store that kept reports per job ID
+			// takes this path once.
+			if !s.haveReports(fj.SpecHash()) {
 				j.state = StateQueued
 				s.enqueue(j)
 			} else {
 				j.loaded = fj.NumChunks()
 				j.devices = rec.Spec.N
 			}
-		case StateQueued, StateRunning:
+		case StateQueued, StateRunning: // older binaries journaled running
 			j.state = StateQueued
 			s.enqueue(j)
 		}
@@ -287,10 +306,6 @@ func idNumber(id string) int {
 		return 0
 	}
 	return n
-}
-
-func (s *Service) engineConfig(si SpecInfo) fleet.Config {
-	return si.spec().Exec(s.cfg.Jobs)
 }
 
 // track registers a job in the in-memory table. Callers hold s.mu or
@@ -348,7 +363,7 @@ func (s *Service) enqueue(j *job) {
 // runJob owns one job's lifecycle: wait for a slot, run the chunked
 // engine against the shared store, persist the report, journal the
 // terminal state. On service shutdown it returns with the journal still
-// saying queued/running — the resume marker a successor picks up.
+// saying queued — the resume marker a successor picks up.
 func (s *Service) runJob(j *job) {
 	defer s.wg.Done()
 	defer j.notify()
@@ -363,13 +378,9 @@ func (s *Service) runJob(j *job) {
 	if !j.transition(StateQueued, StateRunning) {
 		return // canceled while waiting for the slot
 	}
-	if err := s.journal(j); err != nil {
-		s.finish(j, nil, err)
-		return
-	}
 	j.notify()
 
-	res, _, err := RunWithStore(j.ctx, s.store, s.engineConfig(j.spec), func(p Progress) {
+	res, _, err := RunWithStore(j.ctx, s.store, j.fjob, func(p Progress) {
 		j.mu.Lock()
 		if p.Partial != nil && p.Partial.Chunk < len(j.partials) {
 			j.partials[p.Partial.Chunk] = p.Partial
@@ -388,7 +399,7 @@ func (s *Service) runJob(j *job) {
 func (s *Service) finish(j *job, res *fleet.Result, err error) {
 	if err != nil {
 		if s.ctx.Err() != nil {
-			// Shutdown: the journal still says running; a successor
+			// Shutdown: the journal still says queued; a successor
 			// resumes from the checkpointed chunks.
 			return
 		}
@@ -404,18 +415,23 @@ func (s *Service) finish(j *job, res *fleet.Result, err error) {
 		return
 	}
 
-	// Render and persist both report formats before declaring done, so
-	// a done journal entry always has servable reports next to it.
-	var csv, js bytes.Buffer
-	err = res.WriteCSV(&csv)
-	if err == nil {
-		err = res.WriteJSON(&js)
-	}
-	if err == nil {
-		err = writeFileAtomic(s.jobsDir(), j.id+".report.csv", csv.Bytes(), s.store.seq.Add(1))
-	}
-	if err == nil {
-		err = writeFileAtomic(s.jobsDir(), j.id+".report.json", js.Bytes(), s.store.seq.Add(1))
+	// Persist both report formats before declaring done, so a done
+	// journal entry always has servable reports. They are a pure
+	// function of the spec hash, so an earlier job of the same spec may
+	// have written them already; two jobs racing here write identical
+	// bytes by rename, as two Puts of one chunk do.
+	if hash := j.fjob.SpecHash(); !s.haveReports(hash) {
+		var csv, js bytes.Buffer
+		err = res.WriteCSV(&csv)
+		if err == nil {
+			err = res.WriteJSON(&js)
+		}
+		if err == nil {
+			err = writeFileAtomic(s.reportsDir(), reportName(hash, false), csv.Bytes(), s.store.seq.Add(1))
+		}
+		if err == nil {
+			err = writeFileAtomic(s.reportsDir(), reportName(hash, true), js.Bytes(), s.store.seq.Add(1))
+		}
 	}
 	j.mu.Lock()
 	if err != nil {
@@ -484,7 +500,7 @@ func (s *Service) Report(id string, asJSON bool) ([]byte, error) {
 	if state != StateDone {
 		return nil, fmt.Errorf("fleetsvc: job %s is %s, not done", id, state)
 	}
-	return os.ReadFile(s.reportPath(id, asJSON))
+	return os.ReadFile(filepath.Join(s.reportsDir(), reportName(j.fjob.SpecHash(), asJSON)))
 }
 
 // Cohorts returns the running per-cohort fold of a job's completed

@@ -3,6 +3,10 @@ package fleetsvc
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -23,14 +27,26 @@ import (
 //  4. Isolation: concurrent jobs with different specs never fold each
 //     other's partials.
 
+// runWithStore builds cfg's job and runs it through RunWithStore over
+// store (nil for no store).
+func runWithStore(t *testing.T, store *Store, cfg fleet.Config) (*fleet.Result, RunStats) {
+	t.Helper()
+	job, err := fleet.NewJob(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, stats, err := RunWithStore(context.Background(), store, job, nil)
+	if err != nil {
+		t.Fatalf("RunWithStore: %v", err)
+	}
+	return res, stats
+}
+
 // baseline renders cfg's canonical CSV report with no store in the
 // loop: the bytes every checkpointed/resumed path must reproduce.
 func baseline(t *testing.T, cfg fleet.Config) []byte {
 	t.Helper()
-	res, _, err := RunWithStore(context.Background(), nil, cfg, nil)
-	if err != nil {
-		t.Fatalf("baseline run: %v", err)
-	}
+	res, _ := runWithStore(t, nil, cfg)
 	var buf bytes.Buffer
 	if err := res.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -82,6 +98,20 @@ func waitStatus(t *testing.T, svc *Service, id string, what string, pred func(Jo
 	}
 }
 
+// journalState reads the state job id's journal file records.
+func journalState(t *testing.T, dir, id string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "jobs", id+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec jobRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	return rec.State
+}
+
 func waitDone(t *testing.T, svc *Service, id string) JobStatus {
 	t.Helper()
 	ch, stop, ok := svc.Watch(id)
@@ -110,9 +140,10 @@ func waitDone(t *testing.T, svc *Service, id string) JobStatus {
 // TestServiceCrashResumeByteIdentity is the headline e2e: submit, let
 // at least two chunks checkpoint, kill the service the way a SIGKILL
 // would land (Close interrupts mid-chunk and leaves the journal saying
-// running), restart over the same directory, and require the resumed
-// job to finish with a report byte-identical to an uninterrupted run —
-// having reloaded at least one checkpoint rather than starting over.
+// queued: running is never journaled), restart over the same directory,
+// and require the resumed job to finish with a report byte-identical to
+// an uninterrupted run — having reloaded at least one checkpoint rather
+// than starting over.
 func TestServiceCrashResumeByteIdentity(t *testing.T) {
 	cfg := fleet.Config{N: 240, Seed: 7, Scale: 0.05, ChunkSize: 8} // 30 chunks
 	want := baseline(t, cfg)
@@ -124,7 +155,10 @@ func TestServiceCrashResumeByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitStatus(t, svc, st.ID, "two checkpoints", func(s JobStatus) bool { return s.Done >= 2 })
-	svc.Close() // crash: journal still says running, partial checkpoints on disk
+	svc.Close() // crash: journal still says queued, partial checkpoints on disk
+	if got := journalState(t, dir, st.ID); got != StateQueued {
+		t.Fatalf("interrupted job journaled as %q, want %q", got, StateQueued)
+	}
 
 	svc2 := openService(t, dir, ServiceConfig{Jobs: 1})
 	defer svc2.Close()
@@ -235,10 +269,7 @@ func TestAnyPrefixResume(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res, stats, err := RunWithStore(context.Background(), store, cfg, nil)
-		if err != nil {
-			t.Fatalf("prefix %d: %v", k, err)
-		}
+		res, stats := runWithStore(t, store, cfg)
 		if stats.Loaded != k || stats.Computed != n-k {
 			t.Fatalf("prefix %d: loaded %d computed %d, want %d and %d", k, stats.Loaded, stats.Computed, k, n-k)
 		}
@@ -296,6 +327,134 @@ func TestServiceCrossRunMemo(t *testing.T) {
 	}
 	if !bytes.Equal(r1, r2) {
 		t.Fatal("memo-satisfied report differs from computed report")
+	}
+}
+
+// storeFiles stats every regular file under dir, by relative path.
+func storeFiles(t *testing.T, dir string) map[string]os.FileInfo {
+	t.Helper()
+	files := make(map[string]os.FileInfo)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		files[rel] = info
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestServiceWarmFootprint: a job whose spec is already done writes
+// only its own journal. Its chunks and reports are on disk, so it adds
+// no checkpoint and no report file and rewrites no other file, and it
+// serves the first job's reports. Each snapshot follows a Close, which
+// waits for the job's last write, the terminal journal record.
+func TestServiceWarmFootprint(t *testing.T) {
+	spec := fleet.Spec{N: 48, Seed: 5, Scale: 0.05, ChunkSize: 8}
+	dir := t.TempDir()
+	svc := openService(t, dir, ServiceConfig{})
+	first, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, svc, first.ID); st.State != StateDone {
+		t.Fatalf("first job: %s (%s)", st.State, st.Error)
+	}
+	svc.Close()
+	before := storeFiles(t, dir)
+
+	svc = openService(t, dir, ServiceConfig{})
+	second, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, svc, second.ID); st.State != StateDone {
+		t.Fatalf("second job: %s (%s)", st.State, st.Error)
+	}
+	svc.Close()
+	after := storeFiles(t, dir)
+
+	journal := filepath.Join("jobs", second.ID+".json")
+	if _, ok := after[journal]; !ok {
+		t.Fatalf("second job left no journal %s", journal)
+	}
+	delete(after, journal)
+	for name := range after {
+		if _, ok := before[name]; !ok {
+			t.Errorf("second job added %s", name)
+		}
+	}
+	for name, b := range before {
+		a, ok := after[name]
+		switch {
+		case !ok:
+			t.Errorf("second job removed %s", name)
+		case !os.SameFile(a, b) || a.Size() != b.Size() || !a.ModTime().Equal(b.ModTime()):
+			t.Errorf("second job rewrote %s", name)
+		}
+	}
+	for _, asJSON := range []bool{false, true} {
+		r1, err := svc.Report(first.ID, asJSON)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := svc.Report(second.ID, asJSON)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(r1, r2) {
+			t.Fatalf("json=%v: warm job's report differs from the first job's", asJSON)
+		}
+	}
+}
+
+// TestServiceRecoverSkipsTempFiles: a kill -9 inside a journal write
+// leaves a temp file beside the journals. Torn or complete, it is not a
+// job: the successor starts and lists only the real one.
+func TestServiceRecoverSkipsTempFiles(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		torn bool
+	}{{"torn", true}, {"complete", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			svc := openService(t, dir, ServiceConfig{})
+			st, err := svc.Submit(fleet.Spec{N: 16, Seed: 5, Scale: 0.05, ChunkSize: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitDone(t, svc, st.ID)
+			svc.Close()
+
+			journal, err := os.ReadFile(filepath.Join(dir, "jobs", st.ID+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.torn {
+				journal = journal[:len(journal)/2]
+			}
+			tmp := filepath.Join(dir, "jobs", ".tmp-4242-7-"+st.ID+".json")
+			if err := os.WriteFile(tmp, journal, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			svc = openService(t, dir, ServiceConfig{})
+			defer svc.Close()
+			if list := svc.List(); len(list) != 1 || list[0].ID != st.ID || list[0].State != StateDone {
+				t.Fatalf("restarted daemon lists %+v, want only %s done", list, st.ID)
+			}
+		})
 	}
 }
 

@@ -14,10 +14,14 @@
 //     report is byte-identical to an uninterrupted run (gob preserves
 //     float bit patterns; the fold order is fixed by chunk index);
 //   - cross-run memoization: two jobs with the same SpecHash share
-//     chunk work through the store, whichever ran first;
-//   - cross-binary safety: a binary whose physics drifted derives a
-//     different SpecHash and simply misses — it can never fold a stale
-//     partial, the same guarantee the shard handshake enforces.
+//     chunk work through the store, whichever ran first, and a finished
+//     spec's reports too;
+//   - cross-binary scope: the SpecHash covers the spec, the cohort grid
+//     and samples of each scenario trace, not the simulator code, so a
+//     binary whose grid or traces drifted misses, as the shard
+//     handshake rejects it. A binary whose device physics drifted
+//     derives the same hash: stored partials and reports are trusted
+//     only across binaries whose reports for a spec agree.
 //
 // Every entry carries a checksummed header; a truncated, bit-flipped,
 // or misfiled entry is detected, quarantined (moved aside, never
@@ -44,7 +48,8 @@ import (
 //
 //	partials/<spechash>/<chunk index, 8 digits>.cp   checkpointed partials
 //	quarantine/<unique name>.bad                     corrupt entries, moved aside
-//	jobs/<id>.json, jobs/<id>.report.{csv,json}      service job journal (service.go)
+//	jobs/<id>.json                                   service job journal (service.go)
+//	reports/<spechash>.{csv,json}                    finished reports, one per spec (service.go)
 //
 // Entry format (entryHeaderLen bytes, then the gob payload):
 //
@@ -108,7 +113,7 @@ func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("fleetsvc: empty store directory")
 	}
-	for _, sub := range []string{"partials", "quarantine", "jobs"} {
+	for _, sub := range []string{"partials", "quarantine", "jobs", "reports"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("fleetsvc: opening store: %w", err)
 		}

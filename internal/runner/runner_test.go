@@ -225,16 +225,32 @@ func TestMapFleetScaleError(t *testing.T) {
 
 // TestMapFleetScalePanic: a panic buried deep in a fleet-sized stream is
 // recovered into a *PanicError carrying the right job index, and the
-// remaining queue is not drained.
+// remaining queue is not drained. Jobs past the panic wait for the
+// cancel it causes, so the other workers cannot drain the queue while
+// the panicking one is descheduled; a guard fails the test rather than
+// letting a missing cancel hang it.
 func TestMapFleetScalePanic(t *testing.T) {
 	var started atomic.Int32
-	_, err := Map(context.Background(), 8, fleetJobs, func(_ context.Context, i int) (int, error) {
+	var uncancelled atomic.Bool
+	guard, stop := context.WithTimeout(context.Background(), 10*time.Second)
+	defer stop()
+	_, err := Map(context.Background(), 8, fleetJobs, func(ctx context.Context, i int) (int, error) {
 		started.Add(1)
 		if i == 7777 {
 			panic(fmt.Sprintf("device %d exploded", i))
 		}
+		if i > 7777 {
+			select {
+			case <-ctx.Done():
+			case <-guard.Done():
+				uncancelled.Store(true)
+			}
+		}
 		return i, nil
 	})
+	if uncancelled.Load() {
+		t.Fatal("jobs past the panic saw no cancel within 10 s")
+	}
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)

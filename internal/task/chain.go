@@ -56,9 +56,6 @@ func (c *Ctx) ChanOutFloat(dst, field string, v float64) {
 // source has ever written the field. Unlike Word, ChanIn never sees
 // the current execution's own staged writes.
 func (c *Ctx) ChanIn(field string, srcs ...string) (uint64, bool) {
-	if c.probe {
-		return c.probeWord, c.probeWord != 0
-	}
 	nv := c.eng.Dev.NV
 	var best uint64
 	var bestVer uint64

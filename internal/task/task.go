@@ -384,12 +384,6 @@ type Ctx struct {
 
 	// taskName is the executing task, used to address its channels.
 	taskName string
-
-	// probe marks an analysis context (Program.Analyze): operations
-	// consume nothing and channel reads return probeWord, so task
-	// bodies can be executed statically to observe their transitions.
-	probe     bool
-	probeWord uint64
 }
 
 // kvWord, kvBlob, and kvChan are the staged-write association entries.
@@ -417,8 +411,6 @@ func newCtx(e *Engine, taskName string) *Ctx {
 	c := &e.ctx
 	c.eng = e
 	c.taskName = taskName
-	c.probe = false
-	c.probeWord = 0
 	c.stagedWords = c.stagedWords[:0]
 	c.stagedBlobs = c.stagedBlobs[:0]
 	c.stagedDel = c.stagedDel[:0]
@@ -428,15 +420,12 @@ func newCtx(e *Engine, taskName string) *Ctx {
 
 // Now returns the simulated time.
 func (c *Ctx) Now() units.Seconds {
-	if c.probe {
-		return 0
-	}
 	return c.eng.Dev.Now()
 }
 
 // drain consumes active time or dies trying.
 func (c *Ctx) drain(load units.Power, dt units.Seconds) {
-	if c.probe || dt <= 0 {
+	if dt <= 0 {
 		return
 	}
 	if _, ok := c.eng.Dev.Drain(load, dt); !ok {
@@ -548,9 +537,6 @@ func (c *Ctx) Word(key string) (uint64, bool) {
 			return c.stagedWords[i].v, true
 		}
 	}
-	if c.probe {
-		return c.probeWord, c.probeWord != 0
-	}
 	return c.eng.Dev.NV.Word(key)
 }
 
@@ -651,9 +637,6 @@ func (c *Ctx) blobView(key string) []byte {
 		if c.stagedBlobs[i].k == key {
 			return c.stagedBlobs[i].b
 		}
-	}
-	if c.probe {
-		return nil
 	}
 	// The view is read-only and never outlives the staging step (every
 	// consumer either decodes it or copies it before staging), so the

@@ -4,7 +4,9 @@
 # submits a job, kill -9s the daemon after checkpoints appear, restarts
 # it over the same store, waits for the resumed job, and diffs the
 # served report against the single-process reference — byte-identical,
-# with the resume visibly reloading checkpointed chunks.
+# with the resume visibly reloading checkpointed chunks. Then it submits
+# the same spec again to the restarted daemon: that warm job must
+# compute no chunk and serve the same bytes.
 set -euo pipefail
 
 N=${N:-192}
@@ -22,7 +24,7 @@ trap cleanup EXIT
 
 fail() {
     echo "fleet-resume-smoke: $1" >&2
-    for log in daemon1.log daemon2.log wait.log; do
+    for log in daemon1.log daemon2.log wait.log warm.log; do
         [[ -f "$TMP/$log" ]] && { echo "--- $log ---" >&2; cat "$TMP/$log" >&2; }
     done
     exit 1
@@ -90,8 +92,21 @@ LOADED=$(sed -n 's/.*done: [0-9]* chunks (\([0-9]*\) loaded.*/\1/p' "$TMP/wait.l
 [[ -n "$LOADED" ]] || fail "wait summary line missing from client output"
 [[ "$LOADED" -gt 0 ]] || fail "resumed job loaded 0 checkpoints — it started over"
 
+# A warm resubmission of the same spec: every chunk and the report are
+# already in the store, so the new job computes nothing.
+WARM=$("$TMP/capyfleet" -http "http://$ADDR" -submit \
+    -n "$N" -seed "$SEED" -scale "$SCALE" -chunk "$CHUNK" 2>>"$TMP/warm.log") \
+    || fail "warm submit failed"
+"$TMP/capyfleet" -http "http://$ADDR" -wait "$WARM" -o "$TMP/warm.csv" \
+    2>>"$TMP/warm.log" || fail "wait for warm job $WARM failed"
+diff "$TMP/single.csv" "$TMP/warm.csv" \
+    || fail "warm job's report differs from single-process report"
+COMPUTED=$(sed -n 's/.*done: [0-9]* chunks ([0-9]* loaded, \([0-9]*\) computed).*/\1/p' "$TMP/warm.log" | head -1)
+[[ -n "$COMPUTED" ]] || fail "warm wait summary line missing from client output"
+[[ "$COMPUTED" -eq 0 ]] || fail "warm job $WARM computed $COMPUTED chunks, want 0"
+
 kill "$DAEMON_PID" 2>/dev/null || true
 while kill -0 "$DAEMON_PID" 2>/dev/null; do sleep 0.05; done
 DAEMON_PID=
 
-echo "fleet-resume-smoke: OK — report byte-identical after kill -9, $LOADED chunks resumed from checkpoints"
+echo "fleet-resume-smoke: OK — report byte-identical after kill -9, $LOADED chunks resumed from checkpoints; warm resubmission computed 0"
