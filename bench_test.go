@@ -303,6 +303,10 @@ func BenchmarkFleet(b *testing.B) {
 func BenchmarkFleetSharded(b *testing.B) {
 	var res *fleet.Result
 	for i := 0; i < b.N; i++ {
+		job, err := fleet.NewJob(fleetBenchConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)
@@ -317,7 +321,7 @@ func BenchmarkFleetSharded(b *testing.B) {
 				workerErrs[w] = shard.Work(context.Background(), addr, 0, shard.WorkerOptions{})
 			}(w)
 		}
-		r, err := shard.Serve(context.Background(), ln, fleetBenchConfig(), shard.Options{})
+		r, err := shard.Serve(context.Background(), ln, job, nil, nil, shard.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -74,7 +74,7 @@ func serveHTTP(ctx context.Context, o *options, ready chan<- string) error {
 	case <-ctx.Done():
 		// Graceful stop: stop accepting, let in-flight requests drain
 		// briefly, then stop the service — running jobs are interrupted
-		// and stay journaled as running, the resume marker a successor
+		// and stay journaled as queued, the resume marker a successor
 		// daemon picks up.
 		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()

@@ -267,6 +267,37 @@ func writeOutput(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
+// checkpoints opens -store, when given, for job: it returns the chunks
+// the store already holds and a done callback that checkpoints each
+// newly computed chunk before it counts, in the shapes fleet.Job.Run
+// and shard.Serve take. Without -store both are nil: nothing loaded,
+// nothing checkpointed.
+func checkpoints(o *options, job *fleet.Job) ([]*fleet.ChunkPartial, func(*fleet.ChunkPartial) error, error) {
+	if o.storeDir == "" {
+		return nil, nil, nil
+	}
+	store, err := fleetsvc.Open(o.storeDir)
+	if err != nil {
+		return nil, nil, err
+	}
+	have, err := store.Load(context.Background(), job)
+	if err != nil {
+		return nil, nil, err
+	}
+	loaded := 0
+	for _, cp := range have {
+		if cp != nil {
+			loaded++
+		}
+	}
+	fmt.Fprintf(os.Stderr, "capyfleet: store %s: %d/%d chunks already checkpointed\n",
+		o.storeDir, loaded, job.NumChunks())
+	hash := job.SpecHash()
+	return have, func(cp *fleet.ChunkPartial) error {
+		return store.Put(hash, cp.Chunk, cp)
+	}, nil
+}
+
 // run executes the whole fleet in this process. With -store, completed
 // chunks are reloaded from and checkpointed to the store, so an
 // interrupted run resumes where it left off (and an identical later
@@ -276,19 +307,13 @@ func run(o *options) error {
 	if err != nil {
 		return err
 	}
-	var store *fleetsvc.Store
-	if o.storeDir != "" {
-		if store, err = fleetsvc.Open(o.storeDir); err != nil {
-			return err
-		}
-	}
-	res, stats, err := fleetsvc.RunWithStore(context.Background(), store, job, nil)
+	have, done, err := checkpoints(o, job)
 	if err != nil {
 		return err
 	}
-	if store != nil {
-		fmt.Fprintf(os.Stderr, "capyfleet: store %s: %d/%d chunks loaded, %d computed\n",
-			o.storeDir, stats.Loaded, stats.Chunks, stats.Computed)
+	res, err := job.Run(context.Background(), have, done)
+	if err != nil {
+		return err
 	}
 	return writeReport(o, res)
 }
@@ -300,35 +325,13 @@ func run(o *options) error {
 // receives the resolved listen address once workers can connect (for
 // tests that bind port 0).
 func runCoordinator(o *options, ready chan<- string) error {
-	opt := shard.Options{
-		LeaseTimeout: o.leaseTimeout,
-		MaxAttempts:  o.leaseRetries,
-		Progress:     os.Stderr,
+	job, err := fleet.NewJob(o.fleetConfig())
+	if err != nil {
+		return err
 	}
-	if o.storeDir != "" {
-		store, err := fleetsvc.Open(o.storeDir)
-		if err != nil {
-			return err
-		}
-		job, err := fleet.NewJob(o.fleetConfig())
-		if err != nil {
-			return err
-		}
-		if opt.Completed, err = store.Load(context.Background(), job); err != nil {
-			return err
-		}
-		hash := job.SpecHash()
-		opt.OnChunk = func(cp *fleet.ChunkPartial) error {
-			return store.Put(hash, cp.Chunk, cp)
-		}
-		have := 0
-		for _, cp := range opt.Completed {
-			if cp != nil {
-				have++
-			}
-		}
-		fmt.Fprintf(os.Stderr, "capyfleet: store %s: %d/%d chunks already checkpointed\n",
-			o.storeDir, have, job.NumChunks())
+	have, done, err := checkpoints(o, job)
+	if err != nil {
+		return err
 	}
 	ln, err := net.Listen("tcp", o.serveAddr)
 	if err != nil {
@@ -340,7 +343,11 @@ func runCoordinator(o *options, ready chan<- string) error {
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
-	res, err := shard.Serve(context.Background(), ln, o.fleetConfig(), opt)
+	res, err := shard.Serve(context.Background(), ln, job, have, done, shard.Options{
+		LeaseTimeout: o.leaseTimeout,
+		MaxAttempts:  o.leaseRetries,
+		Progress:     os.Stderr,
+	})
 	if err != nil {
 		return err
 	}

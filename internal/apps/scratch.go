@@ -3,14 +3,12 @@ package apps
 import (
 	"capybara/internal/metrics"
 	"capybara/internal/power"
-	"capybara/internal/sim"
 )
 
 // Scratch bundles the reusable per-run state an application build
-// otherwise allocates fresh: the observable recorder (whose sample
+// otherwise allocates fresh: the observable recorder, whose sample
 // slice grows to over a million timestamps in a gesture lifecycle
-// unless Rec.DropSamples is set, as the fleet sets it) and optional
-// trace/event-log buffers.
+// unless Rec.DropSamples is set, as the fleet sets it.
 //
 // The fleet engine gives each fleet.Job.Compute goroutine one Scratch
 // for its lifetime and calls Reset between devices, so per-device cost
@@ -25,12 +23,6 @@ type Scratch struct {
 	// Rec records the run's observables. Constructors wire &Rec into
 	// the task closures instead of allocating a Recorder.
 	Rec metrics.Recorder
-	// Trace and Log are recycled buffers for callers that want a
-	// voltage trace or device timeline per run; the constructors do not
-	// wire them automatically (fleet runs neither — pass &Trace as the
-	// trace argument to use it).
-	Trace sim.Trace
-	Log   sim.EventLog
 	// Memo is ignored: no build reads it. It survives only because
 	// perfbench/layers.go:66 still assigns it; remove it with that line.
 	Memo *power.SegmentCache
@@ -40,8 +32,6 @@ type Scratch struct {
 // storage.
 func (s *Scratch) Reset() {
 	s.Rec.Reset()
-	s.Trace.Reset()
-	s.Log.Reset()
 }
 
 // scratchRecorder returns the recorder an application build should wire

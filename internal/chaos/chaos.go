@@ -63,6 +63,7 @@ func (r *Report) Summary() string {
 	fmt.Fprintf(&b, "chaos: %d trials, %d faults injected, %d events observed\n",
 		r.Trials, r.Faults, r.Events)
 	names := make([]string, 0, len(r.Scenarios))
+	// order-independent: collects the keys, sorted below.
 	for name := range r.Scenarios {
 		names = append(names, name)
 	}
@@ -71,6 +72,7 @@ func (r *Report) Summary() string {
 		fmt.Fprintf(&b, "  scenario %-22s %d trials\n", name, r.Scenarios[name])
 	}
 	names = names[:0]
+	// order-independent: collects the keys, sorted below.
 	for name := range r.Checks {
 		names = append(names, name)
 	}
@@ -120,6 +122,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		rep.Events += res.events
 		rep.Faults += res.faults
 		rep.Scenarios[res.scenario]++
+		// order-independent: sums integer counts into another map.
 		for name, n := range res.checks {
 			rep.Checks[name] += n
 		}

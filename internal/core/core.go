@@ -348,7 +348,7 @@ func New(cfg Config, prog *task.Program) (*Instance, error) {
 		return nil, err
 	}
 	arr := reservoir.NewArray(cfg.Base, cfg.SwitchKind, cfg.Switched...)
-	for _, m := range modes {
+	for _, m := range cfg.Modes {
 		if (m.Mask|1)>>uint(arr.NumBanks()) != 0 {
 			return nil, fmt.Errorf("core: mode %q mask %#x exceeds %d banks", m.Name, m.Mask, arr.NumBanks())
 		}

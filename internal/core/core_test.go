@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"capybara/internal/device"
@@ -59,6 +60,21 @@ func TestNewValidation(t *testing.T) {
 	cfg.Modes = []Mode{{Name: "other", Mask: 0b010}}
 	if _, err := New(cfg, prog); err == nil {
 		t.Error("undefined mode reference accepted")
+	}
+}
+
+// TestNewNamesFirstBadMode: with two modes whose masks address missing
+// banks, the error names the first declared one on every build. The
+// mode table is a map, so a check ranging over it would name either.
+func TestNewNamesFirstBadMode(t *testing.T) {
+	prog := task.MustProgram("t", &task.Task{Name: "t", Run: func(*task.Ctx) task.Next { return task.Halt }})
+	for i := 0; i < 64; i++ {
+		cfg := baseConfig(CapyP)
+		cfg.Modes = []Mode{{Name: "first", Mask: 0b100}, {Name: "second", Mask: 0b1000}}
+		_, err := New(cfg, prog)
+		if err == nil || !strings.Contains(err.Error(), `"first"`) {
+			t.Fatalf("build %d: err = %v, want it to name mode \"first\"", i, err)
+		}
 	}
 }
 

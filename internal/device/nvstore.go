@@ -1,9 +1,7 @@
 package device
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -46,19 +44,6 @@ func (s *NVStore) Word(key string) (uint64, bool) {
 func (s *NVStore) WordOr(key string, def uint64) uint64 {
 	if v, ok := s.words[key]; ok {
 		return v
-	}
-	return def
-}
-
-// SetFloat durably stores a float64 under key.
-func (s *NVStore) SetFloat(key string, v float64) {
-	s.SetWord(key, math.Float64bits(v))
-}
-
-// FloatOr returns the stored float or def when absent.
-func (s *NVStore) FloatOr(key string, def float64) float64 {
-	if v, ok := s.words[key]; ok {
-		return math.Float64frombits(v)
 	}
 	return def
 }
@@ -107,26 +92,6 @@ func (s *NVStore) PeekBlob(key string) ([]byte, bool) {
 	return b, ok
 }
 
-// AppendFloat appends a float64 to a durable series under key — the
-// applications use this for sensor time series.
-func (s *NVStore) AppendFloat(key string, v float64) {
-	b := s.blobs[key]
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-	s.blobs[key] = append(b, buf[:]...)
-	s.writes++
-}
-
-// FloatSeries decodes the durable series under key.
-func (s *NVStore) FloatSeries(key string) []float64 {
-	b := s.blobs[key]
-	out := make([]float64, 0, len(b)/8)
-	for i := 0; i+8 <= len(b); i += 8 {
-		out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(b[i:])))
-	}
-	return out
-}
-
 // Delete removes a key from both spaces.
 func (s *NVStore) Delete(key string) {
 	delete(s.words, key)
@@ -137,13 +102,16 @@ func (s *NVStore) Delete(key string) {
 // Keys lists all stored keys in sorted order.
 func (s *NVStore) Keys() []string {
 	seen := make(map[string]bool, len(s.words)+len(s.blobs))
+	// order-independent: fills a set.
 	for k := range s.words {
 		seen[k] = true
 	}
+	// order-independent: fills a set.
 	for k := range s.blobs {
 		seen[k] = true
 	}
 	keys := make([]string, 0, len(seen))
+	// order-independent: collects the keys, sorted below.
 	for k := range seen {
 		keys = append(keys, k)
 	}
@@ -155,9 +123,11 @@ func (s *NVStore) Keys() []string {
 // failure injection.
 func (s *NVStore) Snapshot() *NVStore {
 	cp := NewNVStore()
+	// order-independent: copies into another map.
 	for k, v := range s.words {
 		cp.words[k] = v
 	}
+	// order-independent: copies into another map.
 	for k, v := range s.blobs {
 		b := make([]byte, len(v))
 		copy(b, v)

@@ -141,6 +141,7 @@ func (s CapySatStudy) Table() *Table {
 
 func eligibleList(m map[string]bool, want bool) string {
 	var names []string
+	// order-independent: collects names, sorted below.
 	for name, ok := range m {
 		if ok == want {
 			names = append(names, name)

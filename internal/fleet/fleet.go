@@ -27,11 +27,12 @@
 //     steady state (DESIGN.md §7, "The device-step hot path").
 //
 // Execution decomposes into fixed-size device-index chunks behind the
-// Job/Compute/Fold API. Run, fleetsvc.RunWithStore and shard workers
-// all run their chunks through Job.Compute; internal/shard spreads the
-// identical chunks across worker processes over TCP. Either way the
-// partials fold in chunk order, so the report is a pure function of the
-// Spec.
+// Job/Compute/Fold API. Job.Run is the one in-process driver: Run, the
+// fleetsvc daemon and capyfleet's one-shot mode all call it, and shard
+// workers run their leased chunks through Job.Compute; internal/shard
+// spreads the identical chunks across worker processes over TCP. Either
+// way the partials fold in chunk order, so the report is a pure
+// function of the Spec.
 //
 // Determinism: device d derives everything random from runner.RNG(seed,
 // d) and chunk boundaries are a fixed size independent of the worker
@@ -240,42 +241,15 @@ func cohortGrid(seed int64) ([]Cohort, error) {
 	return grid, nil
 }
 
-// Run executes the fleet in-process and folds the report: every chunk
-// goes through Compute and the partials fold in index order.
-// internal/shard runs the identical chunk decomposition across worker
-// processes.
+// Run executes the fleet in-process and folds the report: NewJob, then
+// Job.Run with nothing loaded and nothing checkpointed. internal/shard
+// runs the identical chunk decomposition across worker processes.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	job, err := NewJob(cfg)
 	if err != nil {
 		return nil, err
 	}
-	n := job.NumChunks()
-	chunks := make(chan int, n)
-	for ci := 0; ci < n; ci++ {
-		chunks <- ci
-	}
-	close(chunks)
-	partials := make([]*ChunkPartial, n)
-
-	start := time.Now()
-	workers, err := job.Compute(ctx, cfg.Jobs, chunks, func(cp *ChunkPartial) error {
-		partials[cp.Chunk] = cp
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	res, err := job.Fold(partials)
-	if err != nil {
-		return nil, err
-	}
-	res.Workers = workers
-	res.Elapsed = time.Since(start)
-	if secs := res.Elapsed.Seconds(); secs > 0 {
-		res.DevicesSec = float64(cfg.N) / secs
-	}
-	return res, nil
+	return job.Run(ctx, nil, nil)
 }
 
 // simulate runs device d's lifecycle and folds its observables into the

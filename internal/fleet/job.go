@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"time"
 
 	"capybara/internal/apps"
 	"capybara/internal/runner"
@@ -15,7 +16,7 @@ import (
 
 // A Job is a resolved fleet run: the config with defaults applied, the
 // cohort grid, and the fixed chunk decomposition. It is the unit shared
-// between the in-process engine (Run) and the distributed shard
+// between the in-process driver (Job.Run) and the distributed shard
 // protocol (internal/shard): a coordinator and its workers each build a
 // Job from the same Spec, agree on SpecHash before any chunk is leased,
 // and then Compute/Fold are the only execution primitives either side
@@ -33,12 +34,13 @@ type Job struct {
 // Spec is the wire-shippable subset of Config: exactly the fields the
 // canonical report is a function of. The worker count (Jobs) is
 // deliberately absent — it never changes a byte of the output, so each
-// process in a sharded run picks its own.
+// process in a sharded run picks its own. The JSON names are the fleet
+// daemon's job spec; gob and SpecHash ignore them.
 type Spec struct {
-	N         int
-	Seed      int64
-	Scale     float64
-	ChunkSize int
+	N         int     `json:"n"`
+	Seed      int64   `json:"seed"`
+	Scale     float64 `json:"scale"`
+	ChunkSize int     `json:"chunk_size"`
 }
 
 // Exec builds a Config from a received Spec plus this process's worker
@@ -204,11 +206,11 @@ func (j *Job) RunChunk(ctx context.Context, ci int, ws *Scratch) (*ChunkPartial,
 
 // Compute runs every chunk index received on chunks across workers
 // goroutines (<= 0 means GOMAXPROCS) and returns the count it used. It
-// is the one chunk executor: Run, the fleet service and shard workers
-// all drive their chunks through it. Each goroutine owns one Scratch
-// for its lifetime. done receives every partial in completion order,
-// which depends on scheduling, and its calls never overlap, so it needs
-// no lock of its own.
+// is the one chunk executor: Job.Run and shard workers drive their
+// chunks through it. Each goroutine owns one Scratch for its lifetime.
+// done receives every partial in completion order, which depends on
+// scheduling, and its calls never overlap, so it needs no lock of its
+// own.
 //
 // Compute returns once chunks is closed and drained, or once ctx is
 // done. The first error from a chunk or from done cancels the rest and
@@ -265,11 +267,63 @@ func (j *Job) computeChunk(ctx context.Context, ci int, ws *Scratch, mu *sync.Mu
 	return done(cp)
 }
 
+// Run is the one in-process driver. It computes every chunk have lacks
+// on Config().Jobs workers through Compute, hands each computed partial
+// to done before recording it, folds all chunks in index order, and
+// sets the Result's diagnostics (Workers, Elapsed, DevicesSec).
+//
+// have is nil or holds exactly NumChunks entries, entry i being chunk
+// i's partial or nil; a wrong length is an error before any chunk runs,
+// and Fold rejects a mislabeled entry. done may be nil. It never sees a
+// chunk taken from have, its calls never overlap, and its error fails
+// the run and is returned unchanged. A caller that checkpoints in done
+// therefore never counts a chunk that is not yet durable.
+func (j *Job) Run(ctx context.Context, have []*ChunkPartial, done func(*ChunkPartial) error) (*Result, error) {
+	n := j.NumChunks()
+	if have != nil && len(have) != n {
+		return nil, fmt.Errorf("fleet: have holds %d chunks, want %d", len(have), n)
+	}
+	partials := make([]*ChunkPartial, n)
+	copy(partials, have)
+	missing := make(chan int, n)
+	for ci, cp := range partials {
+		if cp == nil {
+			missing <- ci
+		}
+	}
+	close(missing)
+
+	start := time.Now()
+	workers, err := j.Compute(ctx, j.cfg.Jobs, missing, func(cp *ChunkPartial) error {
+		if done != nil {
+			if err := done(cp); err != nil {
+				return err
+			}
+		}
+		partials[cp.Chunk] = cp
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res, err := j.Fold(partials)
+	if err != nil {
+		return nil, err
+	}
+	res.Workers = workers
+	res.Elapsed = time.Since(start)
+	if secs := res.Elapsed.Seconds(); secs > 0 {
+		res.DevicesSec = float64(j.cfg.N) / secs
+	}
+	return res, nil
+}
+
 // Fold combines every chunk's partial, in chunk-index order, into the
 // final Result. partials must have exactly NumChunks entries with entry
 // i holding chunk i — the fixed fold order is what makes the report
 // independent of which worker ran which chunk. The caller fills in the
-// Result's wall-clock diagnostics (Elapsed, DevicesSec, Workers).
+// Result's wall-clock diagnostics (Elapsed, DevicesSec, Workers), as
+// Run and shard.Serve do.
 func (j *Job) Fold(partials []*ChunkPartial) (*Result, error) {
 	if len(partials) != j.NumChunks() {
 		return nil, fmt.Errorf("fleet: folding %d partials, want %d", len(partials), j.NumChunks())

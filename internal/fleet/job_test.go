@@ -252,3 +252,97 @@ func TestJobCompute(t *testing.T) {
 		}
 	})
 }
+
+// TestJobRun pins the driver's contract: every chunk have lacks reaches
+// done exactly once and no chunk from have ever does, a full have
+// computes nothing and renders Run's bytes, a done error comes back as
+// itself, and a have of the wrong length is rejected before any chunk
+// runs.
+func TestJobRun(t *testing.T) {
+	cfg := Config{N: 42, Seed: 3, Jobs: 2, Scale: 0.01, ChunkSize: 4} // 11 chunks, the last holding 2 devices
+	want, _ := render(t, cfg)
+	ctx := context.Background()
+	job := mustJob(t, cfg)
+	n := job.NumChunks()
+	all := make([]*ChunkPartial, n)
+	for ci := range all {
+		cp, err := job.RunChunk(ctx, ci, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all[ci] = cp
+	}
+	csv := func(res *Result) string {
+		t.Helper()
+		var b bytes.Buffer
+		if err := res.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+
+	t.Run("missing chunks reach done once", func(t *testing.T) {
+		have := make([]*ChunkPartial, n)
+		for ci := 0; ci < n; ci += 3 {
+			have[ci] = all[ci]
+		}
+		seen := make([]int, n)
+		res, err := job.Run(ctx, have, func(cp *ChunkPartial) error {
+			seen[cp.Chunk]++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ci, c := range seen {
+			want := 1
+			if have[ci] != nil {
+				want = 0
+			}
+			if c != want {
+				t.Fatalf("chunk %d (loaded %v) reached done %d times, want %d", ci, have[ci] != nil, c, want)
+			}
+		}
+		if csv(res) != want {
+			t.Fatal("report over a partial have differs from Run's")
+		}
+	})
+
+	t.Run("full have computes nothing", func(t *testing.T) {
+		res, err := job.Run(ctx, all, func(cp *ChunkPartial) error {
+			t.Errorf("chunk %d computed with every chunk in have", cp.Chunk)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if csv(res) != want {
+			t.Fatal("report over a full have differs from Run's")
+		}
+	})
+
+	t.Run("done error", func(t *testing.T) {
+		boom := errors.New("boom")
+		_, err := job.Run(ctx, nil, func(cp *ChunkPartial) error {
+			if cp.Chunk == 5 {
+				return boom
+			}
+			return nil
+		})
+		if err != boom {
+			t.Fatalf("err = %v, want %v", err, boom)
+		}
+	})
+
+	t.Run("wrong have length", func(t *testing.T) {
+		for _, have := range [][]*ChunkPartial{all[:n-1], append(all[:n:n], nil)} {
+			_, err := job.Run(ctx, have, func(cp *ChunkPartial) error {
+				t.Errorf("chunk %d computed for a have of %d entries", cp.Chunk, len(have))
+				return nil
+			})
+			if err == nil {
+				t.Fatalf("have of %d entries accepted for %d chunks", len(have), n)
+			}
+		}
+	})
+}

@@ -69,9 +69,9 @@ func TestWarmRunLoadsLegacyEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, stats := runWithStore(t, s, cfg)
-	if stats.Loaded != 1 || stats.Computed != job.NumChunks()-1 {
-		t.Fatalf("run stats %+v: want the legacy chunk loaded and the rest computed", stats)
+	res, loaded, computed := runWithStore(t, s, cfg)
+	if loaded != 1 || computed != job.NumChunks()-1 {
+		t.Fatalf("loaded %d, computed %d: want the legacy chunk loaded and the rest computed", loaded, computed)
 	}
 	if q := s.Stats().Quarantined; q != 0 {
 		t.Fatalf("%d entries quarantined", q)
@@ -127,10 +127,9 @@ func TestServiceLegacyReportLayout(t *testing.T) {
 		}
 	}
 	const id = "j000001"
-	sp := job.Spec()
 	rec, err := json.MarshalIndent(jobRecord{
 		ID:       id,
-		Spec:     SpecInfo{N: sp.N, Seed: sp.Seed, Scale: sp.Scale, ChunkSize: sp.ChunkSize},
+		Spec:     job.Spec(),
 		SpecHash: job.SpecHash(),
 		State:    StateDone,
 	}, "", "  ")

@@ -26,12 +26,7 @@ import (
 // SubmitRequest is the POST /jobs body: the canonical report spec.
 // Parallelism is deliberately absent — it belongs to the daemon, and
 // it cannot change a byte of the report.
-type SubmitRequest struct {
-	N         int     `json:"n"`
-	Seed      int64   `json:"seed"`
-	Scale     float64 `json:"scale"`
-	ChunkSize int     `json:"chunk_size"`
-}
+type SubmitRequest = fleet.Spec
 
 // statusResponse is JobStatus plus the optional cohort fold.
 type statusResponse struct {
@@ -94,7 +89,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad submit body: %v", err)
 		return
 	}
-	st, err := s.Submit(fleet.Spec{N: req.N, Seed: req.Seed, Scale: req.Scale, ChunkSize: req.ChunkSize})
+	st, err := s.Submit(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -292,10 +292,9 @@ func TestHTTPStreamVanishedJobEndsTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resolved := fj.Spec()
 	id := "j900000"
 	svc.mu.Lock()
-	j := svc.track(id, fj, SpecInfo{N: resolved.N, Seed: resolved.Seed, Scale: resolved.Scale, ChunkSize: resolved.ChunkSize})
+	j := svc.track(id, fj)
 	svc.mu.Unlock()
 
 	resp, err := srv.Client().Get(srv.URL + "/api/v1/jobs/" + id + "/stream")

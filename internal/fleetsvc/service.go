@@ -55,33 +55,21 @@ func terminal(state string) bool {
 	return state == StateDone || state == StateFailed || state == StateCanceled
 }
 
-// SpecInfo is the JSON shape of a job's spec, with defaults resolved.
-type SpecInfo struct {
-	N         int     `json:"n"`
-	Seed      int64   `json:"seed"`
-	Scale     float64 `json:"scale"`
-	ChunkSize int     `json:"chunk_size"`
-}
-
-func (si SpecInfo) spec() fleet.Spec {
-	return fleet.Spec{N: si.N, Seed: si.Seed, Scale: si.Scale, ChunkSize: si.ChunkSize}
-}
-
 // JobStatus is a point-in-time snapshot of one job, as served by the
 // status API. Done = Loaded + Computed; Loaded counts chunks folded
 // from pre-existing checkpoints (a resumed or memo-sharing job's
 // savings), Computed counts chunks simulated fresh for this job.
 type JobStatus struct {
-	ID       string   `json:"id"`
-	State    string   `json:"state"`
-	Spec     SpecInfo `json:"spec"`
-	SpecHash string   `json:"spec_hash"`
-	Chunks   int      `json:"chunks"`
-	Done     int      `json:"done"`
-	Loaded   int      `json:"loaded"`
-	Computed int      `json:"computed"`
-	Devices  int      `json:"devices"`
-	Error    string   `json:"error,omitempty"`
+	ID       string     `json:"id"`
+	State    string     `json:"state"`
+	Spec     fleet.Spec `json:"spec"` // defaults resolved
+	SpecHash string     `json:"spec_hash"`
+	Chunks   int        `json:"chunks"`
+	Done     int        `json:"done"`
+	Loaded   int        `json:"loaded"`
+	Computed int        `json:"computed"`
+	Devices  int        `json:"devices"`
+	Error    string     `json:"error,omitempty"`
 }
 
 // CohortProgress is one cohort's running partial fold — served while a
@@ -102,11 +90,11 @@ type CohortProgress struct {
 // the shard handshake makes across processes, here across daemon
 // generations).
 type jobRecord struct {
-	ID       string   `json:"id"`
-	Spec     SpecInfo `json:"spec"`
-	SpecHash string   `json:"spec_hash"`
-	State    string   `json:"state"`
-	Error    string   `json:"error,omitempty"`
+	ID       string     `json:"id"`
+	Spec     fleet.Spec `json:"spec"`
+	SpecHash string     `json:"spec_hash"`
+	State    string     `json:"state"`
+	Error    string     `json:"error,omitempty"`
 }
 
 // job is one tracked job. fjob is rebuilt from the spec by whichever
@@ -115,7 +103,6 @@ type jobRecord struct {
 type job struct {
 	id   string
 	fjob *fleet.Job
-	spec SpecInfo
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -131,10 +118,27 @@ type job struct {
 	nextW    int
 }
 
+// record counts chunk cp as loaded from the store or computed fresh,
+// keeps it for the ?cohorts=1 fold, and nudges watchers.
+func (j *job) record(cp *fleet.ChunkPartial, loaded bool) {
+	lo, hi := j.fjob.ChunkBounds(cp.Chunk)
+	j.mu.Lock()
+	j.partials[cp.Chunk] = cp
+	if loaded {
+		j.loaded++
+	} else {
+		j.computed++
+	}
+	j.devices += hi - lo
+	j.mu.Unlock()
+	j.notify()
+}
+
 // notify nudges every watcher (coalescing: a slow watcher misses
 // intermediate states, never the latest).
 func (j *job) notify() {
 	j.mu.Lock()
+	// order-independent: every watcher gets the same nudge.
 	for _, ch := range j.watchers {
 		select {
 		case ch <- struct{}{}:
@@ -265,7 +269,7 @@ func (s *Service) recover() error {
 		if n := idNumber(id); n >= s.nextID {
 			s.nextID = n + 1
 		}
-		fj, err := fleet.NewJob(rec.Spec.spec().Exec(s.cfg.Jobs))
+		fj, err := fleet.NewJob(rec.Spec.Exec(s.cfg.Jobs))
 		if err != nil {
 			// A journaled spec this binary rejects: mark it failed, keep
 			// the record for inspection, don't poison startup.
@@ -276,7 +280,7 @@ func (s *Service) recover() error {
 			}
 			continue
 		}
-		j := s.track(id, fj, rec.Spec)
+		j := s.track(id, fj)
 		j.state = rec.State
 		j.errMsg = rec.Error
 		switch rec.State {
@@ -310,12 +314,11 @@ func idNumber(id string) int {
 
 // track registers a job in the in-memory table. Callers hold s.mu or
 // are single-threaded startup.
-func (s *Service) track(id string, fj *fleet.Job, spec SpecInfo) *job {
+func (s *Service) track(id string, fj *fleet.Job) *job {
 	jctx, jcancel := context.WithCancel(s.ctx)
 	j := &job{
 		id:       id,
 		fjob:     fj,
-		spec:     spec,
 		ctx:      jctx,
 		cancel:   jcancel,
 		state:    StateQueued,
@@ -335,8 +338,6 @@ func (s *Service) Submit(spec fleet.Spec) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, err
 	}
-	resolved := fj.Spec()
-	si := SpecInfo{N: resolved.N, Seed: resolved.Seed, Scale: resolved.Scale, ChunkSize: resolved.ChunkSize}
 
 	s.mu.Lock()
 	if s.ctx.Err() != nil {
@@ -345,7 +346,7 @@ func (s *Service) Submit(spec fleet.Spec) (JobStatus, error) {
 	}
 	id := fmt.Sprintf("j%06d", s.nextID)
 	s.nextID++
-	j := s.track(id, fj, si)
+	j := s.track(id, fj)
 	s.mu.Unlock()
 
 	if err := s.journal(j); err != nil {
@@ -360,10 +361,13 @@ func (s *Service) enqueue(j *job) {
 	go s.runJob(j)
 }
 
-// runJob owns one job's lifecycle: wait for a slot, run the chunked
-// engine against the shared store, persist the report, journal the
-// terminal state. On service shutdown it returns with the journal still
-// saying queued — the resume marker a successor picks up.
+// runJob owns one job's lifecycle: wait for a slot, fold every chunk
+// the shared store holds, compute the rest through fleet.Job.Run with
+// each one checkpointed before it counts, persist the report, journal
+// the terminal state. After a crash at any instant a rerun repeats at
+// most the chunks that were in flight. On service shutdown it returns
+// with the journal still saying queued — the resume marker a successor
+// picks up.
 func (s *Service) runJob(j *job) {
 	defer s.wg.Done()
 	defer j.notify()
@@ -380,16 +384,23 @@ func (s *Service) runJob(j *job) {
 	}
 	j.notify()
 
-	res, _, err := RunWithStore(j.ctx, s.store, j.fjob, func(p Progress) {
-		j.mu.Lock()
-		if p.Partial != nil && p.Partial.Chunk < len(j.partials) {
-			j.partials[p.Partial.Chunk] = p.Partial
+	have, err := s.store.Load(j.ctx, j.fjob)
+	if err != nil {
+		s.finish(j, nil, err)
+		return
+	}
+	for _, cp := range have {
+		if cp != nil {
+			j.record(cp, true)
 		}
-		j.loaded = p.Loaded
-		j.computed = p.Done - p.Loaded
-		j.devices = p.Devices
-		j.mu.Unlock()
-		j.notify()
+	}
+	hash := j.fjob.SpecHash()
+	res, err := j.fjob.Run(j.ctx, have, func(cp *fleet.ChunkPartial) error {
+		if err := s.store.Put(hash, cp.Chunk, cp); err != nil {
+			return fmt.Errorf("checkpointing chunk %d: %w", cp.Chunk, err)
+		}
+		j.record(cp, false)
+		return nil
 	})
 	s.finish(j, res, err)
 }
@@ -578,7 +589,7 @@ func (s *Service) status(j *job) JobStatus {
 	return JobStatus{
 		ID:       j.id,
 		State:    j.state,
-		Spec:     j.spec,
+		Spec:     j.fjob.Spec(),
 		SpecHash: j.fjob.SpecHash(),
 		Chunks:   j.fjob.NumChunks(),
 		Done:     j.loaded + j.computed,
@@ -594,7 +605,7 @@ func (s *Service) journal(j *job) error {
 	j.mu.Lock()
 	rec := jobRecord{
 		ID:       j.id,
-		Spec:     j.spec,
+		Spec:     j.fjob.Spec(),
 		SpecHash: j.fjob.SpecHash(),
 		State:    j.state,
 		Error:    j.errMsg,

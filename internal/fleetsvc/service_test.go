@@ -27,26 +27,43 @@ import (
 //  4. Isolation: concurrent jobs with different specs never fold each
 //     other's partials.
 
-// runWithStore builds cfg's job and runs it through RunWithStore over
-// store (nil for no store).
-func runWithStore(t *testing.T, store *Store, cfg fleet.Config) (*fleet.Result, RunStats) {
+// runWithStore builds cfg's job and runs it the way the daemon does:
+// Job.Run over the chunks store holds, with each computed chunk put to
+// store before it counts. It returns how many chunks were loaded and
+// how many computed. A nil store loads and checkpoints nothing.
+func runWithStore(t *testing.T, store *Store, cfg fleet.Config) (res *fleet.Result, loaded, computed int) {
 	t.Helper()
 	job, err := fleet.NewJob(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, stats, err := RunWithStore(context.Background(), store, job, nil)
-	if err != nil {
-		t.Fatalf("RunWithStore: %v", err)
+	var have []*fleet.ChunkPartial
+	var done func(*fleet.ChunkPartial) error
+	if store != nil {
+		if have, err = store.Load(context.Background(), job); err != nil {
+			t.Fatal(err)
+		}
+		for _, cp := range have {
+			if cp != nil {
+				loaded++
+			}
+		}
+		done = func(cp *fleet.ChunkPartial) error {
+			computed++
+			return store.Put(job.SpecHash(), cp.Chunk, cp)
+		}
 	}
-	return res, stats
+	if res, err = job.Run(context.Background(), have, done); err != nil {
+		t.Fatalf("Job.Run: %v", err)
+	}
+	return res, loaded, computed
 }
 
 // baseline renders cfg's canonical CSV report with no store in the
 // loop: the bytes every checkpointed/resumed path must reproduce.
 func baseline(t *testing.T, cfg fleet.Config) []byte {
 	t.Helper()
-	res, _ := runWithStore(t, nil, cfg)
+	res, _, _ := runWithStore(t, nil, cfg)
 	var buf bytes.Buffer
 	if err := res.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -143,9 +160,10 @@ func waitDone(t *testing.T, svc *Service, id string) JobStatus {
 // queued: running is never journaled), restart over the same directory,
 // and require the resumed job to finish with a report byte-identical to
 // an uninterrupted run — having reloaded at least one checkpoint rather
-// than starting over.
+// than starting over, and counting every device once across loaded and
+// computed chunks, the short last chunk included.
 func TestServiceCrashResumeByteIdentity(t *testing.T) {
-	cfg := fleet.Config{N: 240, Seed: 7, Scale: 0.05, ChunkSize: 8} // 30 chunks
+	cfg := fleet.Config{N: 244, Seed: 7, Scale: 0.05, ChunkSize: 8} // 31 chunks, the last holding 4 devices
 	want := baseline(t, cfg)
 
 	dir := t.TempDir()
@@ -171,6 +189,9 @@ func TestServiceCrashResumeByteIdentity(t *testing.T) {
 	}
 	if fin.Loaded+fin.Computed != fin.Chunks {
 		t.Fatalf("loaded %d + computed %d != %d chunks", fin.Loaded, fin.Computed, fin.Chunks)
+	}
+	if fin.Devices != cfg.N {
+		t.Fatalf("resumed job counted %d devices, want %d", fin.Devices, cfg.N)
 	}
 	got, err := svc2.Report(st.ID, false)
 	if err != nil {
@@ -269,9 +290,9 @@ func TestAnyPrefixResume(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res, stats := runWithStore(t, store, cfg)
-		if stats.Loaded != k || stats.Computed != n-k {
-			t.Fatalf("prefix %d: loaded %d computed %d, want %d and %d", k, stats.Loaded, stats.Computed, k, n-k)
+		res, loaded, computed := runWithStore(t, store, cfg)
+		if loaded != k || computed != n-k {
+			t.Fatalf("prefix %d: loaded %d computed %d, want %d and %d", k, loaded, computed, k, n-k)
 		}
 		var buf bytes.Buffer
 		if err := res.WriteCSV(&buf); err != nil {

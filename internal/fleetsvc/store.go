@@ -1,8 +1,8 @@
 // Package fleetsvc turns the one-shot fleet engine into a persistent,
 // resumable service: a content-addressed on-disk store of completed
-// chunk partials, a chunked execution engine that loads checkpoints
-// before computing, a job queue whose state survives process death, and
-// an HTTP/JSON API over all of it (cmd/capyfleet -serve-http).
+// chunk partials, a job queue whose state survives process death and
+// whose jobs run through fleet.Job.Run over the store's checkpoints,
+// and an HTTP/JSON API over all of it (cmd/capyfleet -serve-http).
 //
 // The store is the load-bearing piece. A chunk partial is a pure
 // function of (spec, chunk index) — PR 5's shard protocol already leans

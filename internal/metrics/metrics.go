@@ -110,6 +110,7 @@ func (r *Recorder) Samples() []units.Seconds {
 // Reports returns the recorded per-event dispositions sorted by index.
 func (r *Recorder) Reports() []Report {
 	out := make([]Report, 0, len(r.reports))
+	// order-independent: collects the reports, sorted below.
 	for _, rep := range r.reports {
 		out = append(out, rep)
 	}
@@ -131,6 +132,7 @@ type Accuracy struct {
 // report count as missed.
 func (r *Recorder) ComputeAccuracy(totalEvents int) Accuracy {
 	a := Accuracy{Total: totalEvents}
+	// order-independent: counts outcomes.
 	for _, rep := range r.reports {
 		switch rep.Outcome {
 		case Correct:
@@ -173,6 +175,7 @@ func (r *Recorder) Latencies() []units.Seconds {
 // per device (the sorted report copy and the latency slice).
 func (r *Recorder) AppendLatencies(dst []units.Seconds) []units.Seconds {
 	idx := make([]int, 0, len(r.reports))
+	// order-independent: collects indices, sorted below.
 	for i, rep := range r.reports {
 		if rep.Outcome == Correct || rep.Outcome == Misclassified {
 			idx = append(idx, i)

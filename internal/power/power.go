@@ -210,9 +210,9 @@ func (s *System) segmentHorizon(t, remain units.Seconds) units.Seconds {
 
 // StepSegment charges the store for at most dt starting at time t,
 // under the contract that the source output is constant on [t, t+dt):
-// AdvanceCharge and TimeToChargeTo bound their iterations by
-// segmentHorizon to establish it, and sim's charge loop passes its own
-// source-change horizon through directly. It advances analytically
+// TimeToChargeTo bounds its iterations by segmentHorizon to establish
+// it, and sim's charge loop passes its own source-change horizon
+// through directly. It advances analytically
 // through the bypass / cold-start / started phases (the charge power is
 // constant within each phase, so each phase is one closed-form solve)
 // and stops early when the store reaches target (0 means no target).
@@ -274,30 +274,6 @@ func (s *System) StepSegment(st Store, target units.Voltage, t, dt units.Seconds
 		elapsed = dt
 	}
 	return dt, false
-}
-
-// AdvanceCharge charges the store for dt starting at time t0, advancing
-// through the bypass / cold-start / normal phases. It returns the
-// voltage reached. Charging stops at ceiling (typically the bank's
-// rated voltage or the configured Vtop); pass 0 for no ceiling.
-func (s *System) AdvanceCharge(st Store, t0, dt units.Seconds, ceiling units.Voltage) units.Voltage {
-	t := t0
-	end := t0 + dt
-	for t < end {
-		if ceiling > 0 && st.Voltage() >= ceiling {
-			return st.Voltage()
-		}
-		h := s.segmentHorizon(t, end-t)
-		used, reached := s.StepSegment(st, ceiling, t, h)
-		t += used
-		if reached {
-			return st.Voltage()
-		}
-	}
-	if ceiling > 0 && st.Voltage() > ceiling {
-		st.SetVoltage(ceiling)
-	}
-	return st.Voltage()
 }
 
 // TimeToChargeTo returns how long charging from time t0 takes to bring

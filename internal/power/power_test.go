@@ -246,52 +246,6 @@ func TestCanSupply(t *testing.T) {
 	}
 }
 
-func TestAdvanceChargeRespectsCeiling(t *testing.T) {
-	s := testSystem(10*units.MilliWatt, 3.0)
-	b := smallBank()
-	v := s.AdvanceCharge(b, 0, 1e4, 2.0)
-	if !almostEqual(float64(v), 2.0, 1e-9) {
-		t.Fatalf("AdvanceCharge ceiling: %v, want 2.0", v)
-	}
-}
-
-func TestAdvanceChargeTracksTimeToCharge(t *testing.T) {
-	// Charging for exactly the computed charge time must land on the
-	// target voltage (with a constant source).
-	s1 := testSystem(10*units.MilliWatt, 3.0)
-	b1 := bigBank()
-	dt, ok := s1.TimeToChargeTo(b1, 2.4, 0, 1e6)
-	if !ok {
-		t.Fatal("charge incomplete")
-	}
-	s2 := testSystem(10*units.MilliWatt, 3.0)
-	b2 := bigBank()
-	v := s2.AdvanceCharge(b2, 0, dt, 0)
-	if !almostEqual(float64(v), 2.4, 1e-3) {
-		t.Fatalf("AdvanceCharge(%v) reached %v, want 2.4", dt, v)
-	}
-}
-
-func TestAdvanceChargeIntermittentSource(t *testing.T) {
-	// A source that blacks out mid-charge: charging pauses but resumes.
-	src := harvest.SolarPanel{
-		PeakPower:          10 * units.MilliWatt,
-		OpenCircuitVoltage: 3.0,
-		Light:              harvest.BlackoutTrace(harvest.ConstantTrace(1), [2]units.Seconds{1, 5}),
-	}
-	s := NewSystem(src)
-	b := smallBank()
-	vAtBlackout := s.AdvanceCharge(b, 0, 1, 0)
-	vDuring := s.AdvanceCharge(b, 1, 5, 0)
-	if vDuring > vAtBlackout+1e-9 {
-		t.Fatalf("charged during blackout: %v > %v", vDuring, vAtBlackout)
-	}
-	vAfter := s.AdvanceCharge(b, 6, 1, 0)
-	if vAfter <= vDuring {
-		t.Fatal("did not resume charging after blackout")
-	}
-}
-
 func TestStoreDrawIncludesOverheads(t *testing.T) {
 	s := testSystem(10*units.MilliWatt, 3.0)
 	got := s.StoreDraw(8 * units.MilliWatt)

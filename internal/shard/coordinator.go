@@ -29,21 +29,6 @@ type Options struct {
 	// Progress, when non-nil, receives a line of chunk/worker/
 	// throughput state every progressEvery.
 	Progress io.Writer
-	// Completed pre-seeds chunks a previous run already computed (e.g.
-	// reloaded from a checkpoint store): they are marked done before any
-	// lease is granted, so workers only ever see the missing chunks.
-	// Each partial must belong to this job — chunk index in range,
-	// cohort count matching the grid — or Serve fails before listening.
-	// Pre-seeded chunks are not passed to OnChunk.
-	Completed []*fleet.ChunkPartial
-	// OnChunk, when non-nil, observes every newly completed chunk
-	// before it is folded — the coordinator's checkpoint hook. A non-nil
-	// error fails the run (a checkpoint that cannot be written is a
-	// durability loss, not a warning). Calls may be concurrent (one per
-	// worker connection), and a duplicate-result race can deliver the
-	// same chunk twice; both are harmless against an idempotent
-	// content-addressed store.
-	OnChunk func(*fleet.ChunkPartial) error
 
 	// retryBackoff delays a failed chunk's re-lease, doubling per prior
 	// attempt and clamped at maxRetryBackoff (0 = 250ms). It keeps a
@@ -103,8 +88,9 @@ type chunkState struct {
 // guarded by it; cond wakes lease feeders when chunks become eligible
 // (completion, failure requeue, backoff expiry, shutdown).
 type coordinator struct {
-	job *fleet.Job
-	opt Options
+	job  *fleet.Job
+	opt  Options
+	done func(*fleet.ChunkPartial) error // nil: no checkpoint hook
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -123,49 +109,46 @@ type coordinator struct {
 	finished  bool // remaining hit 0 or fatal set; stop leasing
 }
 
-// Serve coordinates a sharded fleet run on ln: it ships the job spec to
-// every connecting worker, leases chunks with deadlines, re-leases on
-// worker failure, folds the partials in chunk-index order, and returns
-// a Result whose report is byte-identical to fleet.Run with the same
-// Config. It blocks until the run completes, a chunk exhausts its lease
-// attempts, or ctx is canceled. The listener is closed on return.
-func Serve(ctx context.Context, ln net.Listener, cfg fleet.Config, opt Options) (*fleet.Result, error) {
-	job, err := fleet.NewJob(cfg)
-	if err != nil {
-		return nil, err
-	}
+// Serve coordinates a sharded run of job on ln: it ships the job spec
+// to every connecting worker, leases chunks with deadlines, re-leases
+// on worker failure, folds the partials in chunk-index order, and
+// returns a Result whose report is byte-identical to job.Run's. It
+// blocks until the run completes, a chunk exhausts its lease attempts,
+// or ctx is canceled. The listener is closed on return.
+//
+// have and done mean what they mean to fleet.Job.Run. have is nil or
+// holds exactly NumChunks entries, entry i being chunk i's partial or
+// nil, as fleetsvc.Store.Load returns them; those chunks are marked
+// done before any lease is granted, so workers only ever see the
+// missing ones. Every entry must belong to the job — labeled with its
+// index, cohort count matching the grid — or Serve fails before any
+// worker is served. done, when non-nil, sees every newly completed
+// chunk before it is folded, never a chunk from have; its error fails
+// the run (a checkpoint that cannot be written is a durability loss,
+// not a warning). Unlike Job.Run's, done calls may be concurrent (one
+// per worker connection), and a duplicate-result race can deliver the
+// same chunk twice; both are harmless against an idempotent
+// content-addressed store.
+func Serve(ctx context.Context, ln net.Listener, job *fleet.Job, have []*fleet.ChunkPartial, done func(*fleet.ChunkPartial) error, opt Options) (*fleet.Result, error) {
+	n := job.NumChunks()
 	c := &coordinator{
 		job:       job,
 		opt:       opt.withDefaults(),
-		chunks:    make([]chunkState, job.NumChunks()),
-		partials:  make([]*fleet.ChunkPartial, job.NumChunks()),
+		done:      done,
+		chunks:    make([]chunkState, n),
+		partials:  make([]*fleet.ChunkPartial, n),
 		doneCh:    make(chan struct{}),
-		remaining: job.NumChunks(),
+		remaining: n,
 	}
 	c.cond = sync.NewCond(&c.mu)
 	start := time.Now()
 
-	// Pre-seed checkpointed chunks: mark them done before any worker can
-	// be leased one. Validation is strict — a partial from the wrong job
-	// would poison the fold only after all the remaining work was done.
-	for _, cp := range c.opt.Completed {
-		if cp == nil {
-			continue
-		}
-		if cp.Chunk < 0 || cp.Chunk >= job.NumChunks() {
-			return nil, fmt.Errorf("shard: completed partial for chunk %d out of range [0, %d)", cp.Chunk, job.NumChunks())
-		}
-		if len(cp.Cohorts) != len(job.Cohorts()) {
-			return nil, fmt.Errorf("shard: completed partial for chunk %d has %d cohorts, want %d", cp.Chunk, len(cp.Cohorts), len(job.Cohorts()))
-		}
-		if c.chunks[cp.Chunk].status == chunkDone {
-			continue
-		}
-		c.chunks[cp.Chunk].status = chunkDone
-		c.partials[cp.Chunk] = cp
-		c.remaining--
-		lo, hi := job.ChunkBounds(cp.Chunk)
-		c.devices += hi - lo
+	// Mark the chunks in have done before any worker can be leased one.
+	// Validation is strict — a partial from the wrong job would poison
+	// the fold only after all the remaining work was done.
+	if err := c.seed(have); err != nil {
+		ln.Close()
+		return nil, err
 	}
 
 	stopCtx := context.AfterFunc(ctx, func() { c.fail(ctx.Err()) })
@@ -234,13 +217,38 @@ func Serve(ctx context.Context, ln net.Listener, cfg fleet.Config, opt Options) 
 	res.Workers = c.peak
 	res.Elapsed = time.Since(start)
 	if secs := res.Elapsed.Seconds(); secs > 0 {
-		res.DevicesSec = float64(cfg.N) / secs
+		res.DevicesSec = float64(job.Config().N) / secs
 	}
 	if c.opt.Progress != nil {
 		fmt.Fprintf(c.opt.Progress, "shard: complete — %d chunks on %d worker(s), %d re-leased\n",
 			len(c.chunks), c.peak, c.retries)
 	}
 	return res, nil
+}
+
+// seed marks every chunk in have done, after checking that have has
+// the job's shape and each entry belongs to the job.
+func (c *coordinator) seed(have []*fleet.ChunkPartial) error {
+	if have != nil && len(have) != len(c.chunks) {
+		return fmt.Errorf("shard: have holds %d chunks, want %d", len(have), len(c.chunks))
+	}
+	for ci, cp := range have {
+		if cp == nil {
+			continue
+		}
+		if cp.Chunk != ci {
+			return fmt.Errorf("shard: have[%d] holds chunk %d", ci, cp.Chunk)
+		}
+		if len(cp.Cohorts) != len(c.job.Cohorts()) {
+			return fmt.Errorf("shard: have[%d] has %d cohorts, want %d", ci, len(cp.Cohorts), len(c.job.Cohorts()))
+		}
+		c.chunks[ci].status = chunkDone
+		c.partials[ci] = cp
+		c.remaining--
+		lo, hi := c.job.ChunkBounds(ci)
+		c.devices += hi - lo
+	}
+	return nil
 }
 
 // fail records a fatal error (first one wins) unless the run already
@@ -322,7 +330,7 @@ func (c *coordinator) requeueLocked(ci int, cause error) {
 	if st.attempts >= c.opt.MaxAttempts {
 		c.exhausted = append(c.exhausted, ci)
 		// Fail hard, surfacing every exhausted chunk so a caller that
-		// checkpointed the completed ones (Options.OnChunk) knows what a
+		// checkpointed the completed ones (Serve's done) knows what a
 		// resumed run still owes. The error value is replaced, never
 		// mutated — snapshots other goroutines hold stay immutable.
 		if ce, ok := c.fatal.(*ChunkError); c.fatal == nil || ok {
@@ -436,12 +444,12 @@ func (c *coordinator) complete(cp *fleet.ChunkPartial) bool {
 
 	// Checkpoint before marking done (and outside the lock — this is
 	// disk I/O): if the write fails, the run fails while the chunk is
-	// still officially unfinished, mirroring the in-process engine's
-	// put-before-fold ordering. A duplicate-result race can reach here
-	// twice; the store put is idempotent and the done-marking below
-	// still picks exactly one winner.
-	if c.opt.OnChunk != nil {
-		if err := c.opt.OnChunk(cp); err != nil {
+	// still officially unfinished, mirroring Job.Run's done-before-record
+	// ordering. A duplicate-result race can reach here twice; the store
+	// put is idempotent and the done-marking below still picks exactly
+	// one winner.
+	if c.done != nil {
+		if err := c.done(cp); err != nil {
 			c.fail(fmt.Errorf("shard: checkpointing chunk %d: %w", cp.Chunk, err))
 			return true
 		}

@@ -14,10 +14,7 @@ import (
 // workers) so lease scheduling can be driven synchronously.
 func newTestCoordinator(t *testing.T, opt Options) *coordinator {
 	t.Helper()
-	job, err := fleet.NewJob(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := newJob(t, testConfig())
 	c := &coordinator{
 		job:       job,
 		opt:       opt.withDefaults(),

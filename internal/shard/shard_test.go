@@ -22,6 +22,15 @@ func testConfig() fleet.Config {
 	return fleet.Config{N: 96, Seed: 1, Jobs: 2, Scale: 0.05, ChunkSize: 8}
 }
 
+func newJob(t *testing.T, cfg fleet.Config) *fleet.Job {
+	t.Helper()
+	job, err := fleet.NewJob(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return job
+}
+
 // renderRun renders the single-process reference report.
 func renderRun(t *testing.T, cfg fleet.Config) (string, string) {
 	t.Helper()
@@ -53,9 +62,10 @@ func listen(t *testing.T) net.Listener {
 	return ln
 }
 
-// serveWith runs a coordinator over ln while the given worker funcs run
-// concurrently, and returns the folded result plus each worker's error.
-func serveWith(t *testing.T, cfg fleet.Config, opt Options, workers ...func(addr string) error) (*fleet.Result, []error) {
+// serveWith runs a coordinator for cfg's job, with have and done passed
+// through to Serve, while the given worker funcs run concurrently, and
+// returns the folded result plus each worker's error.
+func serveWith(t *testing.T, cfg fleet.Config, have []*fleet.ChunkPartial, done func(*fleet.ChunkPartial) error, opt Options, workers ...func(addr string) error) (*fleet.Result, []error) {
 	t.Helper()
 	ln := listen(t)
 	addr := ln.Addr().String()
@@ -68,7 +78,7 @@ func serveWith(t *testing.T, cfg fleet.Config, opt Options, workers ...func(addr
 			errs[i] = w(addr)
 		}(i, w)
 	}
-	res, err := Serve(context.Background(), ln, cfg, opt)
+	res, err := Serve(context.Background(), ln, newJob(t, cfg), have, done, opt)
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
@@ -88,7 +98,7 @@ func worker(jobs int, opts WorkerOptions) func(addr string) error {
 func TestShardByteIdentical(t *testing.T) {
 	cfg := testConfig()
 	wantCSV, wantJSON := renderRun(t, cfg)
-	res, errs := serveWith(t, cfg, Options{},
+	res, errs := serveWith(t, cfg, nil, nil, Options{},
 		worker(2, WorkerOptions{}),
 		worker(1, WorkerOptions{}), // heterogeneous parallelism must not matter
 	)
@@ -115,7 +125,7 @@ func TestShardByteIdentical(t *testing.T) {
 func TestShardWorkerKilledMidRun(t *testing.T) {
 	cfg := testConfig()
 	wantCSV, wantJSON := renderRun(t, cfg)
-	res, errs := serveWith(t, cfg, Options{retryBackoff: time.Millisecond},
+	res, errs := serveWith(t, cfg, nil, nil, Options{retryBackoff: time.Millisecond},
 		worker(2, WorkerOptions{dieAfterResults: 1}),
 		worker(2, WorkerOptions{}),
 	)
@@ -139,7 +149,7 @@ func TestShardWorkerKilledMidRun(t *testing.T) {
 func TestShardSoleWorkerDiesThenReplacementFinishes(t *testing.T) {
 	cfg := testConfig()
 	wantCSV, _ := renderRun(t, cfg)
-	res, errs := serveWith(t, cfg, Options{retryBackoff: time.Millisecond},
+	res, errs := serveWith(t, cfg, nil, nil, Options{retryBackoff: time.Millisecond},
 		worker(1, WorkerOptions{dieAfterResults: 2}),
 		func(addr string) error {
 			time.Sleep(150 * time.Millisecond) // arrive after the first worker died
@@ -188,7 +198,7 @@ func TestShardSpecHashMismatchRejected(t *testing.T) {
 	cfg := testConfig()
 	wantCSV, _ := renderRun(t, cfg)
 	mismatch := make(chan string, 1)
-	res, errs := serveWith(t, cfg, Options{},
+	res, errs := serveWith(t, cfg, nil, nil, Options{},
 		worker(2, WorkerOptions{}),
 		func(addr string) error {
 			conn, err := net.Dial("tcp", addr)
@@ -259,7 +269,7 @@ func TestShardWorkerRejectsBadCoordinator(t *testing.T) {
 func TestShardMalformedFrameReLeased(t *testing.T) {
 	cfg := testConfig()
 	wantCSV, _ := renderRun(t, cfg)
-	res, errs := serveWith(t, cfg, Options{retryBackoff: time.Millisecond},
+	res, errs := serveWith(t, cfg, nil, nil, Options{retryBackoff: time.Millisecond},
 		worker(2, WorkerOptions{}),
 		func(addr string) error {
 			fc, _ := rawDial(t, addr, 1)
@@ -299,7 +309,7 @@ func TestShardLeaseTimeoutReLeased(t *testing.T) {
 	// before the healthy worker frees up and claims it. The test's
 	// subject is re-leasing, not attempt exhaustion (that's
 	// TestShardRetriesExhausted).
-	res, errs := serveWith(t, cfg,
+	res, errs := serveWith(t, cfg, nil, nil,
 		Options{LeaseTimeout: 200 * time.Millisecond, retryBackoff: time.Millisecond, MaxAttempts: 64},
 		worker(2, WorkerOptions{}),
 		func(addr string) error {
@@ -340,7 +350,7 @@ func TestShardRetriesExhausted(t *testing.T) {
 			}
 		}
 	}()
-	_, err := Serve(context.Background(), ln, testConfig(),
+	_, err := Serve(context.Background(), ln, newJob(t, testConfig()), nil, nil,
 		Options{LeaseTimeout: 50 * time.Millisecond, MaxAttempts: 1, retryBackoff: time.Millisecond})
 	if err == nil || !strings.Contains(err.Error(), "lease attempts") {
 		t.Fatalf("exhausted retries did not fail hard: %v", err)
@@ -414,16 +424,13 @@ func chunk0Refuser(addr string) error {
 // TestShardCheckpointResumeRetriesOnlyFailed is the coordinator-side
 // resume regression: a run whose worker refuses chunk 0 fails with a
 // ChunkError naming exactly that chunk, the other chunks having been
-// checkpointed through OnChunk on the way down — and a second run
-// pre-seeded with those checkpoints re-leases only chunk 0 and folds a
-// report byte-identical to the unfailed run.
+// checkpointed through done on the way down — and a second run given
+// those checkpoints as have re-leases only chunk 0 and folds a report
+// byte-identical to the unfailed run.
 func TestShardCheckpointResumeRetriesOnlyFailed(t *testing.T) {
 	cfg := testConfig()
 	wantCSV, _ := renderRun(t, cfg)
-	job, err := fleet.NewJob(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := newJob(t, cfg)
 	n := job.NumChunks()
 
 	// First run: checkpoint every completed chunk; chunk 0 exhausts.
@@ -437,16 +444,12 @@ func TestShardCheckpointResumeRetriesOnlyFailed(t *testing.T) {
 		defer workerWG.Done()
 		workerErr = chunk0Refuser(ln.Addr().String())
 	}()
-	_, err = Serve(context.Background(), ln, cfg, Options{
-		MaxAttempts:  2,
-		retryBackoff: time.Millisecond,
-		OnChunk: func(cp *fleet.ChunkPartial) error {
-			mu.Lock()
-			checkpointed[cp.Chunk] = cp
-			mu.Unlock()
-			return nil
-		},
-	})
+	_, err := Serve(context.Background(), ln, job, nil, func(cp *fleet.ChunkPartial) error {
+		mu.Lock()
+		checkpointed[cp.Chunk] = cp
+		mu.Unlock()
+		return nil
+	}, Options{MaxAttempts: 2, retryBackoff: time.Millisecond})
 	workerWG.Wait()
 	if workerErr != nil {
 		t.Fatalf("refusing worker: %v", workerErr)
@@ -468,22 +471,18 @@ func TestShardCheckpointResumeRetriesOnlyFailed(t *testing.T) {
 		t.Fatal("the refused chunk was checkpointed")
 	}
 
-	// Resume: pre-seed the survivors; only chunk 0 should be computed.
-	completed := make([]*fleet.ChunkPartial, 0, n-1)
-	for _, cp := range checkpointed {
-		completed = append(completed, cp)
+	// Resume from the survivors; only chunk 0 should be computed.
+	have := make([]*fleet.ChunkPartial, n)
+	for ci, cp := range checkpointed {
+		have[ci] = cp
 	}
 	var recomputed []int
-	res, errs := serveWith(t, cfg, Options{
-		retryBackoff: time.Millisecond,
-		Completed:    completed,
-		OnChunk: func(cp *fleet.ChunkPartial) error {
-			mu.Lock()
-			recomputed = append(recomputed, cp.Chunk)
-			mu.Unlock()
-			return nil
-		},
-	}, worker(2, WorkerOptions{}))
+	res, errs := serveWith(t, cfg, have, func(cp *fleet.ChunkPartial) error {
+		mu.Lock()
+		recomputed = append(recomputed, cp.Chunk)
+		mu.Unlock()
+		return nil
+	}, Options{retryBackoff: time.Millisecond}, worker(2, WorkerOptions{}))
 	if errs[0] != nil {
 		t.Fatalf("resume worker: %v", errs[0])
 	}
@@ -496,24 +495,21 @@ func TestShardCheckpointResumeRetriesOnlyFailed(t *testing.T) {
 	}
 }
 
-// TestShardCompletedAllChunks: a run pre-seeded with every chunk folds
+// TestShardCompletedAllChunks: a run whose have holds every chunk folds
 // and returns without leasing anything — no workers ever connect.
 func TestShardCompletedAllChunks(t *testing.T) {
 	cfg := testConfig()
 	wantCSV, _ := renderRun(t, cfg)
-	job, err := fleet.NewJob(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	completed := make([]*fleet.ChunkPartial, job.NumChunks())
-	for ci := range completed {
+	job := newJob(t, cfg)
+	have := make([]*fleet.ChunkPartial, job.NumChunks())
+	for ci := range have {
 		cp, err := job.RunChunk(context.Background(), ci, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		completed[ci] = cp
+		have[ci] = cp
 	}
-	res, err := Serve(context.Background(), listen(t), cfg, Options{Completed: completed})
+	res, err := Serve(context.Background(), listen(t), job, have, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,33 +519,40 @@ func TestShardCompletedAllChunks(t *testing.T) {
 	}
 }
 
-// TestShardCompletedValidation: partials that cannot belong to the job
-// are rejected before the listener accepts any worker.
+// TestShardCompletedValidation: a have that cannot belong to the job —
+// the wrong length, an entry labeled with another chunk, or a partial
+// of another cohort grid — is rejected before the listener accepts any
+// worker.
 func TestShardCompletedValidation(t *testing.T) {
-	cfg := testConfig()
-	job, err := fleet.NewJob(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	job := newJob(t, testConfig())
+	n := job.NumChunks()
 	cp, err := job.RunChunk(context.Background(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	outOfRange := *cp
-	outOfRange.Chunk = job.NumChunks()
-	if _, err := Serve(context.Background(), listen(t), cfg, Options{Completed: []*fleet.ChunkPartial{&outOfRange}}); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("out-of-range completed chunk accepted: %v", err)
-	}
-
 	wrongGrid := *cp
 	wrongGrid.Cohorts = wrongGrid.Cohorts[:1]
-	if _, err := Serve(context.Background(), listen(t), cfg, Options{Completed: []*fleet.ChunkPartial{&wrongGrid}}); err == nil || !strings.Contains(err.Error(), "cohorts") {
-		t.Fatalf("wrong-grid completed chunk accepted: %v", err)
+	at := func(ci int, cp *fleet.ChunkPartial) []*fleet.ChunkPartial {
+		have := make([]*fleet.ChunkPartial, n)
+		have[ci] = cp
+		return have
+	}
+	for _, tc := range []struct {
+		name string
+		have []*fleet.ChunkPartial
+		want string
+	}{
+		{"short", make([]*fleet.ChunkPartial, n-1), "have holds"},
+		{"mislabeled", at(0, cp), "holds chunk 1"},
+		{"wrong grid", at(1, &wrongGrid), "cohorts"},
+	} {
+		if _, err := Serve(context.Background(), listen(t), job, tc.have, nil, Options{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s have accepted: %v", tc.name, err)
+		}
 	}
 }
 
-// TestShardOnChunkErrorFailsRun: a checkpoint hook error is a hard
+// TestShardOnChunkErrorFailsRun: a done (checkpoint) error is a hard
 // failure, not a warning — losing durability silently would defeat the
 // resume guarantee.
 func TestShardOnChunkErrorFailsRun(t *testing.T) {
@@ -560,14 +563,12 @@ func TestShardOnChunkErrorFailsRun(t *testing.T) {
 		defer wg.Done()
 		Work(context.Background(), ln.Addr().String(), 2, WorkerOptions{})
 	}()
-	_, err := Serve(context.Background(), ln, testConfig(), Options{
-		OnChunk: func(cp *fleet.ChunkPartial) error {
-			return fmt.Errorf("disk full")
-		},
-	})
+	_, err := Serve(context.Background(), ln, newJob(t, testConfig()), nil, func(cp *fleet.ChunkPartial) error {
+		return fmt.Errorf("disk full")
+	}, Options{})
 	wg.Wait()
 	if err == nil || !strings.Contains(err.Error(), "checkpointing chunk") || !strings.Contains(err.Error(), "disk full") {
-		t.Fatalf("OnChunk failure did not fail the run: %v", err)
+		t.Fatalf("done failure did not fail the run: %v", err)
 	}
 }
 
@@ -576,7 +577,7 @@ func TestShardServeCanceled(t *testing.T) {
 	ln := listen(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Serve(ctx, ln, testConfig(), Options{}); err == nil {
+	if _, err := Serve(ctx, ln, newJob(t, testConfig()), nil, nil, Options{}); err == nil {
 		t.Fatal("canceled Serve returned a result")
 	}
 }
@@ -597,19 +598,6 @@ func TestShardWorkCanceled(t *testing.T) {
 	defer cancel()
 	if err := Work(ctx, ln.Addr().String(), 1, WorkerOptions{}); err == nil {
 		t.Fatal("canceled Work returned nil")
-	}
-}
-
-// TestShardBadConfig: Serve validates the fleet config before
-// listening-side work begins.
-func TestShardBadConfig(t *testing.T) {
-	ln := listen(t)
-	defer ln.Close()
-	if _, err := Serve(context.Background(), ln, fleet.Config{N: -1}, Options{}); err == nil {
-		t.Fatal("negative N accepted")
-	}
-	if _, err := Serve(context.Background(), ln, fleet.Config{N: 1, Scale: 2}, Options{}); err == nil {
-		t.Fatal("bad scale accepted")
 	}
 }
 
@@ -658,6 +646,7 @@ func TestShardDialRetry(t *testing.T) {
 
 	cfg := testConfig()
 	wantCSV, _ := renderRun(t, cfg)
+	job := newJob(t, cfg)
 	var res *fleet.Result
 	var serveErr error
 	done := make(chan struct{})
@@ -669,7 +658,7 @@ func TestShardDialRetry(t *testing.T) {
 			serveErr = err
 			return
 		}
-		res, serveErr = Serve(context.Background(), ln2, cfg, Options{})
+		res, serveErr = Serve(context.Background(), ln2, job, nil, nil, Options{})
 	}()
 	if err := Work(context.Background(), addr, 2, WorkerOptions{DialRetry: 5 * time.Second}); err != nil {
 		t.Fatalf("worker with dial retry: %v", err)

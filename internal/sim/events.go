@@ -105,15 +105,6 @@ func (l *EventLog) add(e Event) {
 	l.events = append(l.events, e)
 }
 
-// Reset clears the log for reuse, keeping the backing array.
-func (l *EventLog) Reset() {
-	if l == nil {
-		return
-	}
-	l.events = l.events[:0]
-	l.Dropped = 0
-}
-
 // Events returns the recorded timeline in order.
 func (l *EventLog) Events() []Event {
 	out := make([]Event, len(l.events))

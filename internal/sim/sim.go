@@ -88,17 +88,6 @@ func (tr *Trace) record(t units.Seconds, v units.Voltage, phase Phase) {
 	tr.Samples = append(tr.Samples, Sample{T: t, V: v, Phase: phase})
 }
 
-// Reset clears the trace for reuse, keeping the backing array. The
-// caller re-establishes MinInterval afterwards when it matters:
-// thinning may have doubled it away from the originally configured
-// density floor.
-func (tr *Trace) Reset() {
-	if tr == nil {
-		return
-	}
-	tr.Samples = tr.Samples[:0]
-}
-
 // thin halves the retained samples in place (keeping every other one)
 // and doubles the density floor so the trace converges instead of
 // thrashing at the bound.

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -66,7 +65,6 @@ type Bank struct {
 	name    string
 	groups  []Group
 	voltage units.Voltage
-	cycles  int // completed deep-discharge cycles, for wear accounting
 
 	// Derived electrical properties are fixed by the group composition,
 	// which never changes after construction; they are computed once so
@@ -226,28 +224,6 @@ func (b *Bank) Charge(p units.Power, dt units.Seconds) units.Voltage {
 	return b.voltage
 }
 
-// ErrDepleted reports that a discharge request exceeded the energy
-// stored above the requested floor.
-var ErrDepleted = errors.New("storage: bank depleted below requested floor")
-
-// Discharge removes energy at constant power p for dt, not letting the
-// voltage drop below floor. It returns the time actually sustained; if
-// that is less than dt the bank hit the floor and ErrDepleted is
-// returned alongside the shortened time.
-func (b *Bank) Discharge(p units.Power, dt units.Seconds, floor units.Voltage) (units.Seconds, error) {
-	if p <= 0 || dt <= 0 {
-		return dt, nil
-	}
-	sustain := units.TimeToDischarge(b.Capacitance(), b.voltage, floor, p)
-	if sustain >= dt {
-		b.SetVoltage(units.DischargeVoltageAfter(b.Capacitance(), b.voltage, p, dt))
-		return dt, nil
-	}
-	b.SetVoltage(floor)
-	b.cycles++
-	return sustain, ErrDepleted
-}
-
 // Leak self-discharges the bank for dt through its leakage resistance
 // and returns the energy dissipated, so callers can close the energy
 // balance (leaked energy is the one loss term that otherwise leaves the
@@ -280,24 +256,6 @@ func (b *Bank) leakFactor(dt units.Seconds) float64 {
 	}
 	b.leakDt[i], b.leakFac[i] = dt, f
 	return f
-}
-
-// Cycles returns the number of deep-discharge cycles the bank has
-// completed, for wear-leveling analysis against Technology.CycleLife.
-func (b *Bank) Cycles() int { return b.cycles }
-
-// WearFraction returns the worst-case consumed fraction of cycle life
-// across the bank's groups (0 when no group has a finite cycle life).
-func (b *Bank) WearFraction() float64 {
-	worst := 0.0
-	for _, g := range b.groups {
-		if g.Tech.CycleLife > 0 {
-			if f := float64(b.cycles) / float64(g.Tech.CycleLife); f > worst {
-				worst = f
-			}
-		}
-	}
-	return worst
 }
 
 func (b *Bank) String() string {

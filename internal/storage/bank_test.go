@@ -96,59 +96,6 @@ func TestBankChargeClampsAtRated(t *testing.T) {
 	}
 }
 
-func TestBankDischargeToFloor(t *testing.T) {
-	b := MustBank("b", GroupOf(Tantalum, 3))
-	b.SetVoltage(3.0)
-	// Ask for far more time than the stored energy can sustain.
-	sustained, err := b.Discharge(10*units.MilliWatt, 1e6, 1.0)
-	if err != ErrDepleted {
-		t.Fatalf("err = %v, want ErrDepleted", err)
-	}
-	want := units.TimeToDischarge(3*Tantalum.UnitCap, 3.0, 1.0, 10*units.MilliWatt)
-	if !almostEqual(float64(sustained), float64(want), 1e-9) {
-		t.Fatalf("sustained %v, want %v", sustained, want)
-	}
-	if got := b.Voltage(); !almostEqual(float64(got), 1.0, 1e-9) {
-		t.Fatalf("voltage after depletion = %v, want floor 1.0", got)
-	}
-	if b.Cycles() != 1 {
-		t.Fatalf("cycles = %d, want 1", b.Cycles())
-	}
-}
-
-func TestBankDischargeWithinBudget(t *testing.T) {
-	b := MustBank("b", GroupOf(EDLC, 9)) // 67.5 mF
-	b.SetVoltage(2.4)
-	sustained, err := b.Discharge(5*units.MilliWatt, 1.0, 1.0)
-	if err != nil {
-		t.Fatalf("unexpected err: %v", err)
-	}
-	if sustained != 1.0 {
-		t.Fatalf("sustained %v, want 1.0", sustained)
-	}
-	want := units.DischargeVoltageAfter(b.Capacitance(), 2.4, 5*units.MilliWatt, 1.0)
-	if !almostEqual(float64(b.Voltage()), float64(want), 1e-12) {
-		t.Fatalf("voltage = %v, want %v", b.Voltage(), want)
-	}
-	if b.Cycles() != 0 {
-		t.Fatalf("cycles = %d, want 0 (no deep discharge)", b.Cycles())
-	}
-}
-
-func TestBankDischargeNoOps(t *testing.T) {
-	b := MustBank("b", GroupOf(Tantalum, 1))
-	b.SetVoltage(2.0)
-	if got, err := b.Discharge(0, 5, 1.0); err != nil || got != 5 {
-		t.Errorf("zero-power discharge: (%v, %v)", got, err)
-	}
-	if got, err := b.Discharge(1*units.MilliWatt, 0, 1.0); err != nil || got != 0 {
-		t.Errorf("zero-duration discharge: (%v, %v)", got, err)
-	}
-	if b.Voltage() != 2.0 {
-		t.Errorf("voltage changed by no-op discharge: %v", b.Voltage())
-	}
-}
-
 func TestConnectChargeSharing(t *testing.T) {
 	a := MustBank("a", GroupFor(CeramicX5R, 100*units.MicroFarad))
 	b := MustBank("b", GroupFor(CeramicX5R, 100*units.MicroFarad))
@@ -252,31 +199,6 @@ func TestTechnologyByName(t *testing.T) {
 	}
 	if _, err := TechnologyByName("unobtainium"); err == nil {
 		t.Fatal("unknown technology should error")
-	}
-}
-
-func TestWearFraction(t *testing.T) {
-	b := MustBank("sc", GroupOf(SupercapCPH3225A, 1))
-	if b.WearFraction() != 0 {
-		t.Fatalf("fresh bank wear = %g", b.WearFraction())
-	}
-	b.SetVoltage(3.0)
-	for i := 0; i < 10; i++ {
-		b.SetVoltage(3.0)
-		if _, err := b.Discharge(10*units.MilliWatt, 1e9, 0.5); err != ErrDepleted {
-			t.Fatalf("expected depletion, got %v", err)
-		}
-	}
-	want := 10.0 / float64(SupercapCPH3225A.CycleLife)
-	if !almostEqual(b.WearFraction(), want, 1e-12) {
-		t.Fatalf("wear = %g, want %g", b.WearFraction(), want)
-	}
-	// Ceramic has unlimited cycle life: wear stays 0.
-	c := MustBank("cer", GroupOf(CeramicX5R, 1))
-	c.SetVoltage(3.0)
-	_, _ = c.Discharge(10*units.MilliWatt, 1e9, 0.5)
-	if c.WearFraction() != 0 {
-		t.Fatalf("ceramic wear = %g, want 0", c.WearFraction())
 	}
 }
 

@@ -36,11 +36,6 @@ type Technology struct {
 	UnitLeak units.Resistance
 	// RatedVoltage is the maximum safe charge voltage.
 	RatedVoltage units.Voltage
-	// CycleLife is the number of full charge/discharge cycles the part
-	// sustains before significant degradation; zero means effectively
-	// unlimited (ceramics). EDLCs are the fragile, dense parts the
-	// paper's wear-leveling discussion targets (§5.2).
-	CycleLife int
 	// MinTemperature is the rated operating floor in °C. The CapySat
 	// case study's −40 °C requirement (§6.6) disqualifies parts whose
 	// floor is higher — batteries and many supercapacitors.
@@ -136,7 +131,6 @@ var (
 		UnitESR:        160,
 		UnitLeak:       50e6,
 		RatedVoltage:   3.3,
-		CycleLife:      100_000,
 		MinTemperature: -40, // one of the few supercaps rated this low
 		CapTempCoeff:   0.001,
 		ESRColdFactor:  1.01,
@@ -151,7 +145,6 @@ var (
 		UnitESR:        25,
 		UnitLeak:       100e6,
 		RatedVoltage:   3.6,
-		CycleLife:      500_000,
 		MinTemperature: -25, // typical aqueous EDLC floor: disqualified at −40 °C
 		CapTempCoeff:   0.004,
 		ESRColdFactor:  1.04,
@@ -159,7 +152,7 @@ var (
 
 	// ThinFilmBattery is a thin-film lithium pseudo-technology used to
 	// demonstrate §6.6's battery disqualification: high density, but an
-	// operating floor far above −40 °C and a tiny cycle life.
+	// operating floor far above −40 °C.
 	ThinFilmBattery = Technology{
 		Name:           "thin-film-battery",
 		UnitCap:        2, // farad-equivalent of ~1 mAh at 2.4 V nominal
@@ -167,7 +160,6 @@ var (
 		UnitESR:        40,
 		UnitLeak:       500e6,
 		RatedVoltage:   4.0,
-		CycleLife:      1_000,
 		MinTemperature: -10,
 		CapTempCoeff:   0.01,
 		ESRColdFactor:  1.08,

@@ -119,6 +119,7 @@ func (p *Program) Task(name string) (*Task, bool) {
 // Names lists the program's tasks in sorted order.
 func (p *Program) Names() []string {
 	names := make([]string, 0, len(p.tasks))
+	// order-independent: collects the names, sorted below.
 	for n := range p.tasks {
 		names = append(names, n)
 	}

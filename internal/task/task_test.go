@@ -142,7 +142,8 @@ func TestPowerFailureRestartsTask(t *testing.T) {
 	}
 	// Only the successful attempt's staged writes survive: the series
 	// holds exactly one element, from attempt 3.
-	if got := e.Dev.NV.FloatSeries("trace"); !reflect.DeepEqual(got, []float64{3}) {
+	b, _ := e.Dev.NV.PeekBlob("trace")
+	if got := decodeFloats(nil, b); !reflect.DeepEqual(got, []float64{3}) {
 		t.Fatalf("committed series = %v, want [3] (failed attempts must be discarded)", got)
 	}
 }
