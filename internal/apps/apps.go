@@ -218,7 +218,8 @@ type Spec struct {
 	Build func(v core.Variant, sched env.Schedule, trace *sim.Trace, scr *Scratch) (*Run, error)
 }
 
-// Specs returns all four application specs keyed by name.
+// Specs returns all four application specs keyed by name, in a fresh
+// map the caller may modify.
 func Specs() map[string]Spec {
 	specs := map[string]Spec{
 		"TempAlarm": {
@@ -251,9 +252,13 @@ func SpecNames() []string {
 	return []string{"TempAlarm", "GestureFast", "GestureCompact", "CorrSense"}
 }
 
+// specTable is the table SpecByName reads: built once, never written,
+// since the fleet looks a spec up for every device it builds.
+var specTable = Specs()
+
 // SpecByName returns the named spec.
 func SpecByName(name string) (Spec, error) {
-	if s, ok := Specs()[name]; ok {
+	if s, ok := specTable[name]; ok {
 		return s, nil
 	}
 	return Spec{}, fmt.Errorf("apps: unknown application %q", name)

@@ -34,16 +34,20 @@
 // way the partials fold in chunk order, so the report is a pure
 // function of the Spec.
 //
-// Determinism: device d derives everything random from runner.RNG(seed,
-// d) and chunk boundaries are a fixed size independent of the worker
-// count, so the folded report is byte-identical at any Jobs — or at any
-// shard topology or failure schedule. Wall-clock throughput depends on
-// scheduling, so it is reported as a diagnostic, never in the Report.
+// Determinism: device d derives everything random from the stream
+// runner.RNG(seed, d) starts (each worker reseeds one generator per
+// device, bit-identically), and chunk boundaries are a fixed size
+// independent of the worker count, so the folded report is
+// byte-identical at any Jobs — or at any shard topology or failure
+// schedule. Wall-clock throughput depends on scheduling, so it is
+// reported as a diagnostic, never in the Report.
 package fleet
 
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"sync"
 	"time"
 
 	"capybara/internal/apps"
@@ -202,6 +206,7 @@ type Result struct {
 // grid is a function of Config alone.
 func cohortGrid(seed int64) ([]Cohort, error) {
 	var grid []Cohort
+	var rng *rand.Rand // reseeded for each cohort that draws
 	idx := 0
 	for _, name := range apps.SpecNames() {
 		if _, err := apps.SpecByName(name); err != nil {
@@ -212,17 +217,17 @@ func cohortGrid(seed int64) ([]Cohort, error) {
 				c := Cohort{App: name, Variant: v, Scenario: s}
 				// Scenario parameters are drawn per cohort, not per
 				// device: the trace is a shared immutable artifact.
-				// Only the cases that draw seed a generator; idx still
+				// Only the cases that draw seed the generator; idx still
 				// counts every cohort, so each stream is fixed by the
 				// cohort's grid position.
 				switch s {
 				case PWM:
-					rng := runner.RNG(seed^0x5ca1ab1e, idx)
+					rng = runner.Reseed(rng, seed^0x5ca1ab1e, idx)
 					duty := 0.3 + 0.4*rng.Float64()
 					period := units.Seconds(4 + 8*rng.Float64())
 					c.trace = harvest.PWMTrace(duty, period)
 				case Blackout:
-					rng := runner.RNG(seed^0x5ca1ab1e, idx)
+					rng = runner.Reseed(rng, seed^0x5ca1ab1e, idx)
 					var windows [][2]units.Seconds
 					t := units.Seconds(0)
 					for len(windows) < 8 {
@@ -241,6 +246,22 @@ func cohortGrid(seed int64) ([]Cohort, error) {
 	return grid, nil
 }
 
+// CohortLabels returns each cohort's label (Cohort.String) in grid
+// order, the order ChunkPartial.Cohorts is indexed by. The labels are
+// the same for every spec, since the seed changes only the scenario
+// traces, so naming a stored partial's cohorts needs no Job. The
+// returned slice is shared; callers must not mutate it.
+func CohortLabels() []string { return cohortLabels() }
+
+var cohortLabels = sync.OnceValue(func() []string {
+	grid, _ := cohortGrid(0) // fails only if every NewJob does
+	labels := make([]string, len(grid))
+	for i, c := range grid {
+		labels[i] = c.String()
+	}
+	return labels
+})
+
 // Run executes the fleet in-process and folds the report: NewJob, then
 // Job.Run with nothing loaded and nothing checkpointed. internal/shard
 // runs the identical chunk decomposition across worker processes.
@@ -256,7 +277,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 // chunk partial. Nothing of the device survives the call — its state
 // containers live in ws and are recycled for the next device.
 func (j *Job) simulate(d int, ws *Scratch, cp *ChunkPartial) error {
-	run, ci, err := j.execute(d, &ws.scr)
+	run, ci, err := j.execute(d, ws)
 	if err != nil {
 		return err
 	}
@@ -286,10 +307,11 @@ func (j *Job) simulate(d int, ws *Scratch, cp *ChunkPartial) error {
 	return nil
 }
 
-// execute builds device d of cohort ci = d mod len(grid) on scr, reset
-// first, and runs its lifecycle to the horizon. A nil scr builds every
-// container fresh, as the experiments do.
-func (j *Job) execute(d int, scr *apps.Scratch) (*apps.Run, int, error) {
+// execute builds device d of cohort ci = d mod len(grid) on ws, reset
+// first, and runs its lifecycle to the horizon. The device's stream is
+// ws's generator reseeded to runner.RNG(seed, d). A nil ws builds every
+// container and the generator fresh, as the experiments do.
+func (j *Job) execute(d int, ws *Scratch) (*apps.Run, int, error) {
 	ci := d % len(j.grid)
 	cohort := j.grid[ci]
 	spec, err := apps.SpecByName(cohort.App)
@@ -300,11 +322,16 @@ func (j *Job) execute(d int, scr *apps.Scratch) (*apps.Run, int, error) {
 	if n < 1 {
 		n = 1
 	}
-	rng := runner.RNG(j.cfg.Seed, d)
-	sched := env.Poisson(rng, n, spec.Mean, spec.Window)
-	if scr != nil {
-		scr.Reset()
+	var scr *apps.Scratch
+	var rng *rand.Rand
+	if ws != nil {
+		ws.scr.Reset()
+		ws.rng = runner.Reseed(ws.rng, j.cfg.Seed, d)
+		scr, rng = &ws.scr, ws.rng
+	} else {
+		rng = runner.RNG(j.cfg.Seed, d)
 	}
+	sched := env.Poisson(rng, n, spec.Mean, spec.Window)
 	run, err := spec.Build(cohort.Variant, sched, nil, scr)
 	if err != nil {
 		return nil, ci, err

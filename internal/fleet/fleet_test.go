@@ -60,7 +60,7 @@ func TestFleetRecycleInvariant(t *testing.T) {
 	ws := j.NewScratch()
 	restarts := 0
 	for d := 0; d < j.cfg.N; d++ {
-		recycled, _, err := j.execute(d, &ws.scr)
+		recycled, _, err := j.execute(d, ws)
 		if err != nil {
 			t.Fatalf("device %d recycled: %v", d, err)
 		}
@@ -139,6 +139,28 @@ func TestFleetReportShape(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[len(lines)-1], "TOTAL,") {
 		t.Fatalf("last line %q is not the TOTAL row", lines[len(lines)-1])
+	}
+}
+
+// TestCohortLabelsMatchEveryGrid: the shared labels name every job's
+// grid, whatever its seed, so a stored partial's cohorts can be named
+// without rebuilding its Job.
+func TestCohortLabelsMatchEveryGrid(t *testing.T) {
+	labels := CohortLabels()
+	for _, seed := range []int64{0, 1, 7, -3, 1 << 40} {
+		job, err := NewJob(Config{N: 1, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid := job.Cohorts()
+		if len(grid) != len(labels) {
+			t.Fatalf("seed %d: grid has %d cohorts, labels %d", seed, len(grid), len(labels))
+		}
+		for i, c := range grid {
+			if c.String() != labels[i] {
+				t.Fatalf("seed %d: cohort %d is %s, label %s", seed, i, c, labels[i])
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math/rand"
 	"strconv"
 	"sync"
 	"time"
@@ -148,12 +149,14 @@ func (j *Job) specHash() string {
 }
 
 // Scratch is one worker's recycled simulation state: the application
-// build scratch and the latency staging buffer. Reusing one Scratch
-// across many RunChunk calls is what makes per-device cost
-// simulation-bound; it is sound because scratch contents never
-// influence results (state containers are Reset per device).
+// build scratch, the device-stream generator and the latency staging
+// buffer. Reusing one Scratch across many RunChunk calls is what makes
+// per-device cost simulation-bound; it is sound because scratch
+// contents never influence results (state containers are Reset and the
+// generator reseeded per device).
 type Scratch struct {
 	scr apps.Scratch
+	rng *rand.Rand // nil until the first device seeds it
 	lat []units.Seconds
 }
 

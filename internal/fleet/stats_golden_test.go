@@ -67,7 +67,7 @@ func TestFleetStatsGolden(t *testing.T) {
 	h := sha256.New()
 	restarts := 0
 	for d := 0; d < j.cfg.N; d++ {
-		run, _, err := j.execute(d, &ws.scr)
+		run, _, err := j.execute(d, ws)
 		if err != nil {
 			t.Fatalf("device %d: %v", d, err)
 		}

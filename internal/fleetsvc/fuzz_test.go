@@ -3,6 +3,9 @@ package fleetsvc
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"capybara/internal/fleet"
@@ -67,6 +70,57 @@ func FuzzPartialDecode(f *testing.F) {
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
 			t.Fatal("partial drifted across a store round trip")
+		}
+	})
+}
+
+// FuzzSubmit throws arbitrary bodies at the submit decoder, which
+// submits nothing, so the fuzzer cannot fill a queue. The invariants:
+// it never panics; a body over the cap gets 413; an accepted body with
+// an object after it gets 400; every rejection is a 400 or a 413; and
+// an accepted spec round-trips through JSON unchanged.
+func FuzzSubmit(f *testing.F) {
+	valid := []byte(`{"n":16,"seed":4,"scale":0.02,"chunk_size":8}`)
+	f.Add(valid)
+	f.Add([]byte(`{"n":8,"workers":4}`))
+	f.Add(append(append([]byte(nil), valid...), `{"n":16}`...))
+	f.Add(append(append([]byte(nil), valid...), bytes.Repeat([]byte(" "), maxSubmitBody)...))
+	f.Add([]byte{})
+	f.Add([]byte{0xde, 0xad, 0xbe, 0xef})
+
+	decode := func(body []byte) (SubmitRequest, int, error) {
+		r := httptest.NewRequest(http.MethodPost, "/api/v1/jobs", bytes.NewReader(body))
+		return decodeSubmit(httptest.NewRecorder(), r)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		spec, code, err := decode(body)
+		switch {
+		case len(body) > maxSubmitBody:
+			if code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%d-byte body: status %d (%v), want 413", len(body), code, err)
+			}
+			return
+		case err != nil:
+			if code != http.StatusBadRequest {
+				t.Fatalf("rejected body: status %d (%v), want 400", code, err)
+			}
+			return
+		case code != 0:
+			t.Fatalf("accepted body with status %d", code)
+		}
+		if len(body)+len(`{"n":1}`) <= maxSubmitBody {
+			trailing := append(append([]byte(nil), body...), `{"n":1}`...)
+			if _, code, err := decode(trailing); code != http.StatusBadRequest {
+				t.Fatalf("accepted body plus an object: status %d (%v), want 400", code, err)
+			}
+		}
+		re, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("accepted spec %+v does not encode: %v", spec, err)
+		}
+		again, code, err := decode(re)
+		if err != nil || again != spec {
+			t.Fatalf("spec %+v round-tripped to %+v (status %d, %v)", spec, again, code, err)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package fleetsvc
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,7 +15,7 @@ import (
 //
 //	POST   /api/v1/jobs               submit {"n","seed","scale","chunk_size"} → 201 + status
 //	GET    /api/v1/jobs               list all jobs
-//	GET    /api/v1/jobs/{id}          one job's status (?cohorts=1 adds the running per-cohort fold)
+//	GET    /api/v1/jobs/{id}          one job's status (?cohorts=1 adds the per-cohort fold; see Cohorts)
 //	GET    /api/v1/jobs/{id}/report   finished report, CSV (?format=json for JSON); 409 until done
 //	GET    /api/v1/jobs/{id}/stream   NDJSON status events until the job reaches a terminal state
 //	POST   /api/v1/jobs/{id}/cancel   cancel a queued/running job
@@ -72,26 +73,46 @@ func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 // decoder.
 const maxSubmitBody = 64 << 10
 
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSubmit reads a submit body without submitting it. The body must
+// be at most maxSubmitBody bytes (413 otherwise) and hold exactly one
+// JSON spec object with no unknown fields (400 otherwise). On success
+// the status is 0.
+func decodeSubmit(w http.ResponseWriter, r *http.Request) (SubmitRequest, int, error) {
 	var req SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return req, http.StatusRequestEntityTooLarge, fmt.Errorf("submit body exceeds %d bytes", tooBig.Limit)
+	}
+	if err != nil {
+		return req, http.StatusBadRequest, fmt.Errorf("reading submit body: %w", err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
+	err = dec.Decode(&req)
 	if err == nil && dec.Decode(&struct{}{}) != io.EOF {
 		err = errors.New("data after the JSON object")
 	}
-	var tooBig *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooBig):
-		writeError(w, http.StatusRequestEntityTooLarge, "submit body exceeds %d bytes", tooBig.Limit)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, "bad submit body: %v", err)
+	if err != nil {
+		return req, http.StatusBadRequest, fmt.Errorf("bad submit body: %w", err)
+	}
+	return req, 0, nil
+}
+
+func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, code, err := decodeSubmit(w, r)
+	if err != nil {
+		writeError(w, code, "%v", err)
 		return
 	}
 	st, err := s.Submit(req)
-	if err != nil {
+	var bad badSpec
+	switch {
+	case errors.As(err, &bad):
 		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, st)
@@ -110,12 +131,12 @@ func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := statusResponse{JobStatus: st}
 	if r.URL.Query().Get("cohorts") == "1" {
-		cohorts, err := s.Cohorts(id)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
+		// A done job's fold reads the store. The status is served
+		// without it when it fails, as the stream does: a store read
+		// error must not hide the job's state.
+		if cohorts, err := s.Cohorts(r.Context(), id); err == nil {
+			resp.Cohorts = cohorts
 		}
-		resp.Cohorts = cohorts
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -157,7 +178,8 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 
 // handleStream writes NDJSON status events: one line per observed
 // change (coalesced under load), always ending with a terminal-state
-// line. ?cohorts=1 embeds the running per-cohort fold in every event.
+// line. ?cohorts=1 embeds the per-cohort fold (see Cohorts) in every
+// event.
 func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	ch, stop, ok := s.Watch(id)
@@ -179,7 +201,7 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		resp := statusResponse{JobStatus: st}
 		if withCohorts {
-			if cohorts, cerr := s.Cohorts(id); cerr == nil {
+			if cohorts, cerr := s.Cohorts(r.Context(), id); cerr == nil {
 				resp.Cohorts = cohorts
 			}
 		}

@@ -8,7 +8,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -345,4 +348,148 @@ func TestHTTPStreamVanishedJobEndsTerminal(t *testing.T) {
 	if last.ID != id || !strings.Contains(last.Error, "job vanished") {
 		t.Fatalf("terminal event %+v, want id %s and a vanish error", last, id)
 	}
+}
+
+// TestHTTPSubmitJournalFailure: a submit whose journal write fails is
+// the server's fault. It answers 5xx and leaves no job behind, where a
+// queued job that can never run used to stay listed. Once the journal
+// directory is back, the next submit runs.
+func TestHTTPSubmitJournalFailure(t *testing.T) {
+	svc, srv := testServer(t, ServiceConfig{})
+	jobs := filepath.Join(svc.store.Dir(), "jobs")
+	if err := os.Remove(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(jobs, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	submit := func() *http.Response {
+		t.Helper()
+		resp, err := srv.Client().Post(srv.URL+"/api/v1/jobs", "application/json",
+			strings.NewReader(`{"n":16,"seed":4,"scale":0.02,"chunk_size":8}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	resp := submit()
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode < 500 {
+		t.Fatalf("submit with an unwritable journal: %d, want 5xx\nbody: %s", resp.StatusCode, body)
+	}
+	if list := svc.List(); len(list) != 0 {
+		t.Fatalf("failed submit left jobs %+v", list)
+	}
+
+	if err := os.Remove(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(jobs, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	resp = submit()
+	st := decodeStatus(t, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit after the journal came back: %d", resp.StatusCode)
+	}
+	if fin := waitDone(t, svc, st.ID); fin.State != StateDone {
+		t.Fatalf("job finished %s: %s", fin.State, fin.Error)
+	}
+}
+
+// cohortDevices sums the devices of a ?cohorts=1 answer.
+func cohortDevices(cohorts []CohortProgress) int {
+	n := 0
+	for _, c := range cohorts {
+		n += c.Devices
+	}
+	return n
+}
+
+// TestHTTPCohortsWhileJobsFinish polls ?cohorts=1 and reads
+// /stream?cohorts=1 while cold and warm jobs run and finish, so a fold
+// from a job's recorded partials races the job dropping them; run it
+// with -race. Every answer must decode and count at most the spec's
+// devices, and a done job's answer counts every device.
+func TestHTTPCohortsWhileJobsFinish(t *testing.T) {
+	svc, srv := testServer(t, ServiceConfig{Jobs: 1, MaxConcurrent: 2})
+	specs := []fleet.Spec{
+		{N: 96, Seed: 31, Scale: 0.05, ChunkSize: 8},
+		{N: 56, Seed: 32, Scale: 0.05, ChunkSize: 8},
+	}
+	var wg sync.WaitGroup
+	poll := func(id string, n int) {
+		defer wg.Done()
+		deadline := time.Now().Add(60 * time.Second)
+		for time.Now().Before(deadline) {
+			resp, err := srv.Client().Get(srv.URL + "/api/v1/jobs/" + id + "?cohorts=1")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var doc statusResponse
+			err = json.NewDecoder(resp.Body).Decode(&doc)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("poll %s: %d, %v", id, resp.StatusCode, err)
+				return
+			}
+			got := cohortDevices(doc.Cohorts)
+			if got > n || (doc.State == StateDone && got != n) {
+				t.Errorf("poll %s (%s): cohorts hold %d of %d devices", id, doc.State, got, n)
+				return
+			}
+			if terminal(doc.State) {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+		t.Errorf("poll %s: no terminal state", id)
+	}
+	stream := func(id string, n int) {
+		defer wg.Done()
+		resp, err := srv.Client().Get(srv.URL + "/api/v1/jobs/" + id + "/stream?cohorts=1")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(make([]byte, 1<<20), 1<<20)
+		var last statusResponse
+		for sc.Scan() {
+			last = statusResponse{}
+			if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
+				t.Errorf("stream %s: %v", id, err)
+				return
+			}
+			if got := cohortDevices(last.Cohorts); got > n {
+				t.Errorf("stream %s: cohorts hold %d of %d devices", id, got, n)
+				return
+			}
+		}
+		if got := cohortDevices(last.Cohorts); last.State != StateDone || got != n {
+			t.Errorf("stream %s ended %s with %d of %d devices (%v)", id, last.State, got, n, sc.Err())
+		}
+	}
+	watch := func(spec fleet.Spec) string {
+		st, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(2)
+		go poll(st.ID, spec.N)
+		go stream(st.ID, spec.N)
+		return st.ID
+	}
+	first := watch(specs[0])
+	watch(specs[1])
+	watch(specs[0]) // shares the first job's chunks as they land
+	if st := waitDone(t, svc, first); st.State != StateDone {
+		t.Fatalf("first job: %s (%s)", st.State, st.Error)
+	}
+	watch(specs[0]) // warm: the spec's reports are on disk
+	wg.Wait()
 }

@@ -56,9 +56,11 @@ func terminal(state string) bool {
 }
 
 // JobStatus is a point-in-time snapshot of one job, as served by the
-// status API. Done = Loaded + Computed; Loaded counts chunks folded
-// from pre-existing checkpoints (a resumed or memo-sharing job's
-// savings), Computed counts chunks simulated fresh for this job.
+// status API. Done = Loaded + Computed. Loaded counts chunks this job
+// did not compute because the spec's results were already durable:
+// chunks folded from checkpoints (a resumed or memo-sharing job's
+// savings), or every chunk when the spec's reports were on disk and the
+// job read nothing. Computed counts chunks simulated fresh for this job.
 type JobStatus struct {
 	ID       string     `json:"id"`
 	State    string     `json:"state"`
@@ -72,9 +74,11 @@ type JobStatus struct {
 	Error    string     `json:"error,omitempty"`
 }
 
-// CohortProgress is one cohort's running partial fold — served while a
-// job runs, merged in chunk-index order over completed chunks only, so
-// a snapshot at a given done-count is deterministic.
+// CohortProgress is one cohort's partial fold, merged in chunk-index
+// order over completed chunks only, so a snapshot at a given done-count
+// is deterministic. A running job folds the chunks it has recorded, a
+// done job the chunks the store holds for its spec, and a canceled or
+// failed job serves none (see Service.Cohorts).
 type CohortProgress struct {
 	Cohort   string  `json:"cohort"`
 	Devices  int     `json:"devices"`
@@ -97,32 +101,44 @@ type jobRecord struct {
 	Error    string     `json:"error,omitempty"`
 }
 
-// job is one tracked job. fjob is rebuilt from the spec by whichever
-// binary runs the service, so its SpecHash — and therefore checkpoint
-// addressing — is always the running binary's truth.
+// job is one tracked job. Its spec, hash and chunk count are fixed when
+// it is tracked and read without the lock. The hash comes from the
+// fleet.Job this binary rebuilt from the spec, so checkpoint addressing
+// is always the running binary's truth. fjob and partials serve only a
+// job that can still run: a terminal job drops both (the store holds
+// its partials and reports) and keeps its status alone.
 type job struct {
-	id   string
-	fjob *fleet.Job
+	id     string
+	spec   fleet.Spec // defaults resolved
+	hash   string
+	chunks int
 
 	ctx    context.Context
 	cancel context.CancelFunc
 
 	mu       sync.Mutex
+	fjob     *fleet.Job            // nil once terminal
+	partials []*fleet.ChunkPartial // completed chunks by index, for snapshots; nil once terminal
 	state    string
 	errMsg   string
 	loaded   int
 	computed int
 	devices  int
-	partials []*fleet.ChunkPartial // completed chunks by index, for snapshots
 	watchers map[int]chan struct{}
 	nextW    int
 }
 
 // record counts chunk cp as loaded from the store or computed fresh,
-// keeps it for the ?cohorts=1 fold, and nudges watchers.
+// keeps it for the ?cohorts=1 fold, and nudges watchers. A terminal
+// job's counts are final: a chunk its canceled run still finishes is
+// not recorded.
 func (j *job) record(cp *fleet.ChunkPartial, loaded bool) {
-	lo, hi := j.fjob.ChunkBounds(cp.Chunk)
 	j.mu.Lock()
+	if terminal(j.state) {
+		j.mu.Unlock()
+		return
+	}
+	lo, hi := j.fjob.ChunkBounds(cp.Chunk)
 	j.partials[cp.Chunk] = cp
 	if loaded {
 		j.loaded++
@@ -148,16 +164,41 @@ func (j *job) notify() {
 	j.mu.Unlock()
 }
 
-// transition moves state from -> to; reports whether it happened (a
-// concurrent cancel may have won).
-func (j *job) transition(from, to string) bool {
+// start moves a queued job to running and returns its fleet.Job, or
+// nil if a cancel won.
+func (j *job) start() *fleet.Job {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != from {
-		return false
+	if j.state != StateQueued {
+		return nil
 	}
-	j.state = to
-	return true
+	j.state = StateRunning
+	return j.fjob
+}
+
+// end moves the job to state, unless it is terminal already, and drops
+// what only a run needs: the fleet.Job and the partials go, and the
+// context is canceled so the service context stops holding it.
+func (j *job) end(state, errMsg string) {
+	j.mu.Lock()
+	if !terminal(j.state) {
+		j.state, j.errMsg = state, errMsg
+	}
+	j.fjob, j.partials = nil, nil
+	j.mu.Unlock()
+	j.cancel()
+}
+
+// reported ends the job done with every chunk counted as loaded: its
+// spec's reports are on disk, so it loads, computes and renders
+// nothing.
+func (j *job) reported() {
+	j.mu.Lock()
+	if !terminal(j.state) {
+		j.loaded, j.devices = j.chunks, j.spec.N
+	}
+	j.mu.Unlock()
+	j.end(StateDone, "")
 }
 
 // Service implements the persistent job queue. See the contract above.
@@ -281,24 +322,19 @@ func (s *Service) recover() error {
 			continue
 		}
 		j := s.track(id, fj)
-		j.state = rec.State
-		j.errMsg = rec.Error
 		switch rec.State {
-		case StateDone:
-			// Trust the spec's reports if they exist; otherwise re-run —
-			// every chunk is checkpointed, so the redo only re-renders.
-			// A done job from a store that kept reports per job ID
-			// takes this path once.
-			if !s.haveReports(fj.SpecHash()) {
-				j.state = StateQueued
-				s.enqueue(j)
+		case StateDone, StateQueued, StateRunning: // older binaries journaled running
+			// A done job trusts the spec's reports if they exist.
+			// Otherwise it re-runs: every chunk is checkpointed, so the
+			// redo only re-renders. A done job from a store that kept
+			// reports per job ID takes that path once.
+			if rec.State == StateDone && s.haveReports(j.hash) {
+				j.reported()
 			} else {
-				j.loaded = fj.NumChunks()
-				j.devices = rec.Spec.N
+				s.enqueue(j)
 			}
-		case StateQueued, StateRunning: // older binaries journaled running
-			j.state = StateQueued
-			s.enqueue(j)
+		default:
+			j.end(rec.State, rec.Error)
 		}
 	}
 	return nil
@@ -312,17 +348,20 @@ func idNumber(id string) int {
 	return n
 }
 
-// track registers a job in the in-memory table. Callers hold s.mu or
-// are single-threaded startup.
+// track registers a queued job in the in-memory table. Callers hold
+// s.mu or are single-threaded startup.
 func (s *Service) track(id string, fj *fleet.Job) *job {
 	jctx, jcancel := context.WithCancel(s.ctx)
 	j := &job{
 		id:       id,
-		fjob:     fj,
+		spec:     fj.Spec(),
+		hash:     fj.SpecHash(),
+		chunks:   fj.NumChunks(),
 		ctx:      jctx,
 		cancel:   jcancel,
-		state:    StateQueued,
+		fjob:     fj,
 		partials: make([]*fleet.ChunkPartial, fj.NumChunks()),
+		state:    StateQueued,
 		watchers: make(map[int]chan struct{}),
 	}
 	s.jobs[id] = j
@@ -330,13 +369,35 @@ func (s *Service) track(id string, fj *fleet.Job) *job {
 	return j
 }
 
+// untrack removes a job that never ran from the table and cancels its
+// context.
+func (s *Service) untrack(j *job) {
+	s.mu.Lock()
+	delete(s.jobs, j.id)
+	for i := len(s.order) - 1; i >= 0; i-- {
+		if s.order[i] == j.id {
+			s.order = append(s.order[:i], s.order[i+1:]...)
+			break
+		}
+	}
+	s.mu.Unlock()
+	j.cancel()
+}
+
+// badSpec marks a Submit error as the spec's fault. The HTTP API
+// answers it 400 and any other Submit error 500.
+type badSpec struct{ error }
+
+func (e badSpec) Unwrap() error { return e.error }
+
 // Submit validates spec, journals it, and queues it. The returned
 // status is the freshly queued job (it may already be running by the
-// time the caller reads the snapshot).
+// time the caller reads the snapshot). A job whose journal write fails
+// is forgotten: it was never durable, so it must not sit queued.
 func (s *Service) Submit(spec fleet.Spec) (JobStatus, error) {
 	fj, err := fleet.NewJob(spec.Exec(s.cfg.Jobs))
 	if err != nil {
-		return JobStatus{}, err
+		return JobStatus{}, badSpec{err}
 	}
 
 	s.mu.Lock()
@@ -350,6 +411,7 @@ func (s *Service) Submit(spec fleet.Spec) (JobStatus, error) {
 	s.mu.Unlock()
 
 	if err := s.journal(j); err != nil {
+		s.untrack(j)
 		return JobStatus{}, err
 	}
 	s.enqueue(j)
@@ -361,16 +423,22 @@ func (s *Service) enqueue(j *job) {
 	go s.runJob(j)
 }
 
-// runJob owns one job's lifecycle: wait for a slot, fold every chunk
-// the shared store holds, compute the rest through fleet.Job.Run with
-// each one checkpointed before it counts, persist the report, journal
-// the terminal state. After a crash at any instant a rerun repeats at
-// most the chunks that were in flight. On service shutdown it returns
-// with the journal still saying queued — the resume marker a successor
-// picks up.
+// runJob owns one job's lifecycle. A job whose spec's reports are on
+// disk finishes at once, without a run slot: it reads no partial. Any
+// other job waits for a slot, folds every chunk the shared store holds,
+// computes the rest through fleet.Job.Run with each one checkpointed
+// before it counts, persists the report and journals the terminal
+// state. After a crash at any instant a rerun repeats at most the
+// chunks that were in flight. On service shutdown it returns with the
+// journal still saying queued — the resume marker a successor picks up.
 func (s *Service) runJob(j *job) {
 	defer s.wg.Done()
 	defer j.notify()
+	if s.haveReports(j.hash) {
+		j.reported()
+		_ = s.journal(j)
+		return
+	}
 	select {
 	case s.sem <- struct{}{}:
 		defer func() { <-s.sem }()
@@ -379,79 +447,75 @@ func (s *Service) runJob(j *job) {
 		// cancel while queued (Cancel journaled it already).
 		return
 	}
-	if !j.transition(StateQueued, StateRunning) {
+	fj := j.start()
+	if fj == nil {
 		return // canceled while waiting for the slot
 	}
 	j.notify()
+	s.finish(j, s.run(j, fj))
+}
 
-	have, err := s.store.Load(j.ctx, j.fjob)
+// run folds the chunks the store holds for j, computes the rest with
+// each one checkpointed before j records it, and persists the spec's
+// reports.
+func (s *Service) run(j *job, fj *fleet.Job) error {
+	have, err := s.store.Load(j.ctx, fj)
 	if err != nil {
-		s.finish(j, nil, err)
-		return
+		return err
 	}
 	for _, cp := range have {
 		if cp != nil {
 			j.record(cp, true)
 		}
 	}
-	hash := j.fjob.SpecHash()
-	res, err := j.fjob.Run(j.ctx, have, func(cp *fleet.ChunkPartial) error {
-		if err := s.store.Put(hash, cp.Chunk, cp); err != nil {
+	res, err := fj.Run(j.ctx, have, func(cp *fleet.ChunkPartial) error {
+		if err := s.store.Put(j.hash, cp.Chunk, cp); err != nil {
 			return fmt.Errorf("checkpointing chunk %d: %w", cp.Chunk, err)
 		}
 		j.record(cp, false)
 		return nil
 	})
-	s.finish(j, res, err)
+	if err != nil {
+		return err
+	}
+	return s.writeReports(j.hash, res)
 }
 
-// finish journals a job's terminal state — or leaves it resumable if
-// the run was interrupted by service shutdown.
-func (s *Service) finish(j *job, res *fleet.Result, err error) {
-	if err != nil {
-		if s.ctx.Err() != nil {
-			// Shutdown: the journal still says queued; a successor
-			// resumes from the checkpointed chunks.
-			return
-		}
-		if j.ctx.Err() != nil {
-			// Canceled via the API; Cancel journaled the state.
-			return
-		}
-		j.mu.Lock()
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		j.mu.Unlock()
-		_ = s.journal(j)
-		return
+// writeReports persists both report formats for hash before the job
+// that rendered them is declared done, so a done journal entry always
+// has servable reports. They are a pure function of the spec hash, so
+// an earlier job of the same spec may have written them already; two
+// jobs racing here write identical bytes by rename, as two Puts of one
+// chunk do.
+func (s *Service) writeReports(hash string, res *fleet.Result) error {
+	if s.haveReports(hash) {
+		return nil
 	}
+	var csv, js bytes.Buffer
+	if err := res.WriteCSV(&csv); err != nil {
+		return err
+	}
+	if err := res.WriteJSON(&js); err != nil {
+		return err
+	}
+	if err := writeFileAtomic(s.reportsDir(), reportName(hash, false), csv.Bytes(), s.store.seq.Add(1)); err != nil {
+		return err
+	}
+	return writeFileAtomic(s.reportsDir(), reportName(hash, true), js.Bytes(), s.store.seq.Add(1))
+}
 
-	// Persist both report formats before declaring done, so a done
-	// journal entry always has servable reports. They are a pure
-	// function of the spec hash, so an earlier job of the same spec may
-	// have written them already; two jobs racing here write identical
-	// bytes by rename, as two Puts of one chunk do.
-	if hash := j.fjob.SpecHash(); !s.haveReports(hash) {
-		var csv, js bytes.Buffer
-		err = res.WriteCSV(&csv)
-		if err == nil {
-			err = res.WriteJSON(&js)
-		}
-		if err == nil {
-			err = writeFileAtomic(s.reportsDir(), reportName(hash, false), csv.Bytes(), s.store.seq.Add(1))
-		}
-		if err == nil {
-			err = writeFileAtomic(s.reportsDir(), reportName(hash, true), js.Bytes(), s.store.seq.Add(1))
-		}
+// finish ends a job done, or failed with err, and journals it — unless
+// service shutdown interrupted the run, which leaves it resumable, or a
+// cancel did, which Cancel has ended and journaled.
+func (s *Service) finish(j *job, err error) {
+	switch {
+	case err == nil:
+		j.end(StateDone, "")
+	case s.ctx.Err() != nil, j.ctx.Err() != nil:
+		return
+	default:
+		j.end(StateFailed, err.Error())
 	}
-	j.mu.Lock()
-	if err != nil {
-		j.state = StateFailed
-		j.errMsg = err.Error()
-	} else if !terminal(j.state) {
-		j.state = StateDone
-	}
-	j.mu.Unlock()
 	_ = s.journal(j)
 }
 
@@ -462,12 +526,7 @@ func (s *Service) Cancel(id string) (JobStatus, error) {
 	if !ok {
 		return JobStatus{}, fmt.Errorf("fleetsvc: no job %s", id)
 	}
-	j.mu.Lock()
-	if !terminal(j.state) {
-		j.state = StateCanceled
-	}
-	j.mu.Unlock()
-	j.cancel()
+	j.end(StateCanceled, "")
 	if err := s.journal(j); err != nil {
 		return JobStatus{}, err
 	}
@@ -511,42 +570,67 @@ func (s *Service) Report(id string, asJSON bool) ([]byte, error) {
 	if state != StateDone {
 		return nil, fmt.Errorf("fleetsvc: job %s is %s, not done", id, state)
 	}
-	return os.ReadFile(filepath.Join(s.reportsDir(), reportName(j.fjob.SpecHash(), asJSON)))
+	return os.ReadFile(filepath.Join(s.reportsDir(), reportName(j.hash, asJSON)))
 }
 
-// Cohorts returns the running per-cohort fold of a job's completed
-// chunks, merged in chunk-index order (deterministic for a given
-// done-count). Cohorts no completed chunk has touched are omitted.
-func (s *Service) Cohorts(id string) ([]CohortProgress, error) {
+// Cohorts returns the per-cohort fold of a job's completed chunks,
+// merged in chunk-index order (deterministic for a given done-count).
+// A queued or running job folds the chunks it has recorded. A done job
+// keeps none, so its fold is read under ctx from the store, which holds
+// every chunk of its spec unless entries were lost since: one Get per
+// chunk, and a corrupt entry is quarantined as by any other read. A
+// canceled or failed job has no fold: nil. Cohorts no folded chunk
+// touched are omitted.
+func (s *Service) Cohorts(ctx context.Context, id string) ([]CohortProgress, error) {
 	j, ok := s.lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("fleetsvc: no job %s", id)
 	}
-	grid := j.fjob.Cohorts()
-	accum := make([]fleet.CohortAccum, len(grid))
 	j.mu.Lock()
-	for _, cp := range j.partials {
+	if j.partials != nil {
+		defer j.mu.Unlock()
+		return foldCohorts(j.partials)
+	}
+	state := j.state
+	j.mu.Unlock()
+	if state != StateDone {
+		return nil, nil
+	}
+	have, err := s.store.load(ctx, j.hash, j.chunks)
+	if err != nil {
+		return nil, err
+	}
+	return foldCohorts(have)
+}
+
+// foldCohorts merges the non-nil partials in index order and lists
+// every cohort they touched, in grid order.
+func foldCohorts(partials []*fleet.ChunkPartial) ([]CohortProgress, error) {
+	labels := fleet.CohortLabels()
+	accum := make([]fleet.CohortAccum, len(labels))
+	for _, cp := range partials {
 		if cp == nil {
 			continue
+		}
+		if len(cp.Cohorts) != len(labels) {
+			return nil, fmt.Errorf("fleetsvc: chunk %d has %d cohorts, want %d", cp.Chunk, len(cp.Cohorts), len(labels))
 		}
 		for i := range cp.Cohorts {
 			if cp.Cohorts[i].Devices == 0 {
 				continue
 			}
 			if err := accum[i].Merge(&cp.Cohorts[i]); err != nil {
-				j.mu.Unlock()
 				return nil, err
 			}
 		}
 	}
-	j.mu.Unlock()
 	var out []CohortProgress
 	for i := range accum {
 		if accum[i].Devices == 0 {
 			continue
 		}
 		out = append(out, CohortProgress{
-			Cohort:   grid[i].String(),
+			Cohort:   labels[i],
 			Devices:  accum[i].Devices,
 			Events:   accum[i].Events,
 			Accuracy: accum[i].Accuracy.Mean,
@@ -589,9 +673,9 @@ func (s *Service) status(j *job) JobStatus {
 	return JobStatus{
 		ID:       j.id,
 		State:    j.state,
-		Spec:     j.fjob.Spec(),
-		SpecHash: j.fjob.SpecHash(),
-		Chunks:   j.fjob.NumChunks(),
+		Spec:     j.spec,
+		SpecHash: j.hash,
+		Chunks:   j.chunks,
 		Done:     j.loaded + j.computed,
 		Loaded:   j.loaded,
 		Computed: j.computed,
@@ -605,8 +689,8 @@ func (s *Service) journal(j *job) error {
 	j.mu.Lock()
 	rec := jobRecord{
 		ID:       j.id,
-		Spec:     j.fjob.Spec(),
-		SpecHash: j.fjob.SpecHash(),
+		Spec:     j.spec,
+		SpecHash: j.hash,
 		State:    j.state,
 		Error:    j.errMsg,
 	}

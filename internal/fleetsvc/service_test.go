@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"io/fs"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -437,6 +439,230 @@ func TestServiceWarmFootprint(t *testing.T) {
 		if !bytes.Equal(r1, r2) {
 			t.Fatalf("json=%v: warm job's report differs from the first job's", asJSON)
 		}
+	}
+}
+
+// reports renders cfg's canonical CSV and JSON reports with no store in
+// the loop.
+func reports(t *testing.T, cfg fleet.Config) (csv, js []byte) {
+	t.Helper()
+	res, _, _ := runWithStore(t, nil, cfg)
+	var c, j bytes.Buffer
+	if err := res.WriteCSV(&c); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.WriteJSON(&j); err != nil {
+		t.Fatal(err)
+	}
+	return c.Bytes(), j.Bytes()
+}
+
+// checkReports fails unless job id serves exactly csv and js.
+func checkReports(t *testing.T, svc *Service, id string, csv, js []byte) {
+	t.Helper()
+	for _, want := range []struct {
+		asJSON bool
+		bytes  []byte
+	}{{false, csv}, {true, js}} {
+		got, err := svc.Report(id, want.asJSON)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.bytes) {
+			t.Fatalf("job %s json=%v: report differs from fleet.Run's", id, want.asJSON)
+		}
+	}
+}
+
+// checkReleased fails unless job id holds no simulation state: no
+// fleet.Job, no partials, and a done context.
+func checkReleased(t *testing.T, svc *Service, id string) {
+	t.Helper()
+	j, ok := svc.lookup(id)
+	if !ok {
+		t.Fatalf("no job %s", id)
+	}
+	j.mu.Lock()
+	fj, partials := j.fjob, j.partials
+	j.mu.Unlock()
+	if fj != nil || partials != nil {
+		t.Fatalf("terminal job %s still holds its fleet.Job (%v) or %d partial slots", id, fj != nil, len(partials))
+	}
+	if j.ctx.Err() == nil {
+		t.Fatalf("terminal job %s's context is not done", id)
+	}
+}
+
+// cohortStatus answers GET /api/v1/jobs/{id}?cohorts=1 from svc's
+// handler, and fails unless the answer is a 200 whose status is
+// svc.Status(id).
+func cohortStatus(t *testing.T, svc *Service, id string) statusResponse {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/v1/jobs/"+id+"?cohorts=1", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("job %s ?cohorts=1: %d %s", id, rec.Code, rec.Body)
+	}
+	var doc statusResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := svc.Status(id); doc.JobStatus != st {
+		t.Fatalf("job %s ?cohorts=1 status %+v, want %+v", id, doc.JobStatus, st)
+	}
+	return doc
+}
+
+// checkTerminalCohorts fails unless ?cohorts=1 serves each job's status
+// with the fold its state allows: every device for the done job, none
+// for the canceled and failed ones.
+func checkTerminalCohorts(t *testing.T, svc *Service, n int, done, canceled, failed string) {
+	t.Helper()
+	if got := cohortDevices(cohortStatus(t, svc, done).Cohorts); got != n {
+		t.Fatalf("done job's cohorts hold %d devices, want %d", got, n)
+	}
+	for _, id := range []string{canceled, failed} {
+		if doc := cohortStatus(t, svc, id); len(doc.Cohorts) != 0 {
+			t.Fatalf("%s job %s serves %d cohorts", doc.State, id, len(doc.Cohorts))
+		}
+	}
+}
+
+// TestServiceTerminalJobReleasesState: a job that ends done, canceled
+// or failed keeps only its status. Its fleet.Job and partials are gone
+// and its context is done, while its status, journal and reports read
+// as they did when it held them. After a restart the same holds for
+// every recovered terminal job. ?cohorts=1 serves each one's status: a
+// done job's fold comes from the store and covers every device, a
+// canceled or failed job has none, and a done job whose store read
+// fails is served without one rather than as an error.
+func TestServiceTerminalJobReleasesState(t *testing.T) {
+	cfg := fleet.Config{N: 48, Seed: 5, Scale: 0.05, ChunkSize: 8}
+	wantCSV, wantJSON := reports(t, cfg)
+	dir := t.TempDir()
+	svc := openService(t, dir, ServiceConfig{Jobs: 1})
+
+	done, err := svc.Submit(fleet.Spec{N: cfg.N, Seed: cfg.Seed, Scale: cfg.Scale, ChunkSize: cfg.ChunkSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitDone(t, svc, done.ID)
+	if st.State != StateDone || st.Computed != st.Chunks || st.Loaded != 0 || st.Devices != cfg.N {
+		t.Fatalf("done job status %+v", st)
+	}
+	checkReleased(t, svc, done.ID)
+	if again, _ := svc.Status(done.ID); again != st {
+		t.Fatalf("released job's status moved: %+v, then %+v", st, again)
+	}
+	checkReports(t, svc, done.ID, wantCSV, wantJSON)
+
+	long, err := svc.Submit(fleet.Spec{N: 240, Seed: 9, Scale: 0.05, ChunkSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, svc, long.ID, "first checkpoint", func(s JobStatus) bool { return s.Done >= 1 })
+	if st, err := svc.Cancel(long.ID); err != nil || st.State != StateCanceled {
+		t.Fatalf("cancel: %+v, %v", st, err)
+	}
+	checkReleased(t, svc, long.ID)
+
+	// A regular file where the spec's partials directory belongs fails
+	// the job's Store.Load.
+	broken := fleet.Spec{N: 16, Seed: 6, Scale: 0.05, ChunkSize: 8}
+	fj, err := fleet.NewJob(broken.Exec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "partials", fj.SpecHash()), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	failed, err := svc.Submit(broken)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, svc, failed.ID); st.State != StateFailed || st.Error == "" {
+		t.Fatalf("job over a broken partials path: %+v", st)
+	}
+	checkReleased(t, svc, failed.ID)
+	if st, _ := svc.Status(failed.ID); st.State != StateFailed || st.Error == "" {
+		t.Fatalf("failed job status %+v", st)
+	}
+	checkTerminalCohorts(t, svc, cfg.N, done.ID, long.ID, failed.ID)
+	svc.Close() // waits for each job's terminal journal write
+	for id, want := range map[string]string{done.ID: StateDone, long.ID: StateCanceled, failed.ID: StateFailed} {
+		if got := journalState(t, dir, id); got != want {
+			t.Fatalf("job %s journaled %q, want %q", id, got, want)
+		}
+	}
+
+	svc = openService(t, dir, ServiceConfig{Jobs: 1})
+	defer svc.Close()
+	for _, id := range []string{done.ID, long.ID, failed.ID} {
+		checkReleased(t, svc, id)
+	}
+	if again, _ := svc.Status(done.ID); again.State != StateDone || again.Done != st.Chunks || again.Devices != cfg.N {
+		t.Fatalf("recovered done job status %+v", again)
+	}
+	checkReports(t, svc, done.ID, wantCSV, wantJSON)
+	checkTerminalCohorts(t, svc, cfg.N, done.ID, long.ID, failed.ID)
+
+	partials := filepath.Join(dir, "partials", st.SpecHash)
+	if err := os.RemoveAll(partials); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(partials, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Cohorts(context.Background(), done.ID); err == nil {
+		t.Fatal("done job's fold over a broken partials path did not fail")
+	}
+	if doc := cohortStatus(t, svc, done.ID); doc.State != StateDone || len(doc.Cohorts) != 0 {
+		t.Fatalf("done job over a broken partials path: %s with %d cohorts", doc.State, len(doc.Cohorts))
+	}
+}
+
+// TestServiceWarmJobReadsNoPartials: once a spec's reports are on disk,
+// a job of that spec reads no partial. With the first job's partials
+// deleted, a second job still ends done with every chunk counted as
+// loaded and none computed, serves fleet.Run's bytes, writes no partial
+// and quarantines nothing.
+func TestServiceWarmJobReadsNoPartials(t *testing.T) {
+	cfg := fleet.Config{N: 48, Seed: 5, Scale: 0.05, ChunkSize: 8}
+	spec := fleet.Spec{N: cfg.N, Seed: cfg.Seed, Scale: cfg.Scale, ChunkSize: cfg.ChunkSize}
+	wantCSV, wantJSON := reports(t, cfg)
+	dir := t.TempDir()
+	svc := openService(t, dir, ServiceConfig{})
+	defer svc.Close()
+
+	first, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, svc, first.ID); st.State != StateDone {
+		t.Fatalf("first job: %s (%s)", st.State, st.Error)
+	}
+	partials := filepath.Join(dir, "partials", first.SpecHash)
+	if err := os.RemoveAll(partials); err != nil {
+		t.Fatal(err)
+	}
+
+	second, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitDone(t, svc, second.ID)
+	if st.State != StateDone || st.Loaded != st.Chunks || st.Computed != 0 || st.Devices != cfg.N {
+		t.Fatalf("warm job status %+v, want done with all %d chunks loaded and none computed", st, st.Chunks)
+	}
+	checkReports(t, svc, second.ID, wantCSV, wantJSON)
+	if _, err := os.Stat(partials); !os.IsNotExist(err) {
+		t.Fatalf("warm job wrote partials (stat: %v)", err)
+	}
+	if q := svc.store.Stats().Quarantined; q != 0 {
+		t.Fatalf("warm job quarantined %d entries", q)
+	}
+	if ents, err := os.ReadDir(filepath.Join(dir, "quarantine")); err != nil || len(ents) != 0 {
+		t.Fatalf("quarantine holds %d files (%v)", len(ents), err)
 	}
 }
 

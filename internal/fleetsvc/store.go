@@ -278,8 +278,12 @@ func (s *Store) Get(hash string, ci int) (*fleet.ChunkPartial, error) {
 // entries are quarantined by Get and come back nil like any other miss,
 // so the caller recomputes exactly the nil chunks.
 func (s *Store) Load(ctx context.Context, job *fleet.Job) ([]*fleet.ChunkPartial, error) {
-	hash := job.SpecHash()
-	out := make([]*fleet.ChunkPartial, job.NumChunks())
+	return s.load(ctx, job.SpecHash(), job.NumChunks())
+}
+
+// load is Load for the spec with the given hash and chunk count.
+func (s *Store) load(ctx context.Context, hash string, chunks int) ([]*fleet.ChunkPartial, error) {
+	out := make([]*fleet.ChunkPartial, chunks)
 	for ci := range out {
 		if err := ctx.Err(); err != nil {
 			return nil, err

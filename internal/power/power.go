@@ -125,10 +125,12 @@ type System struct {
 	// Identical inputs give the identical root, so the memo changes no
 	// result bits. The booster parameters it derives from are fixed
 	// after construction (Config.Tune runs before any simulation step).
+	// Once all slots are full a miss evicts the oldest, cutOld.
 	cutEsr  [4]units.Resistance
 	cutDraw [4]units.Power
 	cutV    [4]units.Voltage
 	cutN    int
+	cutOld  int
 }
 
 // NewSystem wires a source to default boosters.
@@ -337,7 +339,8 @@ func (s *System) cutoff(esr units.Resistance, draw units.Power) units.Voltage {
 	v := units.Voltage((m + math.Sqrt(m*m+4*pr)) / 2)
 	i := s.cutN
 	if i == len(s.cutEsr) {
-		i = 0 // full: evict the oldest slot
+		i = s.cutOld // full: evict the oldest slot
+		s.cutOld = (i + 1) % len(s.cutEsr)
 	} else {
 		s.cutN++
 	}

@@ -132,6 +132,37 @@ func TestChargeTimeScalesWithCapacity(t *testing.T) {
 	}
 }
 
+// TestCutoffMemoKeepsRecurringLoads: once the cutoff memo is full, a
+// miss evicts the oldest slot. Four one-off draws fill it; two draws
+// that then alternate must both end up resident, not take turns in one
+// slot, and a hit returns the solve's exact bits.
+func TestCutoffMemoKeepsRecurringLoads(t *testing.T) {
+	s := testSystem(10*units.MilliWatt, 3.0)
+	const esr = units.Resistance(40)
+	for _, draw := range []units.Power{1e-3, 2e-3, 3e-3, 4e-3} {
+		s.cutoff(esr, draw)
+	}
+	x, y := units.Power(5e-3), units.Power(7e-3)
+	for i := 0; i < 4; i++ {
+		s.cutoff(esr, x)
+		s.cutoff(esr, y)
+	}
+	for _, draw := range []units.Power{x, y} {
+		resident := false
+		for i := 0; i < s.cutN; i++ {
+			resident = resident || (s.cutEsr[i] == esr && s.cutDraw[i] == draw)
+		}
+		if !resident {
+			t.Fatalf("recurring draw %v evicted: memo holds %v", draw, s.cutDraw[:s.cutN])
+		}
+		m := float64(s.Out.MinInput)
+		want := (m + math.Sqrt(m*m+4*float64(draw)*float64(esr))) / 2
+		if got := s.cutoff(esr, draw); math.Float64bits(float64(got)) != math.Float64bits(want) {
+			t.Fatalf("draw %v: memo cutoff %v, want %v", draw, got, want)
+		}
+	}
+}
+
 func TestCutoffVoltageESR(t *testing.T) {
 	s := testSystem(10*units.MilliWatt, 3.0)
 	// Zero ESR: cutoff is exactly MinInput.

@@ -131,9 +131,31 @@ func call[T any](ctx context.Context, i int, fn func(context.Context, int) (T, e
 // sweep seeded with seed. The stream is a pure function of (seed, i):
 // the pair is mixed through SplitMix64 so that adjacent seeds or
 // adjacent job indices do not produce correlated streams, and no two
-// jobs ever share *rand.Rand state.
+// jobs ever share *rand.Rand state. Each call allocates a fresh source
+// of about 5 KiB; a loop that draws one stream after another reuses
+// one generator through Reseed instead.
 func RNG(seed int64, job int) *rand.Rand {
-	return rand.New(rand.NewSource(int64(mix(uint64(seed) + uint64(job)*0x9e3779b97f4a7c15))))
+	return rand.New(rand.NewSource(streamSeed(seed, job)))
+}
+
+// Reseed returns a generator for the stream RNG(seed, job) starts. A
+// nil r gets a fresh one from RNG; otherwise r itself is reseeded and
+// returned, whatever it drew before. (*rand.Rand).Seed resets the
+// source exactly as NewSource seeds a new one, so the two streams are
+// bit-identical, and Reseed allocates nothing. Seeding costs the same
+// either way. The caller must own r: a reseeded generator's previous
+// stream is gone.
+func Reseed(r *rand.Rand, seed int64, job int) *rand.Rand {
+	if r == nil {
+		return RNG(seed, job)
+	}
+	r.Seed(streamSeed(seed, job))
+	return r
+}
+
+// streamSeed mixes (seed, job) into the source seed of job's stream.
+func streamSeed(seed int64, job int) int64 {
+	return int64(mix(uint64(seed) + uint64(job)*0x9e3779b97f4a7c15))
 }
 
 // mix is the SplitMix64 finalizer.

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -175,6 +177,47 @@ func TestRNG(t *testing.T) {
 				t.Fatalf("%s collides with %s", key, prev)
 			}
 			seen[v] = key
+		}
+	}
+}
+
+// TestReseedMatchesRNG: a generator reseeded after arbitrary use yields
+// the stream a fresh RNG(seed, job) does, bit for bit, well past the
+// source's 607-word ring.
+func TestReseedMatchesRNG(t *testing.T) {
+	pick := rand.New(rand.NewSource(1))
+	var r *rand.Rand // nil on the first pair: Reseed's allocating path
+	for k := 0; k < 500; k++ {
+		seed, job := pick.Int63()-pick.Int63(), pick.Intn(1<<20)
+		if r != nil {
+			for i, n := 0, 1000+pick.Intn(1000); i < n; i++ {
+				switch pick.Intn(4) {
+				case 0:
+					r.Float64()
+				case 1:
+					r.ExpFloat64()
+				case 2:
+					r.Intn(1 + pick.Intn(1000))
+				default:
+					r.Int63()
+				}
+			}
+		}
+		r = Reseed(r, seed, job)
+		fresh := RNG(seed, job)
+		for i := 0; i < 1000; i++ {
+			var got, want float64
+			switch i % 3 {
+			case 0:
+				got, want = r.Float64(), fresh.Float64()
+			case 1:
+				got, want = r.ExpFloat64(), fresh.ExpFloat64()
+			default:
+				got, want = float64(r.Intn(1+i)), float64(fresh.Intn(1+i))
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d job %d: draw %d is %v reseeded, %v fresh", seed, job, i, got, want)
+			}
 		}
 	}
 }

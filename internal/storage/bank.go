@@ -80,9 +80,12 @@ type Bank struct {
 	// drain durations come from a handful of fixed peripheral timings,
 	// so the same exponential recurs millions of times. Identical dt
 	// yields the identical factor, so the memo changes no result bits.
+	// Once all slots are full a miss evicts the oldest, leakOld, so the
+	// recurring spans survive one-off ones.
 	leakDt  [4]units.Seconds
 	leakFac [4]float64
 	leakN   int
+	leakOld int
 }
 
 // NewBank builds a named bank from groups. It returns an error when the
@@ -250,7 +253,8 @@ func (b *Bank) leakFactor(dt units.Seconds) float64 {
 	f := math.Exp(-float64(dt) / (float64(b.leakR) * float64(b.cap)))
 	i := b.leakN
 	if i == len(b.leakDt) {
-		i = 0 // full: evict the oldest slot
+		i = b.leakOld // full: evict the oldest slot
+		b.leakOld = (i + 1) % len(b.leakDt)
 	} else {
 		b.leakN++
 	}

@@ -165,6 +165,35 @@ func TestBankLeak(t *testing.T) {
 	}
 }
 
+// TestLeakMemoKeepsRecurringSpans: once the decay-factor memo is full,
+// a miss evicts the oldest slot. Four one-off spans fill it; two spans
+// that then alternate must both end up resident, not take turns in one
+// slot, and a hit returns the exponential's exact bits.
+func TestLeakMemoKeepsRecurringSpans(t *testing.T) {
+	b := MustBank("sc", GroupOf(SupercapCPH3225A, 1))
+	for _, dt := range []units.Seconds{0.1, 0.2, 0.3, 0.4} {
+		b.leakFactor(dt)
+	}
+	x, y := units.Seconds(1.5), units.Seconds(2.5)
+	for i := 0; i < 4; i++ {
+		b.leakFactor(x)
+		b.leakFactor(y)
+	}
+	for _, dt := range []units.Seconds{x, y} {
+		resident := false
+		for i := 0; i < b.leakN; i++ {
+			resident = resident || b.leakDt[i] == dt
+		}
+		if !resident {
+			t.Fatalf("recurring span %v evicted: memo holds %v", dt, b.leakDt[:b.leakN])
+		}
+		want := math.Exp(-float64(dt) / (float64(b.leakR) * float64(b.cap)))
+		if got := b.leakFactor(dt); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("span %v: memo factor %v, want %v", dt, got, want)
+		}
+	}
+}
+
 func TestBankEnergyAbove(t *testing.T) {
 	b := MustBank("b", GroupOf(EDLC, 1))
 	b.SetVoltage(2.4)
