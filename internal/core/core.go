@@ -379,3 +379,43 @@ func New(cfg Config, prog *task.Program) (*Instance, error) {
 func (i *Instance) Run(horizon units.Seconds) error {
 	return i.Engine.Run(horizon)
 }
+
+// State is a value copy of an Instance's mutable state, layer by
+// layer: the device's clock and counters, the reservoir, the NV store,
+// the task engine, and the runtime's own counters. Everything else an
+// Instance holds is configuration fixed by New or a memo of pure
+// results.
+type State struct {
+	Dev        sim.State
+	Array      reservoir.State
+	NV         device.NVState
+	Engine     task.State
+	Reconfigs  int
+	Precharges int
+}
+
+// Save returns a copy of the instance's mutable state, taken between
+// two task attempts (after Engine.RunUntil returned).
+func (i *Instance) Save() State {
+	return State{
+		Dev:        i.Dev.Save(),
+		Array:      i.Dev.Array.Save(),
+		NV:         i.Dev.NV.Save(),
+		Engine:     i.Engine.Save(),
+		Reconfigs:  i.Runtime.Reconfigs,
+		Precharges: i.Runtime.Precharges,
+	}
+}
+
+// Restore makes st, saved from an instance New built from the same
+// Config and program, this instance's state: continuing it with
+// Engine.RunUntil or Run then computes what the saved instance would
+// have computed. The runtime's mode memo needs no reset: it caches
+// lookups in the mode table, which New fixed.
+func (i *Instance) Restore(st *State) {
+	i.Dev.Restore(&st.Dev)
+	i.Dev.Array.Restore(&st.Array)
+	i.Dev.NV.Restore(&st.NV)
+	i.Engine.Restore(&st.Engine)
+	i.Runtime.Reconfigs, i.Runtime.Precharges = st.Reconfigs, st.Precharges
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -403,6 +404,93 @@ func TestBringUpTargetFollowsDeclarationOrder(t *testing.T) {
 				t.Fatalf("modes %s then %s: build %d charges to %v, want %v",
 					tc.modes[0].Name, tc.modes[1].Name, i, got, tc.want)
 			}
+		}
+	}
+}
+
+// TestRestoreContinuesRun: an instance stopped between two attempts,
+// saved, and restored into a fresh instance of the same build continues
+// exactly as the saved one does and as an uninterrupted run does, on
+// every variant. The program writes NV words and a recycled blob and
+// reconfigures, so every layer of the snapshot carries state.
+func TestRestoreContinuesRun(t *testing.T) {
+	radio := device.CC2650()
+	prog := func() *task.Program {
+		return task.MustProgram("sense",
+			&task.Task{Name: "sense", PreburstBurst: "big", PreburstExec: "small", Run: func(c *task.Ctx) task.Next {
+				c.Compute(20000)
+				n := c.WordOr("n", 0) + 1
+				c.SetWord("n", n)
+				series := append(c.FloatSeries("series"), float64(c.Now()))
+				if len(series) > 4 {
+					series = series[1:]
+				}
+				c.SetFloats("series", series)
+				if n%40 == 0 {
+					return "tx"
+				}
+				c.Sleep(0.05)
+				return "sense"
+			}},
+			&task.Task{Name: "tx", Burst: "big", Run: func(c *task.Ctx) task.Next {
+				c.Transmit(radio, 25)
+				return "sense"
+			}},
+		)
+	}
+	digest := func(inst *Instance) string {
+		vals, mask := inst.Dev.Array.AppendState(nil)
+		nv := inst.Dev.NV
+		var words []uint64
+		for _, k := range nv.Keys() {
+			w, _ := nv.Word(k)
+			b, _ := nv.Blob(k)
+			words = append(words, w, uint64(len(b)))
+		}
+		p := make(map[string]task.TaskProfile)
+		for name, tp := range inst.Engine.Profile {
+			p[name] = *tp
+		}
+		a := inst.Dev.Array
+		return fmt.Sprint(inst.Dev.Now(), inst.Dev.Stats, vals, mask, a.ShareLoss, a.LeakLoss, a.Reconfigurations,
+			a.Reverts, nv.Keys(), words, nv.Writes(), inst.Engine.Restarts, p, inst.Runtime.Reconfigs, inst.Runtime.Precharges)
+	}
+	const mark, horizon = 30, 120
+	for _, v := range []Variant{Continuous, Fixed, CapyR, CapyP} {
+		build := func() *Instance {
+			cfg := baseConfig(v)
+			cfg.Source = harvest.RegulatedSupply{Max: 2 * units.MilliWatt, V: 3.0}
+			inst, err := New(cfg, prog())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return inst
+		}
+		whole := build()
+		if err := whole.Run(horizon); err != nil {
+			t.Fatal(err)
+		}
+		saved := build()
+		if more, err := saved.Engine.RunUntil(mark, horizon); err != nil || !more {
+			t.Fatalf("%v: RunUntil = %v, %v", v, more, err)
+		}
+		st := saved.Save()
+		restored := build()
+		restored.Restore(&st)
+		for _, inst := range []*Instance{saved, restored} {
+			if err := inst.Run(horizon); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := digest(whole)
+		if got := digest(saved); got != want {
+			t.Errorf("%v: stopped and continued run\n%s\nwant\n%s", v, got, want)
+		}
+		if got := digest(restored); got != want {
+			t.Errorf("%v: restored run\n%s\nwant\n%s", v, got, want)
+		}
+		if v == CapyP && (whole.Runtime.Precharges == 0 || whole.Dev.NV.Writes() == 0) {
+			t.Errorf("%v: %d precharges, %d NV writes: the program no longer exercises them", v, whole.Runtime.Precharges, whole.Dev.NV.Writes())
 		}
 	}
 }

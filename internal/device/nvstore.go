@@ -1,6 +1,7 @@
 package device
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 )
@@ -119,21 +120,61 @@ func (s *NVStore) Keys() []string {
 	return keys
 }
 
-// Snapshot returns a deep copy, for testing checkpoint-and-compare
-// failure injection.
-func (s *NVStore) Snapshot() *NVStore {
-	cp := NewNVStore()
-	// order-independent: copies into another map.
+// NVState is a value copy of an NVStore: every word, every blob (deep
+// copied) and the write counter, which the task engine's current-task
+// cache keys on.
+type NVState struct {
+	Words  []NVWord
+	Blobs  []NVBlob
+	Writes int
+}
+
+// NVWord is one stored word in an NVState.
+type NVWord struct {
+	Key string
+	V   uint64
+}
+
+// NVBlob is one stored blob in an NVState.
+type NVBlob struct {
+	Key string
+	B   []byte
+}
+
+// Save returns a copy of the store's contents. Blobs are copied: the
+// task engine recycles the storage of a blob a commit displaces.
+func (s *NVStore) Save() NVState {
+	st := NVState{Writes: s.writes}
+	if len(s.words) > 0 {
+		st.Words = make([]NVWord, 0, len(s.words))
+	}
+	// order-independent: Restore puts the entries back into a map.
 	for k, v := range s.words {
-		cp.words[k] = v
+		st.Words = append(st.Words, NVWord{k, v})
 	}
-	// order-independent: copies into another map.
-	for k, v := range s.blobs {
-		b := make([]byte, len(v))
-		copy(b, v)
-		cp.blobs[k] = b
+	if len(s.blobs) > 0 {
+		st.Blobs = make([]NVBlob, 0, len(s.blobs))
 	}
-	return cp
+	// order-independent: Restore puts the entries back into a map.
+	for k, b := range s.blobs {
+		st.Blobs = append(st.Blobs, NVBlob{k, bytes.Clone(b)})
+	}
+	return st
+}
+
+// Restore replaces the store's contents with st's. The blobs are copied
+// again, so st stays intact for further restores whatever the store's
+// owner does with its blobs.
+func (s *NVStore) Restore(st *NVState) {
+	clear(s.words)
+	clear(s.blobs)
+	for _, w := range st.Words {
+		s.words[w.Key] = w.V
+	}
+	for _, b := range st.Blobs {
+		s.blobs[b.Key] = bytes.Clone(b.B)
+	}
+	s.writes = st.Writes
 }
 
 func (s *NVStore) String() string {

@@ -58,19 +58,36 @@ func TestNVStoreDeleteAndKeys(t *testing.T) {
 	}
 }
 
+// TestNVStoreSnapshotIsolated: a saved state survives every later write
+// to the store it came from and to each store it is restored into,
+// including the displaced blob buffers whose ownership SetBlobOwned
+// hands back to the caller.
 func TestNVStoreSnapshotIsolated(t *testing.T) {
 	s := NewNVStore()
 	s.SetWord("w", 1)
 	s.SetBlob("b", []byte{1})
-	snap := s.Snapshot()
+	st := s.Save()
 	s.SetWord("w", 2)
 	old := s.SetBlobOwned("b", []byte{2})
 	old[0] = 9 // the caller owns the displaced buffer and may reuse it
-	if got := snap.WordOr("w", 0); got != 1 {
-		t.Fatalf("snapshot word mutated: %d", got)
-	}
-	if got, _ := snap.Blob("b"); !reflect.DeepEqual(got, []byte{1}) {
-		t.Fatalf("snapshot blob mutated: %v", got)
+	for i := 0; i < 2; i++ {
+		r := NewNVStore()
+		r.SetWord("stale", 3)
+		r.Restore(&st)
+		if got := r.WordOr("w", 0); got != 1 {
+			t.Fatalf("restore %d: word %d, want 1", i, got)
+		}
+		if got, _ := r.Blob("b"); !reflect.DeepEqual(got, []byte{1}) {
+			t.Fatalf("restore %d: blob %v, want [1]", i, got)
+		}
+		if got := r.Keys(); !reflect.DeepEqual(got, []string{"b", "w"}) {
+			t.Fatalf("restore %d: keys %v", i, got)
+		}
+		if r.Writes() != 2 {
+			t.Fatalf("restore %d: %d writes, want 2", i, r.Writes())
+		}
+		old := r.SetBlobOwned("b", []byte{2})
+		old[0] = 9
 	}
 	if s.String() == "" {
 		t.Error("empty stringer")

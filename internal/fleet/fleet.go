@@ -3,8 +3,8 @@
 // one seeded schedule per device — and reports fleet-level statistics
 // without retaining per-device state.
 //
-// Three performance layers keep per-device cost at simulation, not
-// construction or retention:
+// Four performance layers keep per-device cost at simulation, not
+// construction or retention, and skip simulation a cohort has done:
 //
 //   - shared immutable artifacts and recycled scratch: cohort
 //     environment traces are built once and shared by every device in
@@ -24,7 +24,12 @@
 //     so the attempt path (task.Engine.Run, sim.Device.Drain) takes
 //     one deferred recover per power failure rather than per attempt,
 //     computes each drain on plain values, and allocates nothing in
-//     steady state (DESIGN.md §7, "The device-step hot path").
+//     steady state (DESIGN.md §7, "The device-step hot path");
+//   - the event-free prefix: until its first event a device runs its
+//     cohort's one polling trajectory, so a worker's Scratch keeps
+//     per-cohort snapshots of it and a later device resumes from the
+//     latest one taken before its own first event (prefix.go,
+//     DESIGN.md §7, "Resuming from the event-free prefix").
 //
 // Execution decomposes into fixed-size device-index chunks behind the
 // Job/Compute/Fold API. Job.Run is the one in-process driver: Run, the
@@ -309,8 +314,10 @@ func (j *Job) simulate(d int, ws *Scratch, cp *ChunkPartial) error {
 
 // execute builds device d of cohort ci = d mod len(grid) on ws, reset
 // first, and runs its lifecycle to the horizon. The device's stream is
-// ws's generator reseeded to runner.RNG(seed, d). A nil ws builds every
-// container and the generator fresh, as the experiments do.
+// ws's generator reseeded to runner.RNG(seed, d). On a scratch j made,
+// the device resumes from its cohort's event-free prefix (runShared). A
+// nil ws builds every container and the generator fresh and simulates
+// from t = 0, as the experiments do: it is the unshared reference.
 func (j *Job) execute(d int, ws *Scratch) (*apps.Run, int, error) {
 	ci := d % len(j.grid)
 	cohort := j.grid[ci]
@@ -344,5 +351,8 @@ func (j *Job) execute(d int, ws *Scratch) (*apps.Run, int, error) {
 			Trace:  cohort.trace,
 		}
 	}
-	return run, ci, run.Execute()
+	if ws == nil || ws.job != j {
+		return run, ci, run.Execute()
+	}
+	return run, ci, ws.runShared(run, ci, markSpacing(spec.Mean))
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"capybara/internal/apps"
+	"capybara/internal/core"
 	"capybara/internal/runner"
 	"capybara/internal/units"
 )
@@ -51,27 +52,55 @@ func (s Spec) Exec(jobs int) Config {
 	return Config{N: s.N, Seed: s.Seed, Scale: s.Scale, ChunkSize: s.ChunkSize, Jobs: jobs}
 }
 
-// NewJob validates cfg, applies defaults, and builds the cohort grid.
+// MaxChunks bounds a job's chunk count. Every holder of a job keeps
+// one entry per chunk (the daemon's partial table, the shard lease
+// table, the store's partials directory), so a spec asking for more is
+// rejected before any of them is sized: N 2·10⁹ at chunk size 1 would
+// ask for 2·10⁹. At the default chunk size the bound admits 67 million
+// devices.
+const MaxChunks = 1 << 20
+
+// Resolve validates s and applies the defaults NewJob applies (Scale 0
+// means 1, ChunkSize <= 0 means 64), without building the cohort grid.
+// It rejects a non-positive N, a scale outside (0, 1] and a chunk count
+// above MaxChunks. NewJob resolves its config through it, so every path
+// that builds a job (fleet.Run, capyfleet, the shard coordinator and
+// workers, the daemon) applies the same checks, and a resolved spec
+// resolves to itself.
+func (s Spec) Resolve() (Spec, error) {
+	if s.N <= 0 {
+		return Spec{}, fmt.Errorf("fleet: N must be positive, got %d", s.N)
+	}
+	if s.Scale == 0 {
+		s.Scale = 1.0
+	}
+	if !(s.Scale > 0 && s.Scale <= 1) { // NaN fails too
+		return Spec{}, fmt.Errorf("fleet: bad scale %g", s.Scale)
+	}
+	if s.ChunkSize <= 0 {
+		s.ChunkSize = defaultChunk
+	}
+	// NumChunks' count: N/ChunkSize rounded up, without the overflow
+	// N+ChunkSize-1 has.
+	if chunks := s.N/s.ChunkSize + min(s.N%s.ChunkSize, 1); chunks > MaxChunks {
+		return Spec{}, fmt.Errorf("fleet: %d devices in chunks of %d make %d chunks, more than %d",
+			s.N, s.ChunkSize, chunks, MaxChunks)
+	}
+	return s, nil
+}
+
+// NewJob validates cfg, applies defaults (Spec.Resolve), and builds the
+// cohort grid.
 func NewJob(cfg Config) (*Job, error) {
-	if cfg.N <= 0 {
-		return nil, fmt.Errorf("fleet: N must be positive, got %d", cfg.N)
-	}
-	scale := cfg.Scale
-	if scale == 0 {
-		scale = 1.0
-	}
-	if scale < 0 || scale > 1 {
-		return nil, fmt.Errorf("fleet: bad scale %g", scale)
-	}
-	chunk := cfg.ChunkSize
-	if chunk <= 0 {
-		chunk = defaultChunk
+	spec, err := Spec{N: cfg.N, Seed: cfg.Seed, Scale: cfg.Scale, ChunkSize: cfg.ChunkSize}.Resolve()
+	if err != nil {
+		return nil, err
 	}
 	grid, err := cohortGrid(cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	j := &Job{cfg: cfg, scale: scale, chunk: chunk, grid: grid}
+	j := &Job{cfg: cfg, scale: spec.Scale, chunk: spec.ChunkSize, grid: grid}
 	j.hash = j.specHash()
 	return j, nil
 }
@@ -86,7 +115,7 @@ func (j *Job) Spec() Spec {
 }
 
 // NumChunks returns the number of fixed-size device chunks.
-func (j *Job) NumChunks() int { return (j.cfg.N + j.chunk - 1) / j.chunk }
+func (j *Job) NumChunks() int { return j.cfg.N/j.chunk + min(j.cfg.N%j.chunk, 1) }
 
 // Cohorts returns the job's cohort grid identities, in grid order (the
 // order ChunkPartial.Cohorts and Result.Cohorts are indexed by). The
@@ -95,11 +124,8 @@ func (j *Job) Cohorts() []Cohort { return j.grid }
 
 // ChunkBounds returns chunk ci's device index range [lo, hi).
 func (j *Job) ChunkBounds(ci int) (lo, hi int) {
-	lo, hi = ci*j.chunk, (ci+1)*j.chunk
-	if hi > j.cfg.N {
-		hi = j.cfg.N
-	}
-	return lo, hi
+	lo = ci * j.chunk
+	return lo, lo + min(j.chunk, j.cfg.N-lo)
 }
 
 // SpecHash fingerprints everything the report depends on: the resolved
@@ -149,22 +175,32 @@ func (j *Job) specHash() string {
 }
 
 // Scratch is one worker's recycled simulation state: the application
-// build scratch, the device-stream generator and the latency staging
-// buffer. Reusing one Scratch across many RunChunk calls is what makes
-// per-device cost simulation-bound; it is sound because scratch
-// contents never influence results (state containers are Reset and the
-// generator reseeded per device).
+// build scratch, the device-stream generator, the latency staging
+// buffer, and each cohort's event-free prefix snapshots (prefix.go).
+// Reusing one Scratch across many RunChunk calls is what makes
+// per-device cost simulation-bound and lets a cohort's later devices
+// skip the prefix its earlier ones simulated.
+//
+// Scratch contents decide where a device's simulation starts, never
+// what it computes: containers are Reset and the generator reseeded per
+// device, and a device resumes only from a snapshot that its own run
+// from t = 0 would pass through bit for bit. A Scratch serves only the
+// Job that made it; another job's devices run on it from t = 0.
 type Scratch struct {
 	scr apps.Scratch
 	rng *rand.Rand // nil until the first device seeds it
 	lat []units.Seconds
+	job *Job
+	// snaps holds, per cohort grid index, the snapshots its devices
+	// saved before their first event, in clock order.
+	snaps [][]core.State
 }
 
-// NewScratch builds a Scratch whose recorder drops sample timestamps:
-// the fleet folds reports and device counters only, never the
-// inter-sample gaps.
+// NewScratch builds a Scratch for j's devices whose recorder drops
+// sample timestamps: the fleet folds reports and device counters only,
+// never the inter-sample gaps.
 func (j *Job) NewScratch() *Scratch {
-	ws := &Scratch{}
+	ws := &Scratch{job: j, snaps: make([][]core.State, len(j.grid))}
 	ws.scr.Rec.DropSamples = true
 	return ws
 }
@@ -182,7 +218,8 @@ type ChunkPartial struct {
 
 // RunChunk simulates chunk ci's devices and folds them into a fresh
 // partial. ws may be nil (a throwaway scratch is built); passing a
-// reused Scratch amortizes recorder allocations across chunks. The
+// Scratch reused across chunks amortizes recorder allocations and
+// shares each cohort's event-free prefix across them. The
 // partial is a pure function of (Spec, ci): any process running the
 // same chunk of the same job produces bit-identical accumulators,
 // which is the whole basis of the shard protocol's determinism and of

@@ -290,14 +290,13 @@ func TestHTTPStreamVanishedJobEndsTerminal(t *testing.T) {
 	// Register a job without enqueueing it (white-box track), so it sits
 	// in queued state forever: the stream cannot race to a real terminal
 	// event before the test makes the job vanish.
-	spec := fleet.Spec{N: 16, Seed: 5, Scale: 0.02, ChunkSize: 8}
-	fj, err := fleet.NewJob(spec.Exec(1))
+	spec, info, fj, err := svc.resolve(fleet.Spec{N: 16, Seed: 5, Scale: 0.02, ChunkSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := "j900000"
 	svc.mu.Lock()
-	j := svc.track(id, fj)
+	j := svc.track(id, spec, info, fj)
 	svc.mu.Unlock()
 
 	resp, err := srv.Client().Get(srv.URL + "/api/v1/jobs/" + id + "/stream")
@@ -492,4 +491,49 @@ func TestHTTPCohortsWhileJobsFinish(t *testing.T) {
 	}
 	watch(specs[0]) // warm: the spec's reports are on disk
 	wg.Wait()
+}
+
+// TestHTTPSubmitRejectsChunkOverflow: a spec whose chunk count overflows
+// or exceeds fleet.MaxChunks gets a 400, and the daemon keeps
+// answering: health, the job list and a valid submit each return
+// within a deadline. Such a spec once panicked sizing the job's partial
+// table while Submit held the service lock, which hung every later
+// request.
+func TestHTTPSubmitRejectsChunkOverflow(t *testing.T) {
+	_, srv := testServer(t, ServiceConfig{Jobs: 1})
+	client := srv.Client()
+	client.Timeout = 10 * time.Second
+	for _, body := range []string{
+		`{"n":9223372036854775807,"seed":1}`,
+		`{"n":2000000000,"chunk_size":1}`,
+	} {
+		resp, err := client.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("submit %s: %v", body, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("submit %s: %d %s, want 400", body, resp.StatusCode, msg)
+		}
+	}
+	for _, path := range []string{"/api/v1/healthz", "/api/v1/jobs"} {
+		resp, err := client.Get(srv.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s after the rejected submits: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d", path, resp.StatusCode)
+		}
+	}
+	resp, err := client.Post(srv.URL+"/api/v1/jobs", "application/json",
+		strings.NewReader(`{"n":16,"seed":4,"scale":0.02,"chunk_size":8}`))
+	if err != nil {
+		t.Fatalf("valid submit after the rejected ones: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("valid submit: %d", resp.StatusCode)
+	}
 }

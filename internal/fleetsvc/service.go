@@ -102,8 +102,8 @@ type jobRecord struct {
 }
 
 // job is one tracked job. Its spec, hash and chunk count are fixed when
-// it is tracked and read without the lock. The hash comes from the
-// fleet.Job this binary rebuilt from the spec, so checkpoint addressing
+// it is tracked and read without the lock. The hash comes from a
+// fleet.Job this binary built from the spec, so checkpoint addressing
 // is always the running binary's truth. fjob and partials serve only a
 // job that can still run: a terminal job drops both (the store holds
 // its partials and reports) and keeps its status alone.
@@ -116,8 +116,16 @@ type job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu       sync.Mutex
-	fjob     *fleet.Job            // nil once terminal
+	// journalMu serializes the job's journal writes with the state
+	// changes they record (Service.end), so the state published last is
+	// the one journaled last.
+	journalMu sync.Mutex
+
+	mu sync.Mutex
+	// fjob is the fleet.Job built to resolve the spec when no tracked
+	// job had it; nil for a spec the index knew, and handed to the run
+	// by start.
+	fjob     *fleet.Job
 	partials []*fleet.ChunkPartial // completed chunks by index, for snapshots; nil once terminal
 	state    string
 	errMsg   string
@@ -138,14 +146,13 @@ func (j *job) record(cp *fleet.ChunkPartial, loaded bool) {
 		j.mu.Unlock()
 		return
 	}
-	lo, hi := j.fjob.ChunkBounds(cp.Chunk)
 	j.partials[cp.Chunk] = cp
 	if loaded {
 		j.loaded++
 	} else {
 		j.computed++
 	}
-	j.devices += hi - lo
+	j.devices += min(j.spec.ChunkSize, j.spec.N-cp.Chunk*j.spec.ChunkSize)
 	j.mu.Unlock()
 	j.notify()
 }
@@ -164,21 +171,30 @@ func (j *job) notify() {
 	j.mu.Unlock()
 }
 
-// start moves a queued job to running and returns its fleet.Job, or
-// nil if a cancel won.
-func (j *job) start() *fleet.Job {
+// start moves a queued job to running and hands over the fleet.Job
+// built for it, if any. ok is false if a cancel won.
+func (j *job) start() (fj *fleet.Job, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateQueued {
-		return nil
+		return nil, false
 	}
 	j.state = StateRunning
-	return j.fjob
+	fj, j.fjob = j.fjob, nil
+	return fj, true
+}
+
+// ended reports whether the job is in a terminal state.
+func (j *job) ended() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return terminal(j.state)
 }
 
 // end moves the job to state, unless it is terminal already, and drops
 // what only a run needs: the fleet.Job and the partials go, and the
-// context is canceled so the service context stops holding it.
+// context is canceled so the service context stops holding it. It
+// publishes the state only: Service.end journals it first.
 func (j *job) end(state, errMsg string) {
 	j.mu.Lock()
 	if !terminal(j.state) {
@@ -215,6 +231,16 @@ type Service struct {
 	jobs   map[string]*job
 	order  []string
 	nextID int
+	// specs indexes every tracked job's resolved spec to what a
+	// fleet.Job fixed for it, so a resubmitted spec skips building one.
+	specs map[fleet.Spec]specInfo
+}
+
+// specInfo is what this binary's fleet.Job fixes for a resolved spec:
+// its spec hash and chunk count.
+type specInfo struct {
+	hash   string
+	chunks int
 }
 
 // NewService opens a service over cfg.Store, re-enqueues every
@@ -236,6 +262,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		sem:    make(chan struct{}, cfg.MaxConcurrent),
 		jobs:   make(map[string]*job),
 		nextID: 1,
+		specs:  make(map[fleet.Spec]specInfo),
 	}
 	if err := s.recover(); err != nil {
 		cancel()
@@ -310,7 +337,7 @@ func (s *Service) recover() error {
 		if n := idNumber(id); n >= s.nextID {
 			s.nextID = n + 1
 		}
-		fj, err := fleet.NewJob(rec.Spec.Exec(s.cfg.Jobs))
+		spec, info, fj, err := s.resolve(rec.Spec)
 		if err != nil {
 			// A journaled spec this binary rejects: mark it failed, keep
 			// the record for inspection, don't poison startup.
@@ -321,7 +348,7 @@ func (s *Service) recover() error {
 			}
 			continue
 		}
-		j := s.track(id, fj)
+		j := s.track(id, spec, info, fj)
 		switch rec.State {
 		case StateDone, StateQueued, StateRunning: // older binaries journaled running
 			// A done job trusts the spec's reports if they exist.
@@ -348,24 +375,49 @@ func idNumber(id string) int {
 	return n
 }
 
-// track registers a queued job in the in-memory table. Callers hold
-// s.mu or are single-threaded startup.
-func (s *Service) track(id string, fj *fleet.Job) *job {
+// resolve validates spec and applies its defaults (fleet.Spec.Resolve),
+// and returns its hash and chunk count: from the index when a tracked
+// job has the spec, and otherwise from a fleet.Job it builds and
+// returns, so the job tracked for the spec can run on it. A warm
+// resubmit thus builds no cohort grid.
+func (s *Service) resolve(spec fleet.Spec) (fleet.Spec, specInfo, *fleet.Job, error) {
+	spec, err := spec.Resolve()
+	if err != nil {
+		return spec, specInfo{}, nil, err
+	}
+	s.mu.Lock()
+	info, ok := s.specs[spec]
+	s.mu.Unlock()
+	if ok {
+		return spec, info, nil, nil
+	}
+	fj, err := fleet.NewJob(spec.Exec(s.cfg.Jobs))
+	if err != nil {
+		return spec, specInfo{}, nil, err
+	}
+	return spec, specInfo{hash: fj.SpecHash(), chunks: fj.NumChunks()}, fj, nil
+}
+
+// track registers a queued job in the in-memory table and indexes its
+// spec. fj is the job resolve built, or nil. Callers hold s.mu or are
+// single-threaded startup.
+func (s *Service) track(id string, spec fleet.Spec, info specInfo, fj *fleet.Job) *job {
 	jctx, jcancel := context.WithCancel(s.ctx)
 	j := &job{
 		id:       id,
-		spec:     fj.Spec(),
-		hash:     fj.SpecHash(),
-		chunks:   fj.NumChunks(),
+		spec:     spec,
+		hash:     info.hash,
+		chunks:   info.chunks,
 		ctx:      jctx,
 		cancel:   jcancel,
 		fjob:     fj,
-		partials: make([]*fleet.ChunkPartial, fj.NumChunks()),
+		partials: make([]*fleet.ChunkPartial, info.chunks),
 		state:    StateQueued,
 		watchers: make(map[int]chan struct{}),
 	}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
+	s.specs[spec] = info
 	return j
 }
 
@@ -395,27 +447,33 @@ func (e badSpec) Unwrap() error { return e.error }
 // time the caller reads the snapshot). A job whose journal write fails
 // is forgotten: it was never durable, so it must not sit queued.
 func (s *Service) Submit(spec fleet.Spec) (JobStatus, error) {
-	fj, err := fleet.NewJob(spec.Exec(s.cfg.Jobs))
+	spec, info, fj, err := s.resolve(spec)
 	if err != nil {
 		return JobStatus{}, badSpec{err}
 	}
-
-	s.mu.Lock()
-	if s.ctx.Err() != nil {
-		s.mu.Unlock()
-		return JobStatus{}, errors.New("fleetsvc: service is shut down")
+	j, err := s.add(spec, info, fj)
+	if err != nil {
+		return JobStatus{}, err
 	}
-	id := fmt.Sprintf("j%06d", s.nextID)
-	s.nextID++
-	j := s.track(id, fj)
-	s.mu.Unlock()
-
 	if err := s.journal(j); err != nil {
 		s.untrack(j)
 		return JobStatus{}, err
 	}
 	s.enqueue(j)
 	return s.status(j), nil
+}
+
+// add tracks a new queued job under the next ID, unless the service is
+// shut down.
+func (s *Service) add(spec fleet.Spec, info specInfo, fj *fleet.Job) (*job, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ctx.Err() != nil {
+		return nil, errors.New("fleetsvc: service is shut down")
+	}
+	id := fmt.Sprintf("j%06d", s.nextID)
+	s.nextID++
+	return s.track(id, spec, info, fj), nil
 }
 
 func (s *Service) enqueue(j *job) {
@@ -435,8 +493,7 @@ func (s *Service) runJob(j *job) {
 	defer s.wg.Done()
 	defer j.notify()
 	if s.haveReports(j.hash) {
-		j.reported()
-		_ = s.journal(j)
+		_ = s.end(j, StateDone, "", true) // a failed write ends it failed
 		return
 	}
 	select {
@@ -447,8 +504,8 @@ func (s *Service) runJob(j *job) {
 		// cancel while queued (Cancel journaled it already).
 		return
 	}
-	fj := j.start()
-	if fj == nil {
+	fj, ok := j.start()
+	if !ok {
 		return // canceled while waiting for the slot
 	}
 	j.notify()
@@ -457,8 +514,15 @@ func (s *Service) runJob(j *job) {
 
 // run folds the chunks the store holds for j, computes the rest with
 // each one checkpointed before j records it, and persists the spec's
-// reports.
+// reports. fj is the job's fleet.Job, or nil when the index resolved
+// its spec: then run builds it here, the one place that needs it.
 func (s *Service) run(j *job, fj *fleet.Job) error {
+	if fj == nil {
+		var err error
+		if fj, err = fleet.NewJob(j.spec.Exec(s.cfg.Jobs)); err != nil {
+			return err
+		}
+	}
 	have, err := s.store.Load(j.ctx, fj)
 	if err != nil {
 		return err
@@ -504,30 +568,61 @@ func (s *Service) writeReports(hash string, res *fleet.Result) error {
 	return writeFileAtomic(s.reportsDir(), reportName(hash, true), js.Bytes(), s.store.seq.Add(1))
 }
 
-// finish ends a job done, or failed with err, and journals it — unless
-// service shutdown interrupted the run, which leaves it resumable, or a
-// cancel did, which Cancel has ended and journaled.
+// finish ends a job done, or failed with err — unless service shutdown
+// interrupted the run, which leaves it resumable, or a cancel did,
+// which Cancel has ended.
 func (s *Service) finish(j *job, err error) {
 	switch {
 	case err == nil:
-		j.end(StateDone, "")
+		_ = s.end(j, StateDone, "", false) // a failed write ends it failed
 	case s.ctx.Err() != nil, j.ctx.Err() != nil:
 		return
 	default:
-		j.end(StateFailed, err.Error())
+		_ = s.end(j, StateFailed, err.Error(), false)
 	}
-	_ = s.journal(j)
 }
 
-// Cancel stops a queued or running job. Terminal jobs are left as they
-// are (canceling a done job is a no-op, not an error).
+// end journals j's terminal state and only then publishes it, so no
+// client sees a job done or canceled that a successor daemon would run
+// again. An already terminal job is left as it is. reported ends a
+// done job with every chunk counted as loaded (job.reported). Ends and
+// journal writes are serialized per job: of a cancel racing a finish,
+// the state published last is the one journaled last.
+//
+// When the write fails, the error is returned and the journal still
+// says queued. A cancel then publishes nothing and the job runs on. Any
+// other end publishes failed with the write error, and a successor
+// re-runs the job.
+func (s *Service) end(j *job, state, errMsg string, reported bool) error {
+	j.journalMu.Lock()
+	defer j.journalMu.Unlock()
+	if j.ended() {
+		return nil
+	}
+	err := s.writeJournal(&jobRecord{ID: j.id, Spec: j.spec, SpecHash: j.hash, State: state, Error: errMsg})
+	switch {
+	case err == nil && reported:
+		j.reported()
+	case err == nil:
+		j.end(state, errMsg)
+	case state == StateFailed:
+		j.end(StateFailed, errMsg+"; "+err.Error())
+	case state != StateCanceled:
+		j.end(StateFailed, err.Error())
+	}
+	return err
+}
+
+// Cancel stops a queued or running job once its canceled record is
+// journaled; a failed write is returned and leaves the job as it was.
+// Terminal jobs are left as they are (canceling a done job is a no-op,
+// not an error).
 func (s *Service) Cancel(id string) (JobStatus, error) {
 	j, ok := s.lookup(id)
 	if !ok {
 		return JobStatus{}, fmt.Errorf("fleetsvc: no job %s", id)
 	}
-	j.end(StateCanceled, "")
-	if err := s.journal(j); err != nil {
+	if err := s.end(j, StateCanceled, "", false); err != nil {
 		return JobStatus{}, err
 	}
 	j.notify()
@@ -684,8 +779,11 @@ func (s *Service) status(j *job) JobStatus {
 	}
 }
 
-// journal persists a job's current record atomically.
+// journal persists a job's current record atomically, serialized with
+// the job's ends.
 func (s *Service) journal(j *job) error {
+	j.journalMu.Lock()
+	defer j.journalMu.Unlock()
 	j.mu.Lock()
 	rec := jobRecord{
 		ID:       j.id,

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -800,5 +801,109 @@ func TestServiceSubmitRejectsBadSpec(t *testing.T) {
 	}
 	if got := len(svc.List()); got != 0 {
 		t.Fatalf("rejected submits left %d jobs in the queue", got)
+	}
+}
+
+// TestServiceResubmitUsesSpecIndex: a spec submitted with its defaults
+// omitted and then written out resolves to one spec and one hash, and
+// the resubmit takes them from the index instead of building a
+// fleet.Job. With the spec's reports deleted, a resubmit builds its job
+// when it runs and serves fleet.Run's bytes again. After a restart a
+// resubmit of the journaled spec ends done with the same hash and
+// bytes.
+func TestServiceResubmitUsesSpecIndex(t *testing.T) {
+	cfg := fleet.Config{N: 40, Seed: 6, Scale: 0.05, ChunkSize: 64}
+	wantCSV, wantJSON := reports(t, cfg)
+	dir := t.TempDir()
+	svc := openService(t, dir, ServiceConfig{Jobs: 1})
+	first, err := svc.Submit(fleet.Spec{N: 40, Seed: 6, Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, svc, first.ID); st.State != StateDone {
+		t.Fatalf("first job: %s (%s)", st.State, st.Error)
+	}
+	written := fleet.Spec{N: 40, Seed: 6, Scale: 0.05, ChunkSize: 64}
+	if _, _, fj, err := svc.resolve(written); err != nil || fj != nil {
+		t.Fatalf("resolving the written-out spec built a fleet.Job (%v) or failed: %v", fj != nil, err)
+	}
+	second, err := svc.Submit(written)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Spec != first.Spec || second.SpecHash != first.SpecHash || second.Spec != written {
+		t.Fatalf("specs %+v (%s) and %+v (%s), want both %+v with one hash",
+			first.Spec, first.SpecHash, second.Spec, second.SpecHash, written)
+	}
+	if st := waitDone(t, svc, second.ID); st.State != StateDone || st.Computed != 0 {
+		t.Fatalf("warm resubmit: %+v", st)
+	}
+	checkReports(t, svc, second.ID, wantCSV, wantJSON)
+
+	for _, asJSON := range []bool{false, true} {
+		if err := os.Remove(filepath.Join(dir, "reports", reportName(first.SpecHash, asJSON))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	third, err := svc.Submit(written)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, svc, third.ID); st.State != StateDone || st.Loaded != st.Chunks {
+		t.Fatalf("resubmit without reports: %+v, want done from the stored chunks", st)
+	}
+	checkReports(t, svc, third.ID, wantCSV, wantJSON)
+	svc.Close()
+
+	svc2 := openService(t, dir, ServiceConfig{Jobs: 1})
+	defer svc2.Close()
+	fourth, err := svc2.Submit(fleet.Spec{N: 40, Seed: 6, Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, svc2, fourth.ID); st.State != StateDone || st.SpecHash != first.SpecHash {
+		t.Fatalf("resubmit after restart: %+v, want done with hash %s", st, first.SpecHash)
+	}
+	checkReports(t, svc2, fourth.ID, wantCSV, wantJSON)
+}
+
+// TestServiceTerminalStateDurableFirst: with the journal directory
+// replaced by a regular file, no terminal record can be written. A
+// cancel of a queued job must then fail and leave it uncanceled, and a
+// job that runs to completion must not claim done: neither may show a
+// terminal state a successor would not find. The run slot is held by
+// the test, so both jobs are queued when the directory breaks.
+func TestServiceTerminalStateDurableFirst(t *testing.T) {
+	dir := t.TempDir()
+	svc := openService(t, dir, ServiceConfig{Jobs: 1, MaxConcurrent: 1})
+	defer svc.Close()
+	svc.sem <- struct{}{} // hold the only run slot
+	ran, err := svc.Submit(fleet.Spec{N: 16, Seed: 7, Scale: 0.02, ChunkSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceled, err := svc.Submit(fleet.Spec{N: 16, Seed: 8, Scale: 0.02, ChunkSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := filepath.Join(dir, "jobs")
+	if err := os.RemoveAll(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(jobs, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Cancel(canceled.ID); err == nil {
+		t.Fatal("cancel succeeded with an unwritable journal")
+	}
+	if st, _ := svc.Status(canceled.ID); st.State != StateQueued {
+		t.Fatalf("job whose cancel failed is %s, want queued", st.State)
+	}
+	<-svc.sem // let the jobs run
+	for _, id := range []string{ran.ID, canceled.ID} {
+		st := waitDone(t, svc, id)
+		if st.State != StateFailed || !strings.Contains(st.Error, "journaling") {
+			t.Fatalf("job %s ended %s (%q), want failed on the journal write", id, st.State, st.Error)
+		}
 	}
 }

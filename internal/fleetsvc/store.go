@@ -312,7 +312,8 @@ func (s *Store) quarantine(path, hash string, ci int, cause error) {
 }
 
 // writeFileAtomic writes name under dir via a unique temp file and
-// rename, so readers only ever observe complete files.
+// rename, so readers only ever observe complete files. It never fsyncs:
+// the store survives the daemon's kill -9, not power loss (DESIGN §9).
 func writeFileAtomic(dir, name string, data []byte, seq int64) error {
 	tmp := filepath.Join(dir, fmt.Sprintf(".tmp-%d-%d-%s", os.Getpid(), seq, name))
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {

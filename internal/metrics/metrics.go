@@ -70,6 +70,9 @@ func (r *Recorder) Reset() {
 	clear(r.reports)
 }
 
+// Empty reports whether the recorder holds no sample and no report.
+func (r *Recorder) Empty() bool { return len(r.samples) == 0 && len(r.reports) == 0 }
+
 // RecordReport notes an event's disposition. Only the first report per
 // event index is kept: BLE retransmissions of the same alert do not
 // improve accuracy, and real sniffers deduplicate too. A reported

@@ -451,6 +451,54 @@ func (a *Array) MatchState(vals []float64, mask uint64) bool {
 	return true
 }
 
+// State is a value copy of an Array's mutable state: the electrical
+// state AppendState captures (bank voltages, base first, then latch
+// voltages) with the switch configuration as a mask, plus the loss
+// accumulators and switch counters. Bank parameters, the switch models
+// and the active-set caches are not in it: the first are fixed at
+// construction and Restore rebuilds the caches from the switches.
+type State struct {
+	Vals             []float64
+	Mask             uint64
+	ShareLoss        units.Energy
+	LeakLoss         units.Energy
+	Reconfigurations int
+	Reverts          int
+}
+
+// Save returns a copy of the array's mutable state.
+func (a *Array) Save() State {
+	vals, mask := a.AppendState(make([]float64, 0, len(a.all)+len(a.switches)))
+	return State{
+		Vals: vals, Mask: mask,
+		ShareLoss: a.ShareLoss, LeakLoss: a.LeakLoss,
+		Reconfigurations: a.Reconfigurations, Reverts: a.Reverts,
+	}
+}
+
+// Restore makes st, saved from an array of the same composition, the
+// array's state. It sets the switch positions and rebuilds the
+// active-set cache as Configure does, but it neither charge-shares nor
+// counts a reconfiguration: st's banks were settled when it was saved,
+// and its counters already hold every reconfiguration that led there.
+func (a *Array) Restore(st *State) {
+	if len(st.Vals) != len(a.all)+len(a.switches) {
+		panic(fmt.Sprintf("reservoir: restoring %d state values into an array of %d banks and %d switches",
+			len(st.Vals), len(a.all), len(a.switches)))
+	}
+	for i, b := range a.all {
+		b.SetVoltage(units.Voltage(st.Vals[i]))
+	}
+	nb := len(a.all)
+	for i, s := range a.switches {
+		s.closed = st.Mask&(1<<uint(i+1)) != 0
+		s.latchV = units.Voltage(st.Vals[nb+i])
+	}
+	a.ShareLoss, a.LeakLoss = st.ShareLoss, st.LeakLoss
+	a.Reconfigurations, a.Reverts = st.Reconfigurations, st.Reverts
+	a.refreshActive()
+}
+
 // States reports each bank's condition for tracing.
 func (a *Array) States() []BankState {
 	out := []BankState{{Name: a.base.Name(), Active: true, Voltage: a.base.Voltage()}}

@@ -154,6 +154,25 @@ type Device struct {
 	pAtOK  bool
 }
 
+// State is a value copy of a Device's own mutable state: the clock and
+// the lifetime counters. The array and the NV store save their own
+// state; the power system holds none beyond a memo of pure solves.
+type State struct {
+	Now   units.Seconds
+	Stats Stats
+}
+
+// Save returns a copy of the device's own mutable state.
+func (d *Device) Save() State { return State{Now: d.now, Stats: d.Stats} }
+
+// Restore sets the device's clock and counters from st. It drops the
+// harvester-sample memo, whose window is anchored at the clock it was
+// filled at.
+func (d *Device) Restore(st *State) {
+	d.now, d.Stats = st.Now, st.Stats
+	d.pAtOK = false
+}
+
 // powerAt returns Sys.Source.PowerAt(t) through the constancy-window
 // memo. With an observer attached the memo is skipped: observer hooks
 // may mutate the source mid-run (chaos injects outage windows at

@@ -196,6 +196,10 @@ func (b *Bank) reduceRatedVoltage() units.Voltage {
 func (b *Bank) Voltage() units.Voltage { return b.voltage }
 
 // SetVoltage forces the stored voltage; it is clamped to [0, rated].
+// A value Voltage returned passes the clamp unchanged, so the pair
+// saves and restores a bank's one mutable quantity exactly
+// (reservoir.Array.Restore relies on this; the leak memo is a pure
+// function of the fixed composition and needs no copy).
 func (b *Bank) SetVoltage(v units.Voltage) {
 	if v < 0 {
 		v = 0

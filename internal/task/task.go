@@ -169,6 +169,13 @@ type Engine struct {
 	// iteration) is skipped entirely.
 	curGen   int
 	curValid bool
+
+	// powered reports whether the device is on between two task
+	// attempts. It lives on the engine, not in a run's locals, so a run
+	// that RunUntil stopped at a mark continues without bringing the
+	// device up again. A power failure, or a power manager that gives
+	// up, clears it.
+	powered bool
 }
 
 // TaskProfile is one task's accumulated execution cost.
@@ -180,6 +187,47 @@ type TaskProfile struct {
 	// energy drawn from storage.
 	Time   units.Seconds
 	Energy units.Energy
+}
+
+// State is a value copy of an Engine's run state: the restart count,
+// every profile entry and whether the device is powered between two
+// attempts. The device saves its own state.
+type State struct {
+	Restarts int
+	Powered  bool
+	Profile  []ProfileEntry
+}
+
+// ProfileEntry is one task's Profile entry in a State.
+type ProfileEntry struct {
+	Task string
+	TaskProfile
+}
+
+// Save returns a copy of the engine's run state.
+func (e *Engine) Save() State {
+	st := State{Restarts: e.Restarts, Powered: e.powered}
+	if len(e.Profile) > 0 {
+		st.Profile = make([]ProfileEntry, 0, len(e.Profile))
+	}
+	// order-independent: Restore puts the entries back into a map.
+	for name, p := range e.Profile {
+		st.Profile = append(st.Profile, ProfileEntry{Task: name, TaskProfile: *p})
+	}
+	return st
+}
+
+// Restore makes st the engine's run state: Profile holds exactly st's
+// entries afterwards. It drops the current-task cache, which keys on
+// the NV store's write counter that a restore of the store rewinds.
+func (e *Engine) Restore(st *State) {
+	e.Restarts, e.powered = st.Restarts, st.Powered
+	clear(e.Profile)
+	for _, p := range st.Profile {
+		tp := p.TaskProfile
+		e.Profile[p.Task] = &tp
+	}
+	e.curT, e.curProf, e.curValid = nil, nil, false
 }
 
 // MeanPower returns the task's average draw across successful runs.
@@ -264,14 +312,28 @@ func (e *Engine) CurrentTask() string {
 // Run executes the program until the simulated clock reaches horizon,
 // the program halts, or the power manager gives up (e.g. the source
 // died for good). It returns an error only for malformed transitions.
+// It continues a run RunUntil stopped.
 func (e *Engine) Run(horizon units.Seconds) error {
+	_, err := e.RunUntil(horizon, horizon)
+	return err
+}
+
+// RunUntil executes the program as Run(deadline) does, and the power
+// manager sees deadline in every Prepare, but it returns once the
+// simulated clock reaches stop between two task attempts. more reports
+// that it stopped there, before deadline, with the program still
+// running. A later RunUntil with the same deadline then continues the
+// run exactly where it stopped: the attempt sequence, and with it every
+// statistic, is the one a single Run(deadline) produces, since stopping
+// changes no deadline and the device stays powered across the calls.
+func (e *Engine) RunUntil(stop, deadline units.Seconds) (more bool, err error) {
 	for {
 		// A segment that is not done ended in a power failure mid-task:
 		// volatile state (the staged writes) is lost, and the next
 		// segment restarts the task from scratch once the power manager
 		// has brought the device back up.
-		if done, err := e.runSegment(horizon); done {
-			return err
+		if done, more, err := e.runSegment(stop, deadline); done {
+			return more, err
 		}
 	}
 }
@@ -281,9 +343,10 @@ func (e *Engine) Run(horizon units.Seconds) error {
 // "internal panic, external error" rule).
 type powerFailure struct{}
 
-// runSegment runs task attempts back to back, starting with the device
-// off, until a power failure ends one (done is false; the failure has
-// been credited) or Run is finished (done is true).
+// runSegment runs task attempts back to back until a power failure
+// ends one (done is false; the failure has been credited) or RunUntil
+// is finished (done is true). more is RunUntil's: the clock reached
+// stop before deadline.
 //
 // A brownout unwinds the task body with a powerFailure panic from the
 // Ctx operation that hit it. One deferred recover per segment, rather
@@ -291,11 +354,9 @@ type powerFailure struct{}
 // self-looping sense task runs about a million attempts per lifecycle
 // and fails a few thousand times. This is sound because nothing
 // between two attempts depends on which attempt ran in which segment:
-// the only local the loop carries across attempts is alive, which a
-// failure sets to false and a new segment starts false, and each
-// attempt otherwise begins from the engine's fields and the device.
-func (e *Engine) runSegment(horizon units.Seconds) (done bool, err error) {
-	alive := false
+// the loop carries no local across attempts, and each attempt begins
+// from the engine's fields (powered among them) and the device.
+func (e *Engine) runSegment(stop, deadline units.Seconds) (done, more bool, err error) {
 	// inBody is set while a task body (the current task's) executes:
 	// only a body's Ctx operations raise powerFailure, so a panic from
 	// anywhere else, such as the power manager or a commit, is not ours.
@@ -308,24 +369,26 @@ func (e *Engine) runSegment(horizon units.Seconds) (done bool, err error) {
 		if _, ok := r.(powerFailure); !ok {
 			panic(r)
 		}
+		e.powered = false
 		e.Restarts++
 		e.profile().Failures++
 	}()
-	for e.Dev.Now() < horizon {
+	for e.Dev.Now() < stop {
 		name := e.CurrentTask()
 		t := e.curT
 		if t == nil || t.Name != name {
 			var ok bool
 			t, ok = e.Prog.Task(name)
 			if !ok {
-				return true, fmt.Errorf("task: transition to undefined task %q", name)
+				return true, false, fmt.Errorf("task: transition to undefined task %q", name)
 			}
 			e.curT, e.curProf = t, nil
 		}
-		if !e.PM.Prepare(t, alive, horizon) {
-			return true, nil // deadline reached while preparing
+		if !e.PM.Prepare(t, e.powered, deadline) {
+			e.powered = false
+			return true, false, nil // deadline reached while preparing
 		}
-		alive = true
+		e.powered = true
 		ctx := newCtx(e, t.Name)
 		timeBefore := e.Dev.Stats.TimeOn
 		energyBefore := e.Dev.Stats.EnergyDrawn
@@ -341,7 +404,7 @@ func (e *Engine) runSegment(horizon units.Seconds) (done bool, err error) {
 		}
 		if next == Halt {
 			e.Dev.NV.Delete(nvCurrentTask)
-			return true, nil
+			return true, false, nil
 		}
 		// Self-transitions need no validation (the running task is by
 		// construction defined) and leave the durable pointer untouched:
@@ -350,12 +413,12 @@ func (e *Engine) runSegment(horizon units.Seconds) (done bool, err error) {
 		// allocations.
 		if string(next) != name {
 			if _, ok := e.Prog.Task(string(next)); !ok {
-				return true, fmt.Errorf("task: %s transitioned to undefined task %q", t.Name, next)
+				return true, false, fmt.Errorf("task: %s transitioned to undefined task %q", t.Name, next)
 			}
 			e.Dev.NV.SetBlob(nvCurrentTask, []byte(next))
 		}
 	}
-	return true, nil
+	return true, e.Dev.Now() < deadline, nil
 }
 
 // Ctx is the execution context a task body runs against. All operations

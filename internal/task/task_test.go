@@ -379,3 +379,53 @@ func TestEngineProfileAccumulates(t *testing.T) {
 		t.Fatalf("profile means not positive: %+v", p)
 	}
 }
+
+// TestRunUntilContinuesExactly: a run stopped at marks by RunUntil and
+// continued must make the attempt sequence of one uninterrupted Run.
+// The device stays powered across the calls, so a continued run boots
+// no more often, and every counter and the clock agree bit for bit.
+func TestRunUntilContinuesExactly(t *testing.T) {
+	build := func() *Engine {
+		n := 0
+		prog := MustProgram("s",
+			&Task{Name: "s", Run: func(c *Ctx) Next {
+				n++
+				c.Compute(20000)
+				c.Sleep(0.01)
+				if n%50 == 0 {
+					brownout(c)
+				}
+				return "s"
+			}},
+		)
+		return newTestEngine(t, 10*units.MilliWatt, prog)
+	}
+	const horizon = 40
+	whole := build()
+	if err := whole.Run(horizon); err != nil {
+		t.Fatal(err)
+	}
+	split := build()
+	for mark := units.Seconds(0.5); mark < 30; mark += 1.7 {
+		more, err := split.RunUntil(mark, horizon)
+		if err != nil || !more {
+			t.Fatalf("RunUntil(%v) = %v, %v; want a run that continues", mark, more, err)
+		}
+		if now := split.Dev.Now(); now < mark {
+			t.Fatalf("RunUntil(%v) stopped at %v", mark, now)
+		}
+	}
+	if more, err := split.RunUntil(horizon, horizon); err != nil || more {
+		t.Fatalf("RunUntil to the deadline = %v, %v; want a finished run", more, err)
+	}
+	if whole.Restarts == 0 || whole.Dev.Stats.Boots < 2 {
+		t.Fatalf("restarts %d boots %d: the run no longer covers power failures", whole.Restarts, whole.Dev.Stats.Boots)
+	}
+	if whole.Dev.Stats != split.Dev.Stats || whole.Dev.Now() != split.Dev.Now() || whole.Restarts != split.Restarts {
+		t.Fatalf("split run ended at %v with %+v and %d restarts, whole run at %v with %+v and %d",
+			split.Dev.Now(), split.Dev.Stats, split.Restarts, whole.Dev.Now(), whole.Dev.Stats, whole.Restarts)
+	}
+	if !reflect.DeepEqual(whole.Profile, split.Profile) {
+		t.Fatalf("profiles differ: split %+v, whole %+v", *split.Profile["s"], *whole.Profile["s"])
+	}
+}
