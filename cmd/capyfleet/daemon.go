@@ -14,9 +14,11 @@ import (
 )
 
 // runServeHTTP runs the persistent fleet daemon until SIGINT/SIGTERM.
-// Everything that matters lives in -store: the job journal, every
-// chunk checkpoint, and finished reports. A kill -9 loses nothing a
-// restart cannot resume.
+// Everything that matters lives in -store: the job journal (one
+// append-only log, jobs/journal.log, that a restart replays after any
+// per-job journal files older daemons left), every chunk checkpoint,
+// and finished reports. A kill -9 loses nothing a restart cannot
+// resume: an append it cut short is dropped on restart.
 func runServeHTTP(o *options) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 
 	"capybara/internal/fleet"
@@ -121,6 +123,62 @@ func FuzzSubmit(f *testing.F) {
 		again, code, err := decode(re)
 		if err != nil || again != spec {
 			t.Fatalf("spec %+v round-tripped to %+v (status %d, %v)", spec, again, code, err)
+		}
+	})
+}
+
+// FuzzJournal throws arbitrary bytes at the journal log parser, the
+// part of startup that reads what a crash left. The invariants: it
+// never panics; the complete part it reports is empty or ends in the
+// log's last newline; appending bytes with no newline to a log it
+// accepts changes neither the records nor the complete length (a torn
+// tail is cut, never read); and every record it accepts encodes to a
+// line that parses back to the same record.
+func FuzzJournal(f *testing.F) {
+	queued := jobRecord{ID: "j000001", Spec: fleet.Spec{N: 16, Seed: 4, Scale: 0.02, ChunkSize: 8},
+		SpecHash: strings.Repeat("5e", hashLen/2), State: StateQueued}
+	done := queued
+	done.State = StateDone
+	failed := queued
+	failed.State, failed.Error = StateFailed, strings.Repeat("no space left on device; ", 1<<10)
+	line := func(rec jobRecord) []byte {
+		b, err := encodeRecord(&rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	one, two := line(queued), append(line(queued), line(done)...)
+	f.Add([]byte{}, []byte{})
+	f.Add(one, []byte(`{"id":"j0000`))
+	f.Add(append(append([]byte(nil), two...), one[:len(one)/2]...), []byte("x"))
+	f.Add(append(append(append([]byte(nil), one...), "{not a record}\n"...), one...), []byte{})
+	f.Add(line(failed), []byte{})
+
+	f.Fuzz(func(t *testing.T, log, tail []byte) {
+		recs, complete, err := parseJournal(log)
+		if complete < 0 || complete > len(log) || (complete > 0 && log[complete-1] != '\n') ||
+			bytes.IndexByte(log[complete:], '\n') >= 0 {
+			t.Fatalf("complete part %d of a %d-byte log is not up to its last newline", complete, len(log))
+		}
+		if err != nil {
+			return
+		}
+		tail = bytes.ReplaceAll(tail, []byte("\n"), nil)
+		torn, tornComplete, err := parseJournal(append(append([]byte(nil), log...), tail...))
+		if err != nil || tornComplete != complete || !reflect.DeepEqual(torn, recs) {
+			t.Fatalf("a torn tail changed the parse: %d records, complete %d (%v); want %d and %d",
+				len(torn), tornComplete, err, len(recs), complete)
+		}
+		for _, rec := range recs {
+			b, err := encodeRecord(&rec)
+			if err != nil {
+				t.Fatalf("accepted record %+v does not encode: %v", rec, err)
+			}
+			again, n, err := parseJournal(b)
+			if err != nil || n != len(b) || len(again) != 1 || again[0] != rec {
+				t.Fatalf("record %+v parsed back as %+v (complete %d of %d, %v)", rec, again, n, len(b), err)
+			}
 		}
 	})
 }

@@ -8,8 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -352,16 +350,10 @@ func TestHTTPStreamVanishedJobEndsTerminal(t *testing.T) {
 // TestHTTPSubmitJournalFailure: a submit whose journal write fails is
 // the server's fault. It answers 5xx and leaves no job behind, where a
 // queued job that can never run used to stay listed. Once the journal
-// directory is back, the next submit runs.
+// is writable again, the next submit runs.
 func TestHTTPSubmitJournalFailure(t *testing.T) {
 	svc, srv := testServer(t, ServiceConfig{})
-	jobs := filepath.Join(svc.store.Dir(), "jobs")
-	if err := os.Remove(jobs); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(jobs, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	restore := breakJournal(t, svc)
 	submit := func() *http.Response {
 		t.Helper()
 		resp, err := srv.Client().Post(srv.URL+"/api/v1/jobs", "application/json",
@@ -381,12 +373,7 @@ func TestHTTPSubmitJournalFailure(t *testing.T) {
 		t.Fatalf("failed submit left jobs %+v", list)
 	}
 
-	if err := os.Remove(jobs); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Mkdir(jobs, 0o755); err != nil {
-		t.Fatal(err)
-	}
+	restore()
 	resp = submit()
 	st := decodeStatus(t, resp.Body)
 	resp.Body.Close()

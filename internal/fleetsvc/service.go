@@ -31,7 +31,7 @@ import (
 
 // ServiceConfig parameterizes a Service. Only Store is required.
 type ServiceConfig struct {
-	// Store holds checkpoints, job journals, and finished reports.
+	// Store holds checkpoints, the job journal, and finished reports.
 	Store *Store
 	// Jobs is each running job's worker parallelism (<= 0 GOMAXPROCS).
 	Jobs int
@@ -87,12 +87,13 @@ type CohortProgress struct {
 }
 
 // jobRecord is the journaled form of a job: everything a successor
-// daemon needs to resume it. The spec hash is recorded for diagnosis
-// but recomputed by the resuming binary — checkpoints and reports are
-// addressed by the recomputed hash, so a binary whose cohort grid
-// drifted recomputes instead of folding stale partials (the same check
-// the shard handshake makes across processes, here across daemon
-// generations).
+// daemon needs to resume it. Each state change appends one to the
+// journal log (writeJournal), and a job's last record wins. The spec
+// hash is recorded for diagnosis but recomputed by the resuming binary
+// — checkpoints and reports are addressed by the recomputed hash, so a
+// binary whose cohort grid drifted recomputes instead of folding stale
+// partials (the same check the shard handshake makes across processes,
+// here across daemon generations).
 type jobRecord struct {
 	ID       string     `json:"id"`
 	Spec     fleet.Spec `json:"spec"`
@@ -234,6 +235,14 @@ type Service struct {
 	// specs indexes every tracked job's resolved spec to what a
 	// fleet.Job fixed for it, so a resubmitted spec skips building one.
 	specs map[fleet.Spec]specInfo
+
+	// logMu serializes appends to the journal log. logLen is the log's
+	// length after its last whole record, and logErr, once set, fails
+	// every later append: see writeJournal.
+	logMu  sync.Mutex
+	log    *os.File
+	logLen int64
+	logErr error
 }
 
 // specInfo is what this binary's fleet.Job fixes for a resolved spec:
@@ -253,6 +262,10 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 2
 	}
+	log, err := os.OpenFile(filepath.Join(cfg.Store.Dir(), "jobs", journalLog), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("fleetsvc: opening the journal: %w", err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
 		cfg:    cfg,
@@ -263,9 +276,10 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		jobs:   make(map[string]*job),
 		nextID: 1,
 		specs:  make(map[fleet.Spec]specInfo),
+		log:    log,
 	}
 	if err := s.recover(); err != nil {
-		cancel()
+		s.Close()
 		return nil, err
 	}
 	return s, nil
@@ -274,17 +288,18 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 // Close stops the service: running jobs are interrupted mid-chunk and
 // left journaled as queued, exactly like a crash, so a successor
 // resumes them from their completed chunks. Blocks until every job
-// goroutine has unwound.
+// goroutine has unwound, then closes the journal log.
 func (s *Service) Close() {
 	s.cancel()
 	s.wg.Wait()
+	s.logMu.Lock()
+	// Every append already returned its write's error, and nothing is
+	// buffered, so closing has nothing left to report.
+	_ = s.log.Close()
+	s.logMu.Unlock()
 }
 
 func (s *Service) jobsDir() string { return filepath.Join(s.store.Dir(), "jobs") }
-
-func (s *Service) journalPath(id string) string {
-	return filepath.Join(s.jobsDir(), id+".json")
-}
 
 func (s *Service) reportsDir() string { return filepath.Join(s.store.Dir(), "reports") }
 
@@ -307,44 +322,50 @@ func (s *Service) haveReports(hash string) bool {
 	return true
 }
 
-// recover loads the journal and re-enqueues unfinished jobs in ID order
-// (IDs are monotonic, so this is submission order).
+// recover replays the journal and re-enqueues unfinished jobs in ID
+// order (IDs are monotonic, so this is submission order). The journal
+// is the per-job files older binaries wrote, then the log; for each job
+// the last record wins. The log's torn tail, if a kill left one, is cut
+// off before anything is appended.
 func (s *Service) recover() error {
-	ents, err := os.ReadDir(s.jobsDir())
+	recs, err := s.readLegacyJournals()
 	if err != nil {
-		return fmt.Errorf("fleetsvc: scanning jobs: %w", err)
+		return err
 	}
-	var ids []string
-	for _, e := range ents {
-		// Not journals: a temp file an interrupted write left behind,
-		// and the per-job reports older binaries wrote here.
-		name := e.Name()
-		if e.IsDir() || strings.HasPrefix(name, ".tmp-") || !strings.HasSuffix(name, ".json") || strings.Contains(name, ".report.") {
-			continue
+	path := filepath.Join(s.jobsDir(), journalLog)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("fleetsvc: reading the journal: %w", err)
+	}
+	logRecs, complete, err := parseJournal(data)
+	if err != nil {
+		return fmt.Errorf("fleetsvc: %s: %w", path, err)
+	}
+	if complete < len(data) {
+		if err := s.log.Truncate(int64(complete)); err != nil {
+			return fmt.Errorf("fleetsvc: cutting the journal's torn tail: %w", err)
 		}
-		ids = append(ids, strings.TrimSuffix(name, ".json"))
+	}
+	s.logLen = int64(complete)
+	for _, rec := range logRecs {
+		recs[rec.ID] = rec
+	}
+
+	ids := make([]string, 0, len(recs))
+	// order-independent: the IDs are sorted before any is used.
+	for id := range recs {
+		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		data, err := os.ReadFile(s.journalPath(id))
-		if err != nil {
-			return fmt.Errorf("fleetsvc: reading journal %s: %w", id, err)
-		}
-		var rec jobRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
-			return fmt.Errorf("fleetsvc: journal %s: %w", id, err)
-		}
+		rec := recs[id]
 		if n := idNumber(id); n >= s.nextID {
 			s.nextID = n + 1
 		}
 		spec, info, fj, err := s.resolve(rec.Spec)
 		if err != nil {
-			// A journaled spec this binary rejects: mark it failed, keep
-			// the record for inspection, don't poison startup.
-			rec.State = StateFailed
-			rec.Error = err.Error()
-			if werr := s.writeJournal(&rec); werr != nil {
-				return werr
+			if err := s.reject(rec, err); err != nil {
+				return err
 			}
 			continue
 		}
@@ -365,6 +386,53 @@ func (s *Service) recover() error {
 		}
 	}
 	return nil
+}
+
+// reject tracks a journaled job whose spec this binary rejects as
+// failed, with the rejection as its error: startup goes on, and the job
+// stays listed for inspection. Its spec is not indexed, and its failed
+// record is journaled only if its last record is not that one already,
+// so a restart appends nothing.
+func (s *Service) reject(rec jobRecord, cause error) error {
+	failed := rec
+	failed.State, failed.Error = StateFailed, cause.Error()
+	if rec != failed {
+		if err := s.writeJournal(&failed); err != nil {
+			return err
+		}
+	}
+	s.register(rec.ID, rec.Spec, specInfo{hash: rec.SpecHash}, nil).end(StateFailed, failed.Error)
+	return nil
+}
+
+// readLegacyJournals reads the per-job journal files older binaries
+// wrote, jobs/<id>.json, by job ID. They are read and never written.
+func (s *Service) readLegacyJournals() (map[string]jobRecord, error) {
+	ents, err := os.ReadDir(s.jobsDir())
+	if err != nil {
+		return nil, fmt.Errorf("fleetsvc: scanning jobs: %w", err)
+	}
+	recs := make(map[string]jobRecord)
+	for _, e := range ents {
+		// Not journals: a temp file an interrupted write left behind,
+		// and the per-job reports older binaries wrote here.
+		name := e.Name()
+		if e.IsDir() || strings.HasPrefix(name, ".tmp-") || !strings.HasSuffix(name, ".json") || strings.Contains(name, ".report.") {
+			continue
+		}
+		id := strings.TrimSuffix(name, ".json")
+		data, err := os.ReadFile(filepath.Join(s.jobsDir(), name))
+		if err != nil {
+			return nil, fmt.Errorf("fleetsvc: reading journal %s: %w", id, err)
+		}
+		var rec jobRecord
+		if err := json.Unmarshal(data, &rec); err != nil {
+			return nil, fmt.Errorf("fleetsvc: journal %s: %w", id, err)
+		}
+		rec.ID = id // the file name names the job, as it always has
+		recs[id] = rec
+	}
+	return recs, nil
 }
 
 func idNumber(id string) int {
@@ -402,6 +470,13 @@ func (s *Service) resolve(spec fleet.Spec) (fleet.Spec, specInfo, *fleet.Job, er
 // spec. fj is the job resolve built, or nil. Callers hold s.mu or are
 // single-threaded startup.
 func (s *Service) track(id string, spec fleet.Spec, info specInfo, fj *fleet.Job) *job {
+	j := s.register(id, spec, info, fj)
+	s.specs[spec] = info
+	return j
+}
+
+// register is track without indexing the spec.
+func (s *Service) register(id string, spec fleet.Spec, info specInfo, fj *fleet.Job) *job {
 	jctx, jcancel := context.WithCancel(s.ctx)
 	j := &job{
 		id:       id,
@@ -417,7 +492,6 @@ func (s *Service) track(id string, spec fleet.Spec, info specInfo, fj *fleet.Job
 	}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
-	s.specs[spec] = info
 	return j
 }
 
@@ -779,8 +853,8 @@ func (s *Service) status(j *job) JobStatus {
 	}
 }
 
-// journal persists a job's current record atomically, serialized with
-// the job's ends.
+// journal appends a job's current record to the journal, serialized
+// with the job's ends.
 func (s *Service) journal(j *job) error {
 	j.journalMu.Lock()
 	defer j.journalMu.Unlock()
@@ -796,14 +870,67 @@ func (s *Service) journal(j *job) error {
 	return s.writeJournal(&rec)
 }
 
+// writeJournal appends rec to the journal log as one line, in one
+// Write. A failed write (a full disk, a file-size limit, an I/O error)
+// may have written part of the line; if it did, the log is cut back to
+// its length before the write, so no record is ever glued onto a torn
+// one. If even that fails, every later append fails too, until a
+// restart cuts the torn tail off.
 func (s *Service) writeJournal(rec *jobRecord) error {
-	data, err := json.MarshalIndent(rec, "", "  ")
+	line, err := encodeRecord(rec)
 	if err != nil {
 		return fmt.Errorf("fleetsvc: journaling %s: %w", rec.ID, err)
 	}
-	data = append(data, '\n')
-	if err := writeFileAtomic(s.jobsDir(), rec.ID+".json", data, s.store.seq.Add(1)); err != nil {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	if s.logErr != nil {
+		return fmt.Errorf("fleetsvc: journaling %s: %w", rec.ID, s.logErr)
+	}
+	n, err := s.log.Write(line)
+	if err != nil {
+		if n > 0 {
+			if terr := s.log.Truncate(s.logLen); terr != nil {
+				s.logErr = fmt.Errorf("journal log torn by a failed append (%v) and not cut back: %w", err, terr)
+			}
+		}
 		return fmt.Errorf("fleetsvc: journaling %s: %w", rec.ID, err)
 	}
+	s.logLen += int64(n)
 	return nil
+}
+
+// journalLog is the journal's file in jobs/. Its name does not end in
+// .json, which would make it a legacy per-job journal.
+const journalLog = "journal.log"
+
+// encodeRecord renders rec as one journal line: compact JSON, which
+// escapes every newline in a string, and a newline.
+func encodeRecord(rec *jobRecord) ([]byte, error) {
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return nil, err
+	}
+	return append(line, '\n'), nil
+}
+
+// parseJournal splits a journal log into its records, in order, and the
+// length of its complete part: everything up to its last newline. The
+// bytes after that are the torn tail of a kill inside an append. A
+// complete line that is not a record with a job ID is corruption, not a
+// torn write: the error names its byte offset.
+func parseJournal(data []byte) (recs []jobRecord, complete int, err error) {
+	complete = bytes.LastIndexByte(data, '\n') + 1
+	for off := 0; off < complete; {
+		end := off + bytes.IndexByte(data[off:], '\n')
+		var rec jobRecord
+		if err := json.Unmarshal(data[off:end], &rec); err != nil {
+			return nil, complete, fmt.Errorf("record at byte %d: %w", off, err)
+		}
+		if rec.ID == "" {
+			return nil, complete, fmt.Errorf("record at byte %d has no job ID", off)
+		}
+		recs = append(recs, rec)
+		off = end + 1
+	}
+	return recs, complete, nil
 }

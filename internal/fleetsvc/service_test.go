@@ -118,18 +118,51 @@ func waitStatus(t *testing.T, svc *Service, id string, what string, pred func(Jo
 	}
 }
 
-// journalState reads the state job id's journal file records.
-func journalState(t *testing.T, dir, id string) string {
+// logRecords reads dir's journal log record by record, failing unless
+// every line is a whole record: no torn tail, no corrupt line.
+func logRecords(t *testing.T, dir string) []jobRecord {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(dir, "jobs", id+".json"))
+	data, err := os.ReadFile(filepath.Join(dir, "jobs", journalLog))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec jobRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatal(err)
+	return decodeLines(t, data)
+}
+
+// decodeLines decodes each newline-terminated line of data as a record.
+func decodeLines(t *testing.T, data []byte) []jobRecord {
+	t.Helper()
+	if len(data) > 0 && data[len(data)-1] != '\n' {
+		t.Fatalf("journal log ends in a torn line %q", data[bytes.LastIndexByte(data, '\n')+1:])
 	}
-	return rec.State
+	var recs []jobRecord
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		var rec jobRecord
+		if err := json.Unmarshal(line, &rec); err != nil || rec.ID == "" {
+			t.Fatalf("journal line %q is not a record (%v)", line, err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// journalState reads the state of job id's last record in the journal
+// log.
+func journalState(t *testing.T, dir, id string) string {
+	t.Helper()
+	state := ""
+	for _, rec := range logRecords(t, dir) {
+		if rec.ID == id {
+			state = rec.State
+		}
+	}
+	if state == "" {
+		t.Fatalf("journal holds no record of job %s", id)
+	}
+	return state
 }
 
 func waitDone(t *testing.T, svc *Service, id string) JobStatus {
@@ -380,10 +413,12 @@ func storeFiles(t *testing.T, dir string) map[string]os.FileInfo {
 }
 
 // TestServiceWarmFootprint: a job whose spec is already done writes
-// only its own journal. Its chunks and reports are on disk, so it adds
-// no checkpoint and no report file and rewrites no other file, and it
-// serves the first job's reports. Each snapshot follows a Close, which
-// waits for the job's last write, the terminal journal record.
+// only its own two journal records. Its chunks and reports are on disk,
+// so it adds no file, and every file but the journal log keeps its
+// name, size, mtime and inode; the log grows by exactly the new job's
+// queued and done records. It serves the first job's reports. Each
+// snapshot follows a Close, which waits for the job's last write, the
+// terminal journal record.
 func TestServiceWarmFootprint(t *testing.T) {
 	spec := fleet.Spec{N: 48, Seed: 5, Scale: 0.05, ChunkSize: 8}
 	dir := t.TempDir()
@@ -397,6 +432,11 @@ func TestServiceWarmFootprint(t *testing.T) {
 	}
 	svc.Close()
 	before := storeFiles(t, dir)
+	logPath := filepath.Join(dir, "jobs", journalLog)
+	logBefore, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	svc = openService(t, dir, ServiceConfig{})
 	second, err := svc.Submit(spec)
@@ -409,11 +449,21 @@ func TestServiceWarmFootprint(t *testing.T) {
 	svc.Close()
 	after := storeFiles(t, dir)
 
-	journal := filepath.Join("jobs", second.ID+".json")
-	if _, ok := after[journal]; !ok {
-		t.Fatalf("second job left no journal %s", journal)
+	logAfter, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	delete(after, journal)
+	if !bytes.HasPrefix(logAfter, logBefore) {
+		t.Fatal("second job rewrote the journal log instead of appending to it")
+	}
+	added := decodeLines(t, logAfter[len(logBefore):])
+	if len(added) != 2 || added[0].ID != second.ID || added[0].State != StateQueued ||
+		added[1].ID != second.ID || added[1].State != StateDone {
+		t.Fatalf("second job appended %+v, want its queued and done records", added)
+	}
+	logName := filepath.Join("jobs", journalLog)
+	delete(before, logName)
+	delete(after, logName)
 	for name := range after {
 		if _, ok := before[name]; !ok {
 			t.Errorf("second job added %s", name)
@@ -667,9 +717,10 @@ func TestServiceWarmJobReadsNoPartials(t *testing.T) {
 	}
 }
 
-// TestServiceRecoverSkipsTempFiles: a kill -9 inside a journal write
-// leaves a temp file beside the journals. Torn or complete, it is not a
-// job: the successor starts and lists only the real one.
+// TestServiceRecoverSkipsTempFiles: a kill -9 inside an older binary's
+// journal write left a temp file beside its per-job journals. Torn or
+// complete, it is not a job: the successor starts and lists only the
+// real one.
 func TestServiceRecoverSkipsTempFiles(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -685,10 +736,11 @@ func TestServiceRecoverSkipsTempFiles(t *testing.T) {
 			waitDone(t, svc, st.ID)
 			svc.Close()
 
-			journal, err := os.ReadFile(filepath.Join(dir, "jobs", st.ID+".json"))
+			journal, err := json.MarshalIndent(jobRecord{ID: st.ID, Spec: st.Spec, SpecHash: st.SpecHash, State: StateDone}, "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}
+			journal = append(journal, '\n')
 			if tc.torn {
 				journal = journal[:len(journal)/2]
 			}
@@ -867,12 +919,35 @@ func TestServiceResubmitUsesSpecIndex(t *testing.T) {
 	checkReports(t, svc2, fourth.ID, wantCSV, wantJSON)
 }
 
-// TestServiceTerminalStateDurableFirst: with the journal directory
-// replaced by a regular file, no terminal record can be written. A
-// cancel of a queued job must then fail and leave it uncanceled, and a
-// job that runs to completion must not claim done: neither may show a
-// terminal state a successor would not find. The run slot is held by
-// the test, so both jobs are queued when the directory breaks.
+// breakJournal swaps svc's journal log handle for a read-only handle of
+// the same file, so every append fails with a real write error while
+// every other file operation works. (The service keeps the log open,
+// so replacing jobs/ no longer breaks it.) restore puts the writable
+// handle back.
+func breakJournal(t *testing.T, svc *Service) (restore func()) {
+	t.Helper()
+	ro, err := os.Open(filepath.Join(svc.store.Dir(), "jobs", journalLog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.logMu.Lock()
+	rw := svc.log
+	svc.log = ro
+	svc.logMu.Unlock()
+	return func() {
+		svc.logMu.Lock()
+		svc.log = rw
+		svc.logMu.Unlock()
+		ro.Close()
+	}
+}
+
+// TestServiceTerminalStateDurableFirst: with every journal append
+// failing, no terminal record can be written. A cancel of a queued job
+// must then fail and leave it uncanceled, and a job that runs to
+// completion must not claim done: neither may show a terminal state a
+// successor would not find. The run slot is held by the test, so both
+// jobs are queued when the journal breaks.
 func TestServiceTerminalStateDurableFirst(t *testing.T) {
 	dir := t.TempDir()
 	svc := openService(t, dir, ServiceConfig{Jobs: 1, MaxConcurrent: 1})
@@ -886,13 +961,7 @@ func TestServiceTerminalStateDurableFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := filepath.Join(dir, "jobs")
-	if err := os.RemoveAll(jobs); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(jobs, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	defer breakJournal(t, svc)() // restored before the deferred Close
 	if _, err := svc.Cancel(canceled.ID); err == nil {
 		t.Fatal("cancel succeeded with an unwritable journal")
 	}

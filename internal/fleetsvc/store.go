@@ -48,7 +48,8 @@ import (
 //
 //	partials/<spechash>/<chunk index, 8 digits>.cp   checkpointed partials
 //	quarantine/<unique name>.bad                     corrupt entries, moved aside
-//	jobs/<id>.json                                   service job journal (service.go)
+//	jobs/journal.log                                 service job journal, one JSON record per line (service.go)
+//	jobs/<id>.json                                   per-job journals of older binaries, read and never written
 //	reports/<spechash>.{csv,json}                    finished reports, one per spec (service.go)
 //
 // Entry format (entryHeaderLen bytes, then the gob payload):
@@ -312,16 +313,18 @@ func (s *Store) quarantine(path, hash string, ci int, cause error) {
 }
 
 // writeFileAtomic writes name under dir via a unique temp file and
-// rename, so readers only ever observe complete files. It never fsyncs:
-// the store survives the daemon's kill -9, not power loss (DESIGN §9).
+// rename, so readers only ever observe complete files. A failed write or
+// rename removes the temp file: nothing reads or collects it later. It
+// never fsyncs: the store survives the daemon's kill -9, not power loss
+// (DESIGN §9).
 func writeFileAtomic(dir, name string, data []byte, seq int64) error {
 	tmp := filepath.Join(dir, fmt.Sprintf(".tmp-%d-%d-%s", os.Getpid(), seq, name))
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
+	err := os.WriteFile(tmp, data, 0o644)
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, name))
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
+	if err != nil {
 		os.Remove(tmp)
-		return err
 	}
-	return nil
+	return err
 }

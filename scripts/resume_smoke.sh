@@ -4,9 +4,12 @@
 # submits a job, kill -9s the daemon after checkpoints appear, restarts
 # it over the same store, waits for the resumed job, and diffs the
 # served report against the single-process reference — byte-identical,
-# with the resume visibly reloading checkpointed chunks. Then it submits
-# the same spec again to the restarted daemon: that warm job must
-# compute no chunk and serve the same bytes.
+# with the resume visibly reloading checkpointed chunks. Before the
+# restart it tears the job journal the way a kill inside an append
+# would, with half a record line and no newline; the restarted daemon
+# must cut it off. Then it submits the same spec again to the restarted
+# daemon: that warm job must compute no chunk and serve the same bytes,
+# and every line of the journal must be a whole record.
 set -euo pipefail
 
 N=${N:-192}
@@ -74,6 +77,14 @@ kill -9 "$DAEMON_PID"
 while kill -0 "$DAEMON_PID" 2>/dev/null; do sleep 0.05; done
 DAEMON_PID=
 
+# A kill inside a journal append leaves part of a record line with no
+# newline at the end of the log.
+JOURNAL="$STORE/jobs/journal.log"
+RECORD=$(head -n 1 "$JOURNAL")
+[[ -n "$RECORD" ]] || fail "the journal holds no record of $JOB"
+printf '%s' "${RECORD:0:${#RECORD}/2}" >>"$JOURNAL"
+echo "fleet-resume-smoke: tore the journal with half a record line"
+
 echo "fleet-resume-smoke: daemon generation 2 (same store)"
 "$TMP/capyfleet" -serve-http 127.0.0.1:0 -store "$STORE" -jobs 1 2>"$TMP/daemon2.log" &
 DAEMON_PID=$!
@@ -105,8 +116,16 @@ COMPUTED=$(sed -n 's/.*done: [0-9]* chunks ([0-9]* loaded, \([0-9]*\) computed).
 [[ -n "$COMPUTED" ]] || fail "warm wait summary line missing from client output"
 [[ "$COMPUTED" -eq 0 ]] || fail "warm job $WARM computed $COMPUTED chunks, want 0"
 
+# The torn tail is gone: every line of the journal is one whole record,
+# and the log ends in a newline. A record appended after a torn tail
+# that was not cut would share its line, which the pattern rejects.
+RECORD_RE='^\{"id":"j[0-9]+","spec":\{[^{}]*\},"spec_hash":"[0-9a-f]{64}","state":"(queued|done)"\}$'
+BAD=$(grep -Evc "$RECORD_RE" "$JOURNAL" || true)
+[[ "$BAD" -eq 0 ]] || fail "$BAD journal lines are not whole records: $(grep -Ev "$RECORD_RE" "$JOURNAL")"
+[[ -z "$(tail -c 1 "$JOURNAL")" ]] || fail "the journal ends in a torn line"
+
 kill "$DAEMON_PID" 2>/dev/null || true
 while kill -0 "$DAEMON_PID" 2>/dev/null; do sleep 0.05; done
 DAEMON_PID=
 
-echo "fleet-resume-smoke: OK — report byte-identical after kill -9, $LOADED chunks resumed from checkpoints; warm resubmission computed 0"
+echo "fleet-resume-smoke: OK — report byte-identical after kill -9 and a torn journal, $LOADED chunks resumed from checkpoints; warm resubmission computed 0"
