@@ -90,11 +90,13 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSubmit -fuzztime=5s -fuzzminimizetime=0 ./internal/fleetsvc
 	$(GO) test -run='^$$' -fuzz=FuzzJournal -fuzztime=5s -fuzzminimizetime=0 ./internal/fleetsvc
 
-# Distributed-path smoke: launch a loopback coordinator plus two
-# worker processes (real capyfleet binaries, not in-process goroutines)
-# and diff the sharded report against the single-process report. The
-# reports must be byte-identical — the in-repo determinism contract
-# extends across process boundaries.
+# Distributed-path smoke: a loopback daemon that computes nothing
+# itself (-jobs 0) and two remote worker processes (real capyfleet
+# binaries, not in-process goroutines); the daemon is killed with -9
+# mid-job and restarted on the same store while the workers keep
+# running. The report must be byte-identical to the single-process
+# report, with the chunks the workers finished before the kill
+# reloaded, and the workers must exit 0 on SIGTERM.
 fleet-shard-smoke:
 	bash scripts/shard_smoke.sh
 

@@ -10,18 +10,19 @@ package capybara
 import (
 	"context"
 	"fmt"
-	"net"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"capybara/internal/apps"
 	"capybara/internal/core"
 	"capybara/internal/env"
 	"capybara/internal/experiments"
 	"capybara/internal/fleet"
+	"capybara/internal/fleetsvc"
 	"capybara/internal/runner"
-	"capybara/internal/shard"
 )
 
 // BenchmarkFigure2 regenerates the fixed-capacity trade-off traces.
@@ -41,7 +42,10 @@ func BenchmarkFigure2(b *testing.B) {
 func BenchmarkFigure3(b *testing.B) {
 	var last float64
 	for i := 0; i < b.N; i++ {
-		points := experiments.Figure3()
+		points, err := experiments.Figure3Parallel(context.Background(), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
 		last = points[len(points)-1].Mops
 	}
 	b.ReportMetric(last, "Mops@20mF")
@@ -51,14 +55,18 @@ func BenchmarkFigure3(b *testing.B) {
 func BenchmarkFigure4(b *testing.B) {
 	var n int
 	for i := 0; i < b.N; i++ {
-		n = len(experiments.Figure4())
+		points, err := experiments.Figure4Parallel(context.Background(), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n = len(points)
 	}
 	b.ReportMetric(float64(n), "sweep-points")
 }
 
 func matrix(b *testing.B) *experiments.Matrix {
 	b.Helper()
-	m, err := experiments.RunMatrix(experiments.DefaultSeed)
+	m, err := experiments.RunMatrixParallel(context.Background(), experiments.DefaultSeed, 1, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -128,7 +136,7 @@ func BenchmarkFigure9(b *testing.B) {
 func BenchmarkFigure10TempAlarm(b *testing.B) {
 	var pts int
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.Figure10(experiments.TASensitivity())
+		points, err := experiments.Figure10Ctx(context.Background(), experiments.TASensitivity())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,7 +150,7 @@ func BenchmarkFigure10TempAlarm(b *testing.B) {
 func BenchmarkFigure10Gesture(b *testing.B) {
 	var pts int
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.Figure10(experiments.GRCSensitivity())
+		points, err := experiments.Figure10Ctx(context.Background(), experiments.GRCSensitivity())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -290,51 +298,63 @@ func BenchmarkFleet(b *testing.B) {
 	b.ReportMetric(res.DevicesSec, "devices/sec")
 }
 
-// BenchmarkFleetSharded runs the BenchmarkFleet workload through the
-// distributed path: a loopback TCP coordinator leasing chunks to two
-// in-process workers (internal/shard). The report is byte-identical to
-// BenchmarkFleet's; the delta versus BenchmarkFleet is the protocol's
-// whole overhead — framing, gob encode/decode of per-chunk partials,
-// and lease bookkeeping — which stays in the low percents because a
-// chunk's simulation time dwarfs its ~10 KB partial. On a multi-core
-// machine the two workers' chunks genuinely overlap, so devices/sec
-// scales with cores exactly as the in-process pool does; across real
-// machines it scales past a single host's core count.
-func BenchmarkFleetSharded(b *testing.B) {
-	var res *fleet.Result
+// BenchmarkFleetRemote runs the BenchmarkFleet workload through the
+// distributed path: an in-process daemon that computes nothing itself
+// (Jobs 0) on a temp store, and two remote workers (fleetsvc.Work, each
+// at GOMAXPROCS) leasing its chunks over loopback HTTP. devices/sec
+// runs from submit to done. The report is byte-identical to
+// BenchmarkFleet's; the gap to BenchmarkFleet is the path's whole
+// overhead: lease round trips, the store entry each chunk travels as,
+// its checkpoint, and the final fold.
+func BenchmarkFleetRemote(b *testing.B) {
+	cfg := fleetBenchConfig()
+	spec := fleet.Spec{N: cfg.N, Seed: cfg.Seed, Scale: cfg.Scale, ChunkSize: cfg.ChunkSize}
+	var devicesSec float64
 	for i := 0; i < b.N; i++ {
-		job, err := fleet.NewJob(fleetBenchConfig())
+		store, err := fleetsvc.Open(b.TempDir())
 		if err != nil {
 			b.Fatal(err)
 		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		svc, err := fleetsvc.NewService(fleetsvc.ServiceConfig{Store: store, Jobs: 0})
 		if err != nil {
 			b.Fatal(err)
 		}
-		addr := ln.Addr().String()
+		srv := httptest.NewServer(svc.Handler())
+		ctx, stop := context.WithCancel(context.Background())
 		var wg sync.WaitGroup
 		workerErrs := make([]error, 2)
 		for w := range workerErrs {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				workerErrs[w] = shard.Work(context.Background(), addr, 0, shard.WorkerOptions{})
+				workerErrs[w] = fleetsvc.Work(ctx, srv.URL, runtime.GOMAXPROCS(0))
 			}(w)
 		}
-		r, err := shard.Serve(context.Background(), ln, job, nil, nil, shard.Options{})
+		start := time.Now()
+		st, err := svc.Submit(spec)
 		if err != nil {
 			b.Fatal(err)
 		}
+		changed, unwatch, _ := svc.Watch(st.ID)
+		for st, _ = svc.Status(st.ID); st.State != fleetsvc.StateDone; st, _ = svc.Status(st.ID) {
+			if st.State == fleetsvc.StateFailed || st.State == fleetsvc.StateCanceled {
+				b.Fatalf("job %s: %s", st.State, st.Error)
+			}
+			<-changed
+		}
+		devicesSec = float64(spec.N) / time.Since(start).Seconds()
+		unwatch()
+		stop()
 		wg.Wait()
+		srv.Close()
+		svc.Close()
 		for w, err := range workerErrs {
 			if err != nil {
 				b.Fatalf("worker %d: %v", w, err)
 			}
 		}
-		res = r
 	}
-	b.ReportMetric(res.DevicesSec, "devices/sec")
-	b.ReportMetric(float64(res.Workers), "shard-workers")
+	b.ReportMetric(devicesSec, "devices/sec")
 }
 
 // BenchmarkMultiSeed aggregates Fig. 8 accuracy across 3 independent
@@ -342,8 +362,8 @@ func BenchmarkFleetSharded(b *testing.B) {
 func BenchmarkMultiSeed(b *testing.B) {
 	var spread float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.MultiSeed("TempAlarm",
-			[]core.Variant{core.Fixed, core.CapyP}, experiments.DefaultSeeds(3), 1.0)
+		rows, err := experiments.MultiSeedParallel(context.Background(), "TempAlarm",
+			[]core.Variant{core.Fixed, core.CapyP}, experiments.DefaultSeeds(3), 1.0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -7,30 +7,27 @@
 //	capyfleet -n 10000 [-seed S] [-jobs N] [-scale F] [-json] [-o FILE]
 //	          [-cpuprofile F] [-memprofile F]
 //
-// Sharded (multi-process) mode splits one run across machines:
-//
-//	capyfleet -serve :9009 -n 1000000          # coordinator: leases chunks, folds the report
-//	capyfleet -connect host:9009 [-jobs N]     # worker: runs leased chunks, streams partials
-//
 // Daemon (fleet-as-a-service) mode runs a persistent job server whose
-// queue and chunk checkpoints survive a kill -9:
+// queue and chunk checkpoints survive a kill -9, and remote workers
+// spread its jobs across machines:
 //
-//	capyfleet -serve-http :9191 -store DIR [-max-jobs N]   # persistent daemon
-//	capyfleet -http URL -submit -n 10000 [-seed S]         # queue a job, print its ID
-//	capyfleet -http URL -wait ID [-o FILE]                 # block until done, fetch the report
-//	capyfleet -http URL -status ID                         # one status snapshot
-//	capyfleet -http URL -cancel ID                         # cancel a queued/running job
+//	capyfleet -serve-http :9191 -store DIR [-max-jobs N] [-jobs N]   # persistent daemon; -jobs 0 computes nothing itself
+//	capyfleet -connect URL [-jobs N]                                 # remote worker: leases the daemon's chunks
+//	capyfleet -http URL -submit -n 10000 [-seed S]                   # queue a job, print its ID
+//	capyfleet -http URL -wait ID [-o FILE]                           # block until done, fetch the report
+//	capyfleet -http URL -status ID                                   # one status snapshot
+//	capyfleet -http URL -cancel ID                                   # cancel a queued/running job
 //
-// -store also applies to the one-shot and -serve modes: completed
-// chunks are checkpointed there and reloaded on a rerun, so an
-// interrupted run resumes instead of starting over, and identical specs
-// share work across runs.
+// -store also applies to the one-shot mode: completed chunks are
+// checkpointed there and reloaded on a rerun, so an interrupted run
+// resumes instead of starting over, and identical specs share work
+// across runs.
 //
 // The report (CSV by default, -json for JSON) is a pure function of
 // (-n, -seed, -scale, -chunk): it is byte-identical at any -jobs — and
-// in sharded or daemon mode at any worker count, topology, failure
-// schedule, or crash/resume history. Throughput and lease diagnostics
-// go to stderr — they depend on scheduling and wall clock, so they are
+// in daemon mode at any mix of local and remote workers, failure
+// schedule, or crash/resume history. Throughput diagnostics go to
+// stderr — they depend on scheduling and wall clock, so they are
 // deliberately not part of the report.
 package main
 
@@ -39,15 +36,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"os"
+	"os/signal"
 	"runtime"
-	"time"
+	"syscall"
 
 	"capybara/internal/fleet"
 	"capybara/internal/fleetsvc"
 	"capybara/internal/prof"
-	"capybara/internal/shard"
 )
 
 // options is the parsed and validated command line.
@@ -60,11 +56,7 @@ type options struct {
 	asJSON bool
 	out    string
 
-	serveAddr    string
-	connectAddr  string
-	leaseTimeout time.Duration
-	leaseRetries int
-	dialRetry    time.Duration
+	connectURL string
 
 	serveHTTPAddr string
 	storeDir      string
@@ -98,15 +90,18 @@ func (o *options) clientActions() int {
 // instead of panicking or silently misbehaving deep in the run.
 func (o *options) validate() error {
 	modes := 0
-	for _, m := range []string{o.serveAddr, o.connectAddr, o.serveHTTPAddr, o.httpURL} {
+	for _, m := range []string{o.connectURL, o.serveHTTPAddr, o.httpURL} {
 		if m != "" {
 			modes++
 		}
 	}
 	if modes > 1 {
-		return fmt.Errorf("-serve, -connect, -serve-http, and -http are mutually exclusive")
+		return fmt.Errorf("-connect, -serve-http, and -http are mutually exclusive")
 	}
-	if o.jobs < 1 {
+	if o.serveHTTPAddr != "" && o.jobs < 0 {
+		return fmt.Errorf("-jobs must be >= 0 for -serve-http, got %d", o.jobs)
+	}
+	if o.serveHTTPAddr == "" && o.jobs < 1 {
 		return fmt.Errorf("-jobs must be >= 1, got %d", o.jobs)
 	}
 	if o.chunk < 0 {
@@ -123,14 +118,11 @@ func (o *options) validate() error {
 			return nil // wait/status/cancel carry no job spec to validate
 		}
 	}
-	if o.connectAddr != "" {
-		// Worker mode: the job spec (n, seed, scale) arrives from the
-		// coordinator; only -jobs and -dial-retry apply.
+	if o.connectURL != "" {
+		// Worker mode: job specs arrive from the daemon; only -jobs
+		// applies.
 		if o.storeDir != "" {
-			return fmt.Errorf("-store does not apply to -connect (the coordinator owns checkpoints)")
-		}
-		if o.dialRetry < 0 {
-			return fmt.Errorf("-dial-retry must be >= 0, got %v", o.dialRetry)
+			return fmt.Errorf("-store does not apply to -connect (the daemon owns checkpoints)")
 		}
 		return nil
 	}
@@ -149,14 +141,6 @@ func (o *options) validate() error {
 	if !(o.scale > 0 && o.scale <= 1) {
 		return fmt.Errorf("-scale must be in (0, 1], got %g", o.scale)
 	}
-	if o.serveAddr != "" {
-		if o.leaseTimeout <= 0 {
-			return fmt.Errorf("-lease-timeout must be positive, got %v", o.leaseTimeout)
-		}
-		if o.leaseRetries < 1 {
-			return fmt.Errorf("-lease-retries must be >= 1, got %d", o.leaseRetries)
-		}
-	}
 	return nil
 }
 
@@ -164,16 +148,12 @@ func main() {
 	var o options
 	flag.IntVar(&o.n, "n", 1000, "number of devices")
 	flag.Int64Var(&o.seed, "seed", 1, "fleet seed")
-	flag.IntVar(&o.jobs, "jobs", runtime.GOMAXPROCS(0), "parallel workers (1 forces the serial path)")
+	flag.IntVar(&o.jobs, "jobs", runtime.GOMAXPROCS(0), "parallel workers (1 forces the serial path; 0 with -serve-http leaves every chunk to -connect workers)")
 	flag.Float64Var(&o.scale, "scale", 1.0, "event-count scale per device in (0, 1]")
 	flag.BoolVar(&o.asJSON, "json", false, "emit JSON instead of CSV")
 	flag.StringVar(&o.out, "o", "", "write the report to this file instead of stdout")
 	flag.IntVar(&o.chunk, "chunk", 0, "devices per chunk — the checkpoint/lease granularity (0 = default)")
-	flag.StringVar(&o.serveAddr, "serve", "", "run as shard coordinator listening on this address (host:port); workers join with -connect")
-	flag.StringVar(&o.connectAddr, "connect", "", "run as shard worker connecting to a coordinator at this address")
-	flag.DurationVar(&o.leaseTimeout, "lease-timeout", time.Minute, "coordinator: chunk lease deadline before re-leasing to another worker")
-	flag.IntVar(&o.leaseRetries, "lease-retries", 3, "coordinator: lease attempts per chunk before the run fails hard")
-	flag.DurationVar(&o.dialRetry, "dial-retry", 10*time.Second, "worker: keep retrying the initial connection this long")
+	flag.StringVar(&o.connectURL, "connect", "", "run as a remote worker leasing chunks from the daemon at this base URL (e.g. http://host:9191)")
 	flag.StringVar(&o.serveHTTPAddr, "serve-http", "", "run as a persistent fleet daemon serving the job API on this address (requires -store)")
 	flag.StringVar(&o.storeDir, "store", "", "chunk checkpoint store directory: completed chunks persist here and reruns resume from them")
 	flag.IntVar(&o.maxJobs, "max-jobs", 2, "daemon: jobs running concurrently (queued jobs start as slots free)")
@@ -201,10 +181,8 @@ func main() {
 		err = runClient(&o)
 	case o.serveHTTPAddr != "":
 		err = runServeHTTP(&o)
-	case o.connectAddr != "":
+	case o.connectURL != "":
 		err = runWorker(&o)
-	case o.serveAddr != "":
-		err = runCoordinator(&o, nil)
 	default:
 		err = run(&o)
 	}
@@ -270,8 +248,8 @@ func writeOutput(path string, write func(io.Writer) error) error {
 // checkpoints opens -store, when given, for job: it returns the chunks
 // the store already holds and a done callback that checkpoints each
 // newly computed chunk before it counts, in the shapes fleet.Job.Run
-// and shard.Serve take. Without -store both are nil: nothing loaded,
-// nothing checkpointed.
+// takes. Without -store both are nil: nothing loaded, nothing
+// checkpointed.
 func checkpoints(o *options, job *fleet.Job) ([]*fleet.ChunkPartial, func(*fleet.ChunkPartial) error, error) {
 	if o.storeDir == "" {
 		return nil, nil, nil
@@ -318,49 +296,21 @@ func run(o *options) error {
 	return writeReport(o, res)
 }
 
-// runCoordinator listens for shard workers, leases them chunks, and
-// folds the identical report the in-process path would produce. With
-// -store, already-checkpointed chunks are never leased and every newly
-// completed chunk is checkpointed before it folds. ready, when non-nil,
-// receives the resolved listen address once workers can connect (for
-// tests that bind port 0).
-func runCoordinator(o *options, ready chan<- string) error {
-	job, err := fleet.NewJob(o.fleetConfig())
-	if err != nil {
-		return err
-	}
-	have, done, err := checkpoints(o, job)
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", o.serveAddr)
-	if err != nil {
-		return err
-	}
-	// The resolved address matters when -serve used port 0.
-	fmt.Fprintf(os.Stderr, "capyfleet: coordinating on %s (workers: capyfleet -connect %s)\n",
-		ln.Addr(), ln.Addr())
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
-	res, err := shard.Serve(context.Background(), ln, job, have, done, shard.Options{
-		LeaseTimeout: o.leaseTimeout,
-		MaxAttempts:  o.leaseRetries,
-		Progress:     os.Stderr,
-	})
-	if err != nil {
-		return err
-	}
-	return writeReport(o, res)
+// runWorker leases and computes the daemon's chunks until SIGINT or
+// SIGTERM.
+func runWorker(o *options) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	return connect(ctx, o)
 }
 
-// runWorker joins a coordinator and runs leased chunks until done.
-func runWorker(o *options) error {
-	fmt.Fprintf(os.Stderr, "capyfleet: worker connecting to %s (%d jobs)\n", o.connectAddr, o.jobs)
-	err := shard.Work(context.Background(), o.connectAddr, o.jobs, shard.WorkerOptions{DialRetry: o.dialRetry})
-	if err != nil {
+// connect runs a remote worker for the daemon at -connect until ctx
+// ends.
+func connect(ctx context.Context, o *options) error {
+	fmt.Fprintf(os.Stderr, "capyfleet: worker leasing from %s (%d jobs)\n", o.connectURL, o.jobs)
+	if err := fleetsvc.Work(ctx, o.connectURL, o.jobs); err != nil {
 		return err
 	}
-	fmt.Fprintln(os.Stderr, "capyfleet: worker done")
+	fmt.Fprintln(os.Stderr, "capyfleet: worker stopped")
 	return nil
 }

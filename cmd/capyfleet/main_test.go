@@ -78,8 +78,6 @@ func TestRunEndToEnd(t *testing.T) {
 func TestValidate(t *testing.T) {
 	ok := func(mutate func(*options)) *options {
 		o := testOptions(10, 2)
-		o.leaseTimeout = time.Minute
-		o.leaseRetries = 3
 		mutate(o)
 		return o
 	}
@@ -97,16 +95,14 @@ func TestValidate(t *testing.T) {
 		{"big scale", func(o *options) { o.scale = 1.5 }, "-scale"},
 		{"nan scale", func(o *options) { o.scale = nan() }, "-scale"},
 		{"zero jobs", func(o *options) { o.jobs = 0 }, "-jobs"},
-		{"serve and connect", func(o *options) { o.serveAddr = ":1"; o.connectAddr = ":2" }, "mutually exclusive"},
-		{"serve and serve-http", func(o *options) { o.serveAddr = ":1"; o.serveHTTPAddr = ":2" }, "mutually exclusive"},
+		{"connect and serve-http", func(o *options) { o.connectURL = "http://x"; o.serveHTTPAddr = ":2" }, "mutually exclusive"},
 		{"serve-http and http", func(o *options) { o.serveHTTPAddr = ":1"; o.httpURL = "http://x" }, "mutually exclusive"},
-		{"bad lease timeout", func(o *options) { o.serveAddr = ":1"; o.leaseTimeout = 0 }, "-lease-timeout"},
-		{"bad lease retries", func(o *options) { o.serveAddr = ":1"; o.leaseRetries = 0 }, "-lease-retries"},
-		{"negative dial retry", func(o *options) { o.connectAddr = ":1"; o.dialRetry = -time.Second }, "-dial-retry"},
+		{"zero jobs on a worker", func(o *options) { o.connectURL = "http://x"; o.jobs = 0 }, "-jobs"},
+		{"negative jobs on the daemon", func(o *options) { o.serveHTTPAddr = ":1"; o.storeDir = "d"; o.jobs = -1 }, "-jobs"},
 		{"negative chunk", func(o *options) { o.chunk = -8 }, "-chunk"},
 		{"serve-http without store", func(o *options) { o.serveHTTPAddr = ":1" }, "-store"},
 		{"serve-http bad max-jobs", func(o *options) { o.serveHTTPAddr = ":1"; o.storeDir = "d"; o.maxJobs = 0 }, "-max-jobs"},
-		{"store on a worker", func(o *options) { o.connectAddr = ":1"; o.storeDir = "d" }, "-store"},
+		{"store on a worker", func(o *options) { o.connectURL = "http://x"; o.storeDir = "d" }, "-store"},
 		{"client verb without http", func(o *options) { o.submit = true }, "-http"},
 		{"http without a verb", func(o *options) { o.httpURL = "http://x" }, "exactly one"},
 		{"http with two verbs", func(o *options) { o.httpURL = "http://x"; o.submit = true; o.waitID = "j1" }, "exactly one"},
@@ -120,21 +116,22 @@ func TestValidate(t *testing.T) {
 			t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
-	// Worker mode ignores the report spec (it comes from the
-	// coordinator), so a worker with unset -n must validate.
+	// Worker mode ignores the report spec (it comes from the daemon),
+	// so a worker with unset -n must validate.
 	o := testOptions(0, 2)
-	o.connectAddr = "localhost:9"
+	o.connectURL = "http://localhost:9"
 	if err := o.validate(); err != nil {
 		t.Fatalf("worker mode rejected unset -n: %v", err)
 	}
-	// Likewise the daemon (specs arrive over the API) and the non-submit
-	// client verbs (they carry only a job ID).
-	o = testOptions(0, 2)
+	// Likewise the daemon (specs arrive over the API), with -jobs 0
+	// leaving every chunk to remote workers, and the non-submit client
+	// verbs (they carry only a job ID).
+	o = testOptions(0, 0)
 	o.serveHTTPAddr = ":0"
 	o.storeDir = "d"
 	o.maxJobs = 1
 	if err := o.validate(); err != nil {
-		t.Fatalf("daemon mode rejected unset -n: %v", err)
+		t.Fatalf("daemon mode rejected unset -n and -jobs 0: %v", err)
 	}
 	o = testOptions(0, 2)
 	o.httpURL = "http://x"
@@ -294,38 +291,33 @@ func TestDaemonServerTimeouts(t *testing.T) {
 	}
 }
 
-// startCoordinator runs the CLI coordinator in the background and
-// returns its address once it is listening, plus the channel its result
-// arrives on. Workers started after it returns connect at once, so none
-// can miss a run that another worker finishes quickly.
-func startCoordinator(t *testing.T, o *options) (string, <-chan error) {
+// startDaemon runs the CLI daemon over store with -jobs jobs and
+// returns its base URL once it listens, plus a stop function that shuts
+// it down and returns its error.
+func startDaemon(t *testing.T, store string, jobs int) (string, func() error) {
 	t.Helper()
+	o := testOptions(0, jobs)
+	o.serveHTTPAddr = "127.0.0.1:0"
+	o.storeDir = store
+	o.maxJobs = 2
+	ctx, cancel := context.WithCancel(context.Background())
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
-	go func() { done <- runCoordinator(o, ready) }()
+	go func() { done <- serveHTTP(ctx, o, ready) }()
 	select {
 	case addr := <-ready:
-		return addr, done
+		return "http://" + addr, func() error { cancel(); return <-done }
 	case err := <-done:
-		t.Fatalf("coordinator exited before listening: %v", err)
+		cancel()
+		t.Fatalf("daemon exited before listening: %v", err)
 		return "", nil
 	}
 }
 
-// coordinatorOptions is a loopback coordinator for n devices in chunks
-// of chunk (0 = default) that writes its report to out.
-func coordinatorOptions(n, chunk int, out string) *options {
-	o := testOptions(n, 2)
-	o.chunk = chunk
-	o.serveAddr = "127.0.0.1:0"
-	o.out = out
-	o.leaseTimeout = time.Minute
-	o.leaseRetries = 3
-	return o
-}
-
-// runWorkers runs n CLI workers against addr and returns their errors.
-func runWorkers(addr string, n int) []error {
+// startWorkers runs n CLI workers (-connect url -jobs 1) and returns a
+// function that stops them and returns their errors.
+func startWorkers(url string, n int) (stop func() []error) {
+	ctx, cancel := context.WithCancel(context.Background())
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := range errs {
@@ -333,13 +325,40 @@ func runWorkers(addr string, n int) []error {
 		go func(i int) {
 			defer wg.Done()
 			wo := testOptions(0, 1)
-			wo.connectAddr = addr
-			wo.dialRetry = 10 * time.Second
-			errs[i] = runWorker(wo)
+			wo.connectURL = url
+			errs[i] = connect(ctx, wo)
 		}(i)
 	}
-	wg.Wait()
-	return errs
+	return func() []error {
+		cancel()
+		wg.Wait()
+		return errs
+	}
+}
+
+// submitAndWait submits n devices in chunks of chunk to the daemon at
+// url, waits for the job with the CLI client, writes its report to out
+// and returns the job's final status.
+func submitAndWait(t *testing.T, url string, n, chunk int, out string) fleetsvc.JobStatus {
+	t.Helper()
+	c := &apiClient{base: url, hc: &http.Client{Timeout: 10 * time.Second}}
+	body, err := json.Marshal(fleetsvc.SubmitRequest{N: n, Seed: 7, Scale: 0.05, ChunkSize: chunk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st fleetsvc.JobStatus
+	if err := c.do("POST", "/api/v1/jobs", body, &st); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	wo := testOptions(0, 1)
+	wo.out = out
+	if err := clientWait(c, wo, st.ID); err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if err := c.do("GET", "/api/v1/jobs/"+st.ID, nil, &st); err != nil {
+		t.Fatalf("status: %v", err)
+	}
+	return st
 }
 
 // requireSameFile fails unless the file at path holds exactly want.
@@ -371,58 +390,64 @@ func singleReport(t *testing.T, n, chunk int) []byte {
 	return want
 }
 
-// TestServeConnectEndToEnd drives the CLI coordinator and two CLI
-// workers over loopback and asserts the sharded report is byte-for-byte
-// the single-process report.
+// TestServeConnectEndToEnd drives a CLI daemon that computes nothing
+// itself (-jobs 0) and two CLI workers (-connect) over loopback: the
+// job's report is byte-for-byte the single-process report, every chunk
+// computed by the workers, and the workers stop cleanly.
 func TestServeConnectEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	co := coordinatorOptions(96, 0, filepath.Join(dir, "sharded.csv"))
 	want := singleReport(t, 96, 0)
 
-	addr, served := startCoordinator(t, co)
-	workerErrs := runWorkers(addr, 2)
-	if err := <-served; err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-	for i, err := range workerErrs {
+	url, stopDaemon := startDaemon(t, filepath.Join(dir, "store"), 0)
+	stopWorkers := startWorkers(url, 2)
+	st := submitAndWait(t, url, 96, 0, filepath.Join(dir, "remote.csv"))
+	for i, err := range stopWorkers() {
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
-	requireSameFile(t, co.out, want)
+	if err := stopDaemon(); err != nil {
+		t.Fatalf("daemon: %v", err)
+	}
+	requireSameFile(t, filepath.Join(dir, "remote.csv"), want)
+	if st.Computed != st.Chunks || st.Loaded != 0 {
+		t.Fatalf("job computed %d and loaded %d of %d chunks, want all computed", st.Computed, st.Loaded, st.Chunks)
+	}
 }
 
-// TestServeStoreResumes: a sharded run with -store checkpoints every
-// chunk, and a second coordinator over the same store, with no workers
-// at all, folds the single-process report from the checkpoints alone.
+// TestServeStoreResumes: a job the workers finished checkpoints every
+// chunk, and a second daemon over the same store, with its reports
+// removed and no worker at all, folds the single-process report from
+// the checkpoints alone.
 func TestServeStoreResumes(t *testing.T) {
 	dir := t.TempDir()
+	store := filepath.Join(dir, "store")
 	want := singleReport(t, 96, 8)
 
-	first := coordinatorOptions(96, 8, filepath.Join(dir, "first.csv"))
-	first.storeDir = filepath.Join(dir, "store")
-	addr, served := startCoordinator(t, first)
-	for i, err := range runWorkers(addr, 2) {
+	url, stopDaemon := startDaemon(t, store, 0)
+	stopWorkers := startWorkers(url, 2)
+	submitAndWait(t, url, 96, 8, filepath.Join(dir, "first.csv"))
+	for i, err := range stopWorkers() {
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
-	if err := <-served; err != nil {
-		t.Fatalf("first coordinator: %v", err)
+	if err := stopDaemon(); err != nil {
+		t.Fatalf("first daemon: %v", err)
 	}
-	requireSameFile(t, first.out, want)
-	requireCheckpointed(t, first.storeDir, first)
+	requireSameFile(t, filepath.Join(dir, "first.csv"), want)
+	o := testOptions(96, 2)
+	o.chunk = 8
+	requireCheckpointed(t, store, o)
+	if err := os.RemoveAll(filepath.Join(store, "reports")); err != nil {
+		t.Fatal(err)
+	}
 
-	second := coordinatorOptions(96, 8, filepath.Join(dir, "second.csv"))
-	second.storeDir = first.storeDir
-	_, served = startCoordinator(t, second)
-	select {
-	case err := <-served:
-		if err != nil {
-			t.Fatalf("second coordinator: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("a coordinator over a complete store is still waiting for workers")
+	url, stopDaemon = startDaemon(t, store, 0)
+	defer stopDaemon()
+	st := submitAndWait(t, url, 96, 8, filepath.Join(dir, "second.csv"))
+	requireSameFile(t, filepath.Join(dir, "second.csv"), want)
+	if st.Loaded != st.Chunks || st.Computed != 0 {
+		t.Fatalf("second job loaded %d and computed %d of %d chunks, want all loaded", st.Loaded, st.Computed, st.Chunks)
 	}
-	requireSameFile(t, second.out, want)
 }

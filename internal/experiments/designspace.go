@@ -138,19 +138,8 @@ type Fig3Point struct {
 	OnFor units.Seconds
 }
 
-// Figure3 sweeps capacitance logarithmically from 50 µF to 20 mF, as in
-// the paper's 10²–10⁴ µF axis.
-func Figure3() []Fig3Point {
-	points, err := Figure3Parallel(context.Background(), 0)
-	if err != nil {
-		// Sweep jobs cannot fail; an error here is a recovered panic
-		// (runner.PanicError) and deserves to surface as one.
-		panic(err)
-	}
-	return points
-}
-
-// Figure3Parallel runs the capacitance sweep with one job per sample
+// Figure3Parallel sweeps capacitance logarithmically from 50 µF to
+// 20 mF, as in the paper's 10²–10⁴ µF axis, with one job per sample
 // point across jobs workers (<= 0 means every CPU, 1 forces the serial
 // path). Each job builds its own power system, MCU model, and bank, so
 // nothing is shared between goroutines and the curve is identical at
@@ -251,18 +240,8 @@ type Fig4Point struct {
 	Mops   float64
 }
 
-// Figure4 sweeps unit counts of each technology up to 35 mm³.
-func Figure4() []Fig4Point {
-	points, err := Figure4Parallel(context.Background(), 0)
-	if err != nil {
-		// Sweep jobs cannot fail; an error here is a recovered panic
-		// (runner.PanicError) and deserves to surface as one.
-		panic(err)
-	}
-	return points
-}
-
-// Figure4Parallel runs the volume sweep with one job per
+// Figure4Parallel sweeps unit counts of each technology up to 35 mm³,
+// with one job per
 // (technology, unit count) point across jobs workers (<= 0 means every
 // CPU, 1 forces the serial path). The cheap volume enumeration stays
 // serial; only the operating-time evaluation fans out, with each job

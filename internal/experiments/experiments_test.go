@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -65,8 +66,18 @@ func TestFigure2Shapes(t *testing.T) {
 	}
 }
 
+// figure3 runs the capacitance sweep on every CPU.
+func figure3(t *testing.T) []Fig3Point {
+	t.Helper()
+	points, err := Figure3Parallel(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return points
+}
+
 func TestFigure3Monotonic(t *testing.T) {
-	points := Figure3()
+	points := figure3(t)
 	if len(points) < 20 {
 		t.Fatalf("too few sweep points: %d", len(points))
 	}
@@ -89,7 +100,10 @@ func TestFigure3Monotonic(t *testing.T) {
 }
 
 func TestFigure4TechnologyShapes(t *testing.T) {
-	points := Figure4()
+	points, err := Figure4Parallel(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var ceramic, super []Fig4Point
 	for _, p := range points {
 		switch p.Tech {
@@ -126,7 +140,7 @@ func TestFigure4TechnologyShapes(t *testing.T) {
 }
 
 func TestMatrixScaledGrid(t *testing.T) {
-	m, err := RunMatrixScaled(DefaultSeed, 0.15)
+	m, err := RunMatrixParallel(context.Background(), DefaultSeed, 0.15, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +171,10 @@ func TestMatrixScaledGrid(t *testing.T) {
 }
 
 func TestMatrixScaleValidation(t *testing.T) {
-	if _, err := RunMatrixScaled(1, 0); err == nil {
+	if _, err := RunMatrixParallel(context.Background(), 1, 0, 0); err == nil {
 		t.Error("zero scale accepted")
 	}
-	if _, err := RunMatrixScaled(1, 1.5); err == nil {
+	if _, err := RunMatrixParallel(context.Background(), 1, 1.5, 0); err == nil {
 		t.Error("over-unity scale accepted")
 	}
 }
@@ -173,7 +187,7 @@ func TestFigure10SmallSweep(t *testing.T) {
 		Variants: []core.Variant{core.Fixed, core.CapyP},
 		Seed:     DefaultSeed,
 	}
-	points, err := Figure10(cfg)
+	points, err := Figure10Ctx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +214,7 @@ func TestFigure10SmallSweep(t *testing.T) {
 	if len(tbl.Rows) != 2 || len(tbl.Header) != 3 {
 		t.Fatalf("table shape %dx%d", len(tbl.Rows), len(tbl.Header))
 	}
-	if _, err := Figure10(Fig10Config{App: "nope"}); err == nil {
+	if _, err := Figure10Ctx(context.Background(), Fig10Config{App: "nope"}); err == nil {
 		t.Error("unknown app accepted")
 	}
 }
@@ -420,7 +434,7 @@ func TestGoldenHeadlines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix is several seconds; skipped with -short")
 	}
-	m, err := RunMatrix(DefaultSeed)
+	m, err := RunMatrixParallel(context.Background(), DefaultSeed, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,8 +476,8 @@ func TestGoldenHeadlines(t *testing.T) {
 }
 
 func TestMultiSeedStats(t *testing.T) {
-	rows, err := MultiSeed("TempAlarm",
-		[]core.Variant{core.Fixed, core.CapyP}, DefaultSeeds(3), 0.3)
+	rows, err := MultiSeedParallel(context.Background(), "TempAlarm",
+		[]core.Variant{core.Fixed, core.CapyP}, DefaultSeeds(3), 0.3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,16 +503,16 @@ func TestMultiSeedStats(t *testing.T) {
 	if len(MultiSeedTable(rows).Rows) != 2 {
 		t.Fatal("table rows")
 	}
-	if _, err := MultiSeed("nope", nil, DefaultSeeds(1), 1); err == nil {
+	if _, err := MultiSeedParallel(context.Background(), "nope", nil, DefaultSeeds(1), 1, 0); err == nil {
 		t.Fatal("unknown app accepted")
 	}
-	if _, err := MultiSeed("TempAlarm", nil, DefaultSeeds(1), 0); err == nil {
+	if _, err := MultiSeedParallel(context.Background(), "TempAlarm", nil, DefaultSeeds(1), 0, 0); err == nil {
 		t.Fatal("zero scale accepted")
 	}
 }
 
 func TestClassifyFig3Regions(t *testing.T) {
-	points := Figure3()
+	points := figure3(t)
 	// The paper's dashed-line example: a ~1.5 Mops requirement makes
 	// small capacitors infeasible (Design A) and large ones
 	// non-reactive (Design B).

@@ -27,22 +27,11 @@ type Matrix struct {
 	Runs map[string]map[core.Variant]*apps.Run
 }
 
-// RunMatrix executes the complete evaluation grid with the default
-// schedules (§6.2: TA 50 events over 120 min; GRC and CSR 80 events
-// over 42 min). The same schedule drives every system of an
-// application, as on the paper's testbed. Cells run in parallel
-// across every CPU; the tables are byte-identical at any worker count.
-func RunMatrix(seed int64) (*Matrix, error) {
-	return RunMatrixScaled(seed, 1.0)
-}
-
-// RunMatrixScaled runs the grid with event counts scaled by frac in
-// (0, 1] — used by tests to keep wall time short.
-func RunMatrixScaled(seed int64, frac float64) (*Matrix, error) {
-	return RunMatrixParallel(context.Background(), seed, frac, 0)
-}
-
-// RunMatrixParallel runs the grid with one job per app×variant cell
+// RunMatrixParallel executes the complete evaluation grid, with the
+// default schedules (§6.2: TA 50 events over 120 min; GRC and CSR 80
+// events over 42 min) scaled by frac in (0, 1]. The same schedule
+// drives every system of an application, as on the paper's testbed.
+// It runs one job per app×variant cell
 // fanned across jobs workers (<= 0 means every CPU, 1 forces the
 // serial path). Each cell regenerates its application's schedule from
 // the seed with a private *rand.Rand, so every system of an

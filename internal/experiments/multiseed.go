@@ -25,13 +25,9 @@ type SeedStats struct {
 	Mean, Min, Max, Stddev float64
 }
 
-// MultiSeed runs app under each variant for every seed and aggregates
-// the correct fraction. Events scale by frac in (0, 1].
-func MultiSeed(app string, variants []core.Variant, seeds []int64, frac float64) ([]SeedStats, error) {
-	return MultiSeedParallel(context.Background(), app, variants, seeds, frac, 0)
-}
-
-// MultiSeedParallel runs the variant×seed grid with one job per cell
+// MultiSeedParallel runs app under each variant for every seed and
+// aggregates the correct fraction; events scale by frac in (0, 1]. It
+// runs the variant×seed grid with one job per cell
 // fanned across jobs workers (<= 0 means every CPU, 1 forces the
 // serial path). Each cell regenerates its schedule from its own seed
 // with a private *rand.Rand, and the per-variant aggregation sums the

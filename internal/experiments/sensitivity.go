@@ -62,16 +62,11 @@ func GRCSensitivity() Fig10Config {
 	}
 }
 
-// Figure10 executes a sensitivity sweep with one job per
+// Figure10Ctx executes a sensitivity sweep with one job per
 // (mean, variant) point. Each job regenerates its mean's schedule from
 // cfg.Seed with a private *rand.Rand, so no RNG state crosses
 // goroutines and the points come back in sweep order at any worker
 // count.
-func Figure10(cfg Fig10Config) ([]Fig10Point, error) {
-	return Figure10Ctx(context.Background(), cfg)
-}
-
-// Figure10Ctx is Figure10 with cancellation.
 func Figure10Ctx(ctx context.Context, cfg Fig10Config) ([]Fig10Point, error) {
 	spec, err := apps.SpecByName(cfg.App)
 	if err != nil {

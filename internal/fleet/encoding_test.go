@@ -19,7 +19,7 @@ func encodingTestJob(t *testing.T) *Job {
 
 // TestPartialRoundTripBitIdentical: decode(encode(cp)) folds to the
 // exact bytes the in-memory partial folds to — the property the
-// checkpoint store and the shard protocol both rest on. Re-encoding the
+// checkpoint store and the daemon's remote workers both rest on. Re-encoding the
 // decoded partial must also reproduce the original stream, which
 // catches any field gob silently drops or perturbs.
 func TestPartialRoundTripBitIdentical(t *testing.T) {
@@ -73,24 +73,44 @@ func renderCSV(t *testing.T, job *Job, partials []*ChunkPartial) string {
 	return b.String()
 }
 
-// TestDecodePartialGarbage: corrupt streams fail with an error, never a
-// panic, and never decode to a partial.
+// TestDecodePartialGarbage: corrupt streams, and well-formed streams of
+// a partial bent out of the shape this package computes, fail with an
+// error, never a panic, and never decode to a partial.
 func TestDecodePartialGarbage(t *testing.T) {
 	job := encodingTestJob(t)
-	cp, err := job.RunChunk(context.Background(), 0, nil)
-	if err != nil {
-		t.Fatal(err)
+	// bent encodes chunk 0's partial after bend has changed it.
+	bent := func(bend func(cp *ChunkPartial)) []byte {
+		cp, err := job.RunChunk(context.Background(), 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bend(cp)
+		var buf bytes.Buffer
+		if err := EncodePartial(&buf, cp); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	var buf bytes.Buffer
-	if err := EncodePartial(&buf, cp); err != nil {
-		t.Fatal(err)
+	valid := bent(func(*ChunkPartial) {})
+	// touched is the first cohort chunk 0 has a latency count for.
+	touched := func(cp *ChunkPartial) *CohortAccum {
+		for i := range cp.Cohorts {
+			if cp.Cohorts[i].LatencyHist.Counts != nil {
+				return &cp.Cohorts[i]
+			}
+		}
+		t.Fatal("chunk 0 binned no latency")
+		return nil
 	}
-	valid := buf.Bytes()
 
 	cases := map[string][]byte{
-		"empty":     {},
-		"garbage":   {0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4},
-		"truncated": valid[:len(valid)/2],
+		"empty":          {},
+		"garbage":        {0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4},
+		"truncated":      valid[:len(valid)/2],
+		"wrong grid":     bent(func(cp *ChunkPartial) { cp.Cohorts = cp.Cohorts[:1] }),
+		"foreign edges":  bent(func(cp *ChunkPartial) { c := touched(cp); c.LatencyHist.Edges = c.LatencyHist.Edges[:2] }),
+		"extra counts":   bent(func(cp *ChunkPartial) { c := touched(cp); c.LatencyHist.Counts = append(c.LatencyHist.Counts, 1) }),
+		"missing counts": bent(func(cp *ChunkPartial) { c := touched(cp); c.LatencyHist.Counts = c.LatencyHist.Counts[:1] }),
 	}
 	for name, data := range cases {
 		if _, err := DecodePartial(bytes.NewReader(data)); err == nil {

@@ -32,19 +32,19 @@
 //     DESIGN.md §7, "Resuming from the event-free prefix").
 //
 // Execution decomposes into fixed-size device-index chunks behind the
-// Job/Compute/Fold API. Job.Run is the one in-process driver: Run, the
-// fleetsvc daemon and capyfleet's one-shot mode all call it, and shard
-// workers run their leased chunks through Job.Compute; internal/shard
-// spreads the identical chunks across worker processes over TCP. Either
-// way the partials fold in chunk order, so the report is a pure
+// Job/Compute/Fold API. Job.Run is the one in-process driver: Run and
+// capyfleet's one-shot mode call it. The fleetsvc daemon runs its jobs'
+// chunks through Job.Compute, in its own process and in remote workers
+// that lease chunks over its HTTP API, and folds them with Job.Fold.
+// Either way the partials fold in chunk order, so the report is a pure
 // function of the Spec.
 //
 // Determinism: device d derives everything random from the stream
 // runner.RNG(seed, d) starts (each worker reseeds one generator per
 // device, bit-identically), and chunk boundaries are a fixed size
 // independent of the worker count, so the folded report is
-// byte-identical at any Jobs — or at any shard topology or failure
-// schedule. Wall-clock throughput depends on scheduling, so it is
+// byte-identical at any Jobs — or at any mix of daemon and remote
+// workers and any failure schedule. Wall-clock throughput depends on scheduling, so it is
 // reported as a diagnostic, never in the Report.
 package fleet
 
@@ -135,7 +135,8 @@ var latencyEdges = []units.Seconds{1, 5, 10, 30, 60, 120}
 // CohortAccum is one cohort's device aggregates. All fields fold
 // associatively in fixed device order, so the totals are independent of
 // the worker count — and every field is exported and value-typed so
-// partials serialize for the shard wire protocol.
+// partials serialize to the store entries the daemon keeps and remote
+// workers send.
 type CohortAccum struct {
 	Devices int
 	// Events and outcome totals are integer-exact.
@@ -268,8 +269,9 @@ var cohortLabels = sync.OnceValue(func() []string {
 })
 
 // Run executes the fleet in-process and folds the report: NewJob, then
-// Job.Run with nothing loaded and nothing checkpointed. internal/shard
-// runs the identical chunk decomposition across worker processes.
+// Job.Run with nothing loaded and nothing checkpointed. The fleetsvc
+// daemon runs the identical chunk decomposition across its own and
+// remote workers.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	job, err := NewJob(cfg)
 	if err != nil {

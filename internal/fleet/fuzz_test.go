@@ -55,7 +55,7 @@ func FuzzResolveSpec(f *testing.F) {
 		if n < 1 || n > MaxChunks {
 			t.Fatalf("%+v has %d chunks", r, n)
 		}
-		if lo, hi := j.ChunkBounds(n - 1); lo >= hi || hi != r.N {
+		if lo, hi := j.chunkBounds(n - 1); lo >= hi || hi != r.N {
 			t.Fatalf("%+v: last chunk [%d, %d), want it to end at N", r, lo, hi)
 		}
 	})

@@ -18,13 +18,13 @@ import (
 
 // A Job is a resolved fleet run: the config with defaults applied, the
 // cohort grid, and the fixed chunk decomposition. It is the unit shared
-// between the in-process driver (Job.Run) and the distributed shard
-// protocol (internal/shard): a coordinator and its workers each build a
-// Job from the same Spec, agree on SpecHash before any chunk is leased,
-// and then Compute/Fold are the only execution primitives either side
-// needs. Chunk boundaries depend only on the Spec — never on worker
-// count or topology — which is what makes the folded report
-// byte-identical however the chunks are distributed.
+// between the in-process driver (Job.Run) and the fleetsvc daemon with
+// its remote workers: the daemon and each worker build a Job from the
+// same Spec, agree on SpecHash before any chunk is leased, and then
+// Compute/Fold are the only execution primitives either side needs.
+// Chunk boundaries depend only on the Spec — never on worker count or
+// topology — which is what makes the folded report byte-identical
+// however the chunks are distributed.
 type Job struct {
 	cfg   Config
 	scale float64
@@ -35,8 +35,8 @@ type Job struct {
 
 // Spec is the wire-shippable subset of Config: exactly the fields the
 // canonical report is a function of. The worker count (Jobs) is
-// deliberately absent — it never changes a byte of the output, so each
-// process in a sharded run picks its own. The JSON names are the fleet
+// deliberately absent — it never changes a byte of the output, so the
+// daemon and each remote worker pick their own. The JSON names are the fleet
 // daemon's job spec; gob and SpecHash ignore them.
 type Spec struct {
 	N         int     `json:"n"`
@@ -46,15 +46,15 @@ type Spec struct {
 }
 
 // Exec builds a Config from a received Spec plus this process's worker
-// count. Shard workers and the fleet service use it to reconstruct a
-// job with their own parallelism.
+// count. The fleet service and its remote workers use it to reconstruct
+// a job with their own parallelism.
 func (s Spec) Exec(jobs int) Config {
 	return Config{N: s.N, Seed: s.Seed, Scale: s.Scale, ChunkSize: s.ChunkSize, Jobs: jobs}
 }
 
 // MaxChunks bounds a job's chunk count. Every holder of a job keeps
-// one entry per chunk (the daemon's partial table, the shard lease
-// table, the store's partials directory), so a spec asking for more is
+// one entry per chunk (the daemon's partial and lease tables, the
+// store's partials directory), so a spec asking for more is
 // rejected before any of them is sized: N 2·10⁹ at chunk size 1 would
 // ask for 2·10⁹. At the default chunk size the bound admits 67 million
 // devices.
@@ -64,8 +64,8 @@ const MaxChunks = 1 << 20
 // means 1, ChunkSize <= 0 means 64), without building the cohort grid.
 // It rejects a non-positive N, a scale outside (0, 1] and a chunk count
 // above MaxChunks. NewJob resolves its config through it, so every path
-// that builds a job (fleet.Run, capyfleet, the shard coordinator and
-// workers, the daemon) applies the same checks, and a resolved spec
+// that builds a job (fleet.Run, capyfleet, the daemon and its remote
+// workers) applies the same checks, and a resolved spec
 // resolves to itself.
 func (s Spec) Resolve() (Spec, error) {
 	if s.N <= 0 {
@@ -105,11 +105,8 @@ func NewJob(cfg Config) (*Job, error) {
 	return j, nil
 }
 
-// Config returns the job's configuration as given to NewJob.
-func (j *Job) Config() Config { return j.cfg }
-
 // Spec returns the canonical subset of the config, with defaults
-// resolved, for shipping to shard workers.
+// resolved.
 func (j *Job) Spec() Spec {
 	return Spec{N: j.cfg.N, Seed: j.cfg.Seed, Scale: j.scale, ChunkSize: j.chunk}
 }
@@ -122,8 +119,8 @@ func (j *Job) NumChunks() int { return j.cfg.N/j.chunk + min(j.cfg.N%j.chunk, 1)
 // returned slice is shared; callers must not mutate it.
 func (j *Job) Cohorts() []Cohort { return j.grid }
 
-// ChunkBounds returns chunk ci's device index range [lo, hi).
-func (j *Job) ChunkBounds(ci int) (lo, hi int) {
+// chunkBounds returns chunk ci's device index range [lo, hi).
+func (j *Job) chunkBounds(ci int) (lo, hi int) {
 	lo = ci * j.chunk
 	return lo, lo + min(j.chunk, j.cfg.N-lo)
 }
@@ -133,8 +130,8 @@ func (j *Job) ChunkBounds(ci int) (lo, hi int) {
 // variants, scenarios, and samples of each scenario's environment
 // trace). Two binaries that would simulate different populations — a
 // changed app table, a reworked trace generator, a different grid order
-// — produce different hashes, so a shard worker running a mismatched
-// build is rejected before it is leased any work.
+// — produce different hashes, so a remote worker running a mismatched
+// build is refused before it is leased any work.
 func (j *Job) SpecHash() string { return j.hash }
 
 func (j *Job) specHash() string {
@@ -207,10 +204,11 @@ func (j *Job) NewScratch() *Scratch {
 
 // ChunkPartial is one chunk's fold: per-cohort accumulators, indexed by
 // cohort-grid position (untouched cohorts stay zero). Every field is
-// exported and value-typed so partials round-trip through gob/JSON for
-// the shard wire protocol. Partials written by earlier binaries carry
-// diagnostic fields this type no longer has; gob skips them, so old
-// stores still load (TestDecodeLegacyEntry).
+// exported and value-typed so partials round-trip through gob/JSON, as
+// the store entries the daemon keeps and remote workers send. Partials
+// written by earlier binaries carry diagnostic fields this type no
+// longer has; gob skips them, so old stores still load
+// (TestDecodeLegacyEntry).
 type ChunkPartial struct {
 	Chunk   int
 	Cohorts []CohortAccum
@@ -222,8 +220,8 @@ type ChunkPartial struct {
 // shares each cohort's event-free prefix across them. The
 // partial is a pure function of (Spec, ci): any process running the
 // same chunk of the same job produces bit-identical accumulators,
-// which is the whole basis of the shard protocol's determinism and of
-// its freedom to re-lease chunks after failures.
+// which is the whole basis of the daemon's resume and of its freedom to
+// lease a chunk again after a worker fails.
 func (j *Job) RunChunk(ctx context.Context, ci int, ws *Scratch) (*ChunkPartial, error) {
 	if ci < 0 || ci >= j.NumChunks() {
 		return nil, fmt.Errorf("fleet: chunk %d out of range [0, %d)", ci, j.NumChunks())
@@ -232,7 +230,7 @@ func (j *Job) RunChunk(ctx context.Context, ci int, ws *Scratch) (*ChunkPartial,
 		ws = j.NewScratch()
 	}
 	cp := &ChunkPartial{Chunk: ci, Cohorts: make([]CohortAccum, len(j.grid))}
-	lo, hi := j.ChunkBounds(ci)
+	lo, hi := j.chunkBounds(ci)
 	for d := lo; d < hi; d++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -246,8 +244,8 @@ func (j *Job) RunChunk(ctx context.Context, ci int, ws *Scratch) (*ChunkPartial,
 
 // Compute runs every chunk index received on chunks across workers
 // goroutines (<= 0 means GOMAXPROCS) and returns the count it used. It
-// is the one chunk executor: Job.Run and shard workers drive their
-// chunks through it. Each goroutine owns one Scratch for its lifetime.
+// is the one chunk executor: Job.Run, the daemon and its remote workers
+// drive their chunks through it. Each goroutine owns one Scratch for its lifetime.
 // done receives every partial in completion order, which depends on
 // scheduling, and its calls never overlap, so it needs no lock of its
 // own.
@@ -363,7 +361,7 @@ func (j *Job) Run(ctx context.Context, have []*ChunkPartial, done func(*ChunkPar
 // i holding chunk i — the fixed fold order is what makes the report
 // independent of which worker ran which chunk. The caller fills in the
 // Result's wall-clock diagnostics (Elapsed, DevicesSec, Workers), as
-// Run and shard.Serve do.
+// Run does.
 func (j *Job) Fold(partials []*ChunkPartial) (*Result, error) {
 	if len(partials) != j.NumChunks() {
 		return nil, fmt.Errorf("fleet: folding %d partials, want %d", len(partials), j.NumChunks())

@@ -24,7 +24,8 @@ func mustJob(t *testing.T, cfg Config) *Job {
 
 // TestJobSpecHash pins the fingerprint contract: stable across
 // rebuilds, sensitive to every canonical field, and blind to the
-// worker count (which shard workers choose locally).
+// worker count (which the daemon and each remote worker choose
+// locally).
 func TestJobSpecHash(t *testing.T) {
 	base := Config{N: 96, Seed: 1, Scale: 0.05, ChunkSize: 8}
 	h := mustJob(t, base).SpecHash()
@@ -65,11 +66,11 @@ func TestJobChunks(t *testing.T) {
 	if got := job.NumChunks(); got != 13 {
 		t.Fatalf("NumChunks = %d, want 13", got)
 	}
-	lo, hi := job.ChunkBounds(0)
+	lo, hi := job.chunkBounds(0)
 	if lo != 0 || hi != 8 {
 		t.Fatalf("chunk 0 = [%d, %d)", lo, hi)
 	}
-	lo, hi = job.ChunkBounds(12)
+	lo, hi = job.chunkBounds(12)
 	if lo != 96 || hi != 100 {
 		t.Fatalf("last chunk = [%d, %d), want [96, 100)", lo, hi)
 	}
@@ -79,8 +80,8 @@ func TestJobChunks(t *testing.T) {
 }
 
 // TestRunChunkFoldMatchesRun: driving the chunk API by hand — with the
-// partials gob round-tripped, as the shard protocol does — folds to the
-// same report as Run.
+// partials gob round-tripped, as remote workers' results are — folds to
+// the same report as Run.
 func TestRunChunkFoldMatchesRun(t *testing.T) {
 	cfg := Config{N: 96, Seed: 1, Jobs: 2, Scale: 0.05, ChunkSize: 16}
 	res, err := Run(context.Background(), cfg)

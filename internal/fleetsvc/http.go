@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"time"
 
 	"capybara/internal/fleet"
 )
@@ -21,8 +23,20 @@ import (
 //	POST   /api/v1/jobs/{id}/cancel   cancel a queued/running job
 //	GET    /api/v1/healthz            liveness + queue depth
 //
+// Remote workers (Work) lease chunks of running jobs and send each
+// result back as one store entry (see lease.go for the lease rules):
+//
+//	POST   /api/v1/jobs/{id}/lease        {"spec_hash"} → 200 {"chunk"}, or 204 when no chunk is eligible now
+//	PUT    /api/v1/jobs/{id}/chunks/{ci}  body: the chunk's store entry (EncodeEntry) → 204
+//
+// A lease whose spec hash is not the job's, and a lease or a result for
+// a job that is not leasing chunks, get 409. A result is accepted
+// whenever its job is leasing and its entry validates, whether or not
+// its lease is current; a duplicate gets 204 and changes nothing. Like
+// every endpoint, these trust any client that can reach the daemon.
+//
 // Every JSON response is either a JobStatus (see service.go), a list
-// wrapper, or {"error": "..."} with a matching HTTP status.
+// wrapper, a lease, or {"error": "..."} with a matching HTTP status.
 
 // SubmitRequest is the POST /jobs body: the canonical report spec.
 // Parallelism is deliberately absent — it belongs to the daemon, and
@@ -45,6 +59,8 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /api/v1/jobs/{id}/report", s.handleReport)
 	mux.HandleFunc("GET /api/v1/jobs/{id}/stream", s.handleStream)
 	mux.HandleFunc("POST /api/v1/jobs/{id}/cancel", s.handleCancel)
+	mux.HandleFunc("POST /api/v1/jobs/{id}/lease", s.handleLease)
+	mux.HandleFunc("PUT /api/v1/jobs/{id}/chunks/{ci}", s.handleResult)
 	return mux
 }
 
@@ -259,4 +275,89 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
+}
+
+// leaseRequest is the POST /lease body: the spec hash the worker's own
+// build derives from the job's spec.
+type leaseRequest struct {
+	SpecHash string `json:"spec_hash"`
+}
+
+// leaseResponse is a granted lease: the chunk to compute.
+type leaseResponse struct {
+	Chunk int `json:"chunk"`
+}
+
+// handleLease grants a remote worker one chunk of a running job. A
+// worker whose build derives another spec hash is refused before it
+// holds a lease, so it uses up no attempt.
+func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	j, ok := s.lookup(id)
+	if !ok {
+		writeError(w, http.StatusNotFound, "no job %s", id)
+		return
+	}
+	var req leaseRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&req); err != nil {
+		writeError(w, http.StatusBadRequest, "bad lease body: %v", err)
+		return
+	}
+	if req.SpecHash != j.hash {
+		writeError(w, http.StatusConflict, "spec hash mismatch: daemon %s, worker %s (mismatched binaries?)", j.hash, req.SpecHash)
+		return
+	}
+	ci, ok, err := j.lease(time.Now())
+	switch {
+	case err != nil:
+		st, _ := s.Status(id)
+		writeError(w, http.StatusConflict, "job %s is %s and not leasing chunks", id, st.State)
+	case !ok:
+		w.WriteHeader(http.StatusNoContent)
+	default:
+		writeJSON(w, http.StatusOK, leaseResponse{Chunk: ci})
+	}
+}
+
+// handleResult takes a remote worker's result for chunk ci: one store
+// entry, checked by DecodeEntry against the job's spec hash and the
+// chunk, stored, and only then counted. A result that does not validate
+// sends its chunk back to be leased again, with the attempt counted.
+func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	j, ok := s.lookup(id)
+	if !ok {
+		writeError(w, http.StatusNotFound, "no job %s", id)
+		return
+	}
+	ci, err := strconv.Atoi(r.PathValue("ci"))
+	if err != nil || ci < 0 || ci >= j.chunks {
+		writeError(w, http.StatusBadRequest, "chunk %q is not in [0, %d)", r.PathValue("ci"), j.chunks)
+		return
+	}
+	entry, err := io.ReadAll(http.MaxBytesReader(w, r.Body, entryHeaderLen+maxEntryPayload))
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "entry exceeds %d bytes", tooBig.Limit)
+		return
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "reading chunk %d: %v", ci, err)
+		return
+	}
+	cp, err := DecodeEntry(entry, j.hash, ci)
+	if err != nil {
+		j.refuse(ci, fmt.Errorf("refused result: %v", err))
+		writeError(w, http.StatusBadRequest, "chunk %d: %v", ci, err)
+		return
+	}
+	switch err := s.accept(j, cp, entry); {
+	case errors.Is(err, errNotRunning):
+		st, _ := s.Status(id)
+		writeError(w, http.StatusConflict, "job %s is %s and not leasing chunks", id, st.State)
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, "%v", err)
+	default:
+		w.WriteHeader(http.StatusNoContent)
+	}
 }

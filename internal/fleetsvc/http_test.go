@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -37,17 +39,21 @@ func decodeStatus(t *testing.T, r io.Reader) JobStatus {
 }
 
 // TestHTTPAPI is the table-driven pass over every route's success and
-// error shapes against one live service.
+// error shapes against one live service. The service computes nothing
+// itself, so its jobs lease their chunks to the test.
 func TestHTTPAPI(t *testing.T) {
-	svc, srv := testServer(t, ServiceConfig{})
+	svc, srv := remoteService(t, t.TempDir(), leasePolicy{})
 
-	// One finished job to serve reports from.
-	done, err := svc.Submit(fleet.Spec{N: 16, Seed: 2, Scale: 0.02, ChunkSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// One finished job to serve reports from, computed by a remote
+	// worker that stops before the other jobs start.
+	doneCfg := fleet.Config{N: 16, Seed: 2, Scale: 0.02, ChunkSize: 8}
+	done := submit(t, svc, doneCfg)
+	stop := startWork(srv.URL, 1)
 	if st := waitDone(t, svc, done.ID); st.State != StateDone {
 		t.Fatalf("setup job finished %s: %s", st.State, st.Error)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
 	}
 	// One canceled job (submit then cancel; with the slot likely busy it
 	// cancels while queued — either way it is terminal and report-less).
@@ -58,6 +64,20 @@ func TestHTTPAPI(t *testing.T) {
 	if _, err := svc.Cancel(canceled.ID); err != nil {
 		t.Fatal(err)
 	}
+	// Two leasing jobs of two chunks each, chunk 0 of each leased here.
+	// The second cannot checkpoint: a file sits where its partials go.
+	leasingCfg := fleet.Config{N: 16, Seed: 6, Scale: 0.02, ChunkSize: 8}
+	leasing := submit(t, svc, leasingCfg)
+	leaseNext(t, srv, leasing.ID, leasing.SpecHash)
+	brokenCfg := fleet.Config{N: 16, Seed: 7, Scale: 0.02, ChunkSize: 8}
+	broken := submit(t, svc, brokenCfg)
+	leaseNext(t, srv, broken.ID, broken.SpecHash)
+	if err := os.WriteFile(filepath.Join(svc.store.Dir(), "partials", broken.SpecHash), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	leasingEntry := string(entries(t, leasingCfg)[0])
+	lease := func(id string) string { return "/api/v1/jobs/" + id + "/lease" }
+	hashBody := func(hash string) string { return string(leaseBody(hash)) }
 
 	tests := []struct {
 		name     string
@@ -89,6 +109,25 @@ func TestHTTPAPI(t *testing.T) {
 		{"cancel terminal job is idempotent", "POST", "/api/v1/jobs/" + canceled.ID + "/cancel", "", http.StatusOK, `"state": "canceled"`},
 		{"stream unknown job", "GET", "/api/v1/jobs/j999999/stream", "", http.StatusNotFound, "no job"},
 		{"healthz", "GET", "/api/v1/healthz", "", http.StatusOK, `"ok": true`},
+		{"lease ok", "POST", lease(leasing.ID), hashBody(leasing.SpecHash), http.StatusOK, `"chunk": 1`},
+		{"lease with no chunk eligible", "POST", lease(leasing.ID), hashBody(leasing.SpecHash), http.StatusNoContent, ""},
+		{"lease rejects a malformed body", "POST", lease(leasing.ID), `{"spec_hash":`, http.StatusBadRequest, "bad lease body"},
+		{"lease rejects another spec hash", "POST", lease(leasing.ID), hashBody("deadbeef"), http.StatusConflict, "spec hash mismatch: daemon " + leasing.SpecHash + ", worker deadbeef"},
+		{"lease of a done job", "POST", lease(done.ID), hashBody(done.SpecHash), http.StatusConflict, "not leasing"},
+		{"lease unknown job", "POST", "/api/v1/jobs/j999999/lease", hashBody(done.SpecHash), http.StatusNotFound, "no job"},
+		{"lease is POST-only", "GET", lease(leasing.ID), "", http.StatusMethodNotAllowed, ""},
+		{"result ok", "PUT", chunkPath(leasing.ID, 0), leasingEntry, http.StatusNoContent, ""},
+		{"result duplicate", "PUT", chunkPath(leasing.ID, 0), leasingEntry, http.StatusNoContent, ""},
+		{"result chunk out of range", "PUT", chunkPath(leasing.ID, 2), leasingEntry, http.StatusBadRequest, "not in [0, 2)"},
+		{"result chunk not a number", "PUT", "/api/v1/jobs/" + leasing.ID + "/chunks/x", leasingEntry, http.StatusBadRequest, "not in [0, 2)"},
+		{"result for another chunk", "PUT", chunkPath(leasing.ID, 1), leasingEntry, http.StatusBadRequest, "not 1"},
+		{"result corrupt entry", "PUT", chunkPath(leasing.ID, 1), "garbage", http.StatusBadRequest, "shorter than"},
+		{"result of another cohort grid", "PUT", chunkPath(leasing.ID, 1), string(bentEntry(t, leasingCfg, 1, oneCohort)), http.StatusBadRequest, "partial has 1 cohorts"},
+		{"result with extra histogram bins", "PUT", chunkPath(leasing.ID, 1), string(bentEntry(t, leasingCfg, 1, extraBins)), http.StatusBadRequest, "latency histogram"},
+		{"result too big", "PUT", chunkPath(leasing.ID, 1), strings.Repeat("x", entryHeaderLen+maxEntryPayload+1), http.StatusRequestEntityTooLarge, "exceeds"},
+		{"result for a done job", "PUT", chunkPath(done.ID, 0), string(entries(t, doneCfg)[0]), http.StatusConflict, "not leasing"},
+		{"result unknown job", "PUT", chunkPath("j999999", 0), leasingEntry, http.StatusNotFound, "no job"},
+		{"result that cannot be stored", "PUT", chunkPath(broken.ID, 0), string(entries(t, brokenCfg)[0]), http.StatusInternalServerError, "checkpointing chunk 0"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -23,17 +23,20 @@ import (
 //
 // Contract: a job's final report is byte-identical to fleet.Run with
 // the same spec, however many times the service died and resumed while
-// running it, and whatever other jobs ran concurrently. Two jobs with
-// the same SpecHash share chunk checkpoints through the store (the
-// cross-run memo); jobs with different hashes cannot touch each other's
-// partials — the store is content-addressed, so isolation is by
-// construction, not by locking discipline.
+// running it, whichever workers computed its chunks, and whatever other
+// jobs ran concurrently. Two jobs with the same SpecHash share chunk
+// checkpoints through the store (the cross-run memo); jobs with
+// different hashes cannot touch each other's partials — the store is
+// content-addressed, so isolation is by construction, not by locking
+// discipline.
 
 // ServiceConfig parameterizes a Service. Only Store is required.
 type ServiceConfig struct {
 	// Store holds checkpoints, the job journal, and finished reports.
 	Store *Store
-	// Jobs is each running job's worker parallelism (<= 0 GOMAXPROCS).
+	// Jobs is how many chunks of each running job this process
+	// computes at once. At 0 (or less) it computes none: remote workers
+	// (Work) lease every chunk.
 	Jobs int
 	// MaxConcurrent bounds how many jobs run at once (<= 0 means 2).
 	// Queued jobs start in submission order as slots free up.
@@ -92,7 +95,7 @@ type CohortProgress struct {
 // hash is recorded for diagnosis but recomputed by the resuming binary
 // — checkpoints and reports are addressed by the recomputed hash, so a
 // binary whose cohort grid drifted recomputes instead of folding stale
-// partials (the same check the shard handshake makes across processes,
+// partials (the same check a lease request makes across processes,
 // here across daemon generations).
 type jobRecord struct {
 	ID       string     `json:"id"`
@@ -105,9 +108,9 @@ type jobRecord struct {
 // job is one tracked job. Its spec, hash and chunk count are fixed when
 // it is tracked and read without the lock. The hash comes from a
 // fleet.Job this binary built from the spec, so checkpoint addressing
-// is always the running binary's truth. fjob and partials serve only a
-// job that can still run: a terminal job drops both (the store holds
-// its partials and reports) and keeps its status alone.
+// is always the running binary's truth. fjob, partials and leases serve
+// only a job that can still run: a terminal job drops them (the store
+// holds its partials and reports) and keeps its status alone.
 type job struct {
 	id     string
 	spec   fleet.Spec // defaults resolved
@@ -128,6 +131,10 @@ type job struct {
 	// by start.
 	fjob     *fleet.Job
 	partials []*fleet.ChunkPartial // completed chunks by index, for snapshots; nil once terminal
+	// leases hands out the chunks the job still needs (lease.go). run
+	// opens it once the checkpoints are loaded; nil before then and
+	// once the job is terminal.
+	leases   *leaseTable
 	state    string
 	errMsg   string
 	loaded   int
@@ -135,27 +142,6 @@ type job struct {
 	devices  int
 	watchers map[int]chan struct{}
 	nextW    int
-}
-
-// record counts chunk cp as loaded from the store or computed fresh,
-// keeps it for the ?cohorts=1 fold, and nudges watchers. A terminal
-// job's counts are final: a chunk its canceled run still finishes is
-// not recorded.
-func (j *job) record(cp *fleet.ChunkPartial, loaded bool) {
-	j.mu.Lock()
-	if terminal(j.state) {
-		j.mu.Unlock()
-		return
-	}
-	j.partials[cp.Chunk] = cp
-	if loaded {
-		j.loaded++
-	} else {
-		j.computed++
-	}
-	j.devices += min(j.spec.ChunkSize, j.spec.N-cp.Chunk*j.spec.ChunkSize)
-	j.mu.Unlock()
-	j.notify()
 }
 
 // notify nudges every watcher (coalescing: a slow watcher misses
@@ -193,15 +179,18 @@ func (j *job) ended() bool {
 }
 
 // end moves the job to state, unless it is terminal already, and drops
-// what only a run needs: the fleet.Job and the partials go, and the
-// context is canceled so the service context stops holding it. It
-// publishes the state only: Service.end journals it first.
+// what only a run needs: the fleet.Job, the partials and the lease table
+// go, and the context is canceled so the service context stops holding
+// it. Its counts are final: a chunk its canceled run still finishes is
+// not counted. It publishes the state only: Service.end journals it
+// first.
 func (j *job) end(state, errMsg string) {
 	j.mu.Lock()
 	if !terminal(j.state) {
 		j.state, j.errMsg = state, errMsg
 	}
 	j.fjob, j.partials = nil, nil
+	j.dropLeases()
 	j.mu.Unlock()
 	j.cancel()
 }
@@ -222,6 +211,7 @@ func (j *job) reported() {
 type Service struct {
 	cfg   ServiceConfig
 	store *Store
+	pol   leasePolicy
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -270,6 +260,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	s := &Service{
 		cfg:    cfg,
 		store:  cfg.Store,
+		pol:    leasePolicy{timeout: leaseTimeout, attempts: leaseAttempts, backoff: leaseBackoff},
 		ctx:    ctx,
 		cancel: cancel,
 		sem:    make(chan struct{}, cfg.MaxConcurrent),
@@ -556,13 +547,14 @@ func (s *Service) enqueue(j *job) {
 }
 
 // runJob owns one job's lifecycle. A job whose spec's reports are on
-// disk finishes at once, without a run slot: it reads no partial. Any
-// other job waits for a slot, folds every chunk the shared store holds,
-// computes the rest through fleet.Job.Run with each one checkpointed
-// before it counts, persists the report and journals the terminal
-// state. After a crash at any instant a rerun repeats at most the
-// chunks that were in flight. On service shutdown it returns with the
-// journal still saying queued — the resume marker a successor picks up.
+// disk finishes at once, without a run slot: it reads no partial and
+// builds no lease table. Any other job waits for a slot, folds every
+// chunk the shared store holds, leases the rest to local and remote
+// workers with each one checkpointed before it counts, persists the
+// report and journals the terminal state. After a crash at any instant
+// a rerun repeats at most the chunks that were in flight. On service
+// shutdown it returns with the journal still saying queued — the
+// resume marker a successor picks up.
 func (s *Service) runJob(j *job) {
 	defer s.wg.Done()
 	defer j.notify()
@@ -586,10 +578,13 @@ func (s *Service) runJob(j *job) {
 	s.finish(j, s.run(j, fj))
 }
 
-// run folds the chunks the store holds for j, computes the rest with
-// each one checkpointed before j records it, and persists the spec's
-// reports. fj is the job's fleet.Job, or nil when the index resolved
-// its spec: then run builds it here, the one place that needs it.
+// run loads the chunks the store holds for j, leases the rest to this
+// process's Jobs workers and to remote ones, each checkpointed before j
+// counts it, folds them all and persists the spec's reports. fj is the
+// job's fleet.Job, or nil when the index resolved its spec: then run
+// builds it here, the one place that needs it. When the job's context
+// ends (a cancel, or the service stopping) the lease table closes and
+// run returns.
 func (s *Service) run(j *job, fj *fleet.Job) error {
 	if fj == nil {
 		var err error
@@ -601,22 +596,95 @@ func (s *Service) run(j *job, fj *fleet.Job) error {
 	if err != nil {
 		return err
 	}
-	for _, cp := range have {
-		if cp != nil {
-			j.record(cp, true)
-		}
-	}
-	res, err := fj.Run(j.ctx, have, func(cp *fleet.ChunkPartial) error {
-		if err := s.store.Put(j.hash, cp.Chunk, cp); err != nil {
-			return fmt.Errorf("checkpointing chunk %d: %w", cp.Chunk, err)
-		}
-		j.record(cp, false)
-		return nil
+	stop := context.AfterFunc(j.ctx, func() {
+		j.mu.Lock()
+		j.dropLeases()
+		j.mu.Unlock()
 	})
+	defer stop()
+	if err := j.startLeases(s.pol, have); err != nil {
+		return err
+	}
+	if s.cfg.Jobs > 0 {
+		s.computeLocal(j, fj)
+	}
+	partials, err := j.wait()
+	if err != nil {
+		return err
+	}
+	res, err := fj.Fold(partials)
 	if err != nil {
 		return err
 	}
 	return s.writeReports(j.hash, res)
+}
+
+// computeLocal runs j's chunks on Jobs workers through fleet.Job.Compute,
+// each worker keeping one Scratch for the job. A feeder leases a chunk
+// from the table only when a worker is free to take it, so a remote
+// worker can lease every chunk the local ones are not running. It
+// returns once no chunk is left for it: every chunk is done, the run
+// failed (a local chunk's error fails it), or the job stopped leasing.
+// Nothing on this path polls or sleeps: the feeder waits on the table.
+func (s *Service) computeLocal(j *job, fj *fleet.Job) {
+	chunks := make(chan int)
+	free := make(chan struct{}, s.cfg.Jobs) // one token per idle worker
+	for range s.cfg.Jobs {
+		free <- struct{}{}
+	}
+	stop := make(chan struct{})
+	fed := make(chan struct{})
+	go func() {
+		defer close(fed)
+		defer close(chunks)
+		for {
+			select {
+			case <-free:
+			case <-stop:
+				return
+			}
+			ci, ok := j.takeLocal()
+			if !ok {
+				return
+			}
+			select {
+			case chunks <- ci:
+			case <-stop:
+				return
+			}
+		}
+	}()
+	_, err := fj.Compute(j.ctx, s.cfg.Jobs, chunks, func(cp *fleet.ChunkPartial) error {
+		entry, err := EncodeEntry(j.hash, cp.Chunk, cp)
+		if err == nil {
+			err = s.accept(j, cp, entry)
+		}
+		free <- struct{}{}
+		return err
+	})
+	if err != nil {
+		j.fail(err)
+	}
+	close(stop)
+	<-fed
+}
+
+// accept stores entry, the encoded result cp for one of j's chunks, and
+// only then counts the chunk, so no chunk counts before it is durable.
+// A chunk that has its result already is neither stored again nor
+// counted: the first result wins. A failed Put fails the job, as a
+// failed checkpoint fails any run. errNotRunning: j is not leasing.
+func (s *Service) accept(j *job, cp *fleet.ChunkPartial, entry []byte) error {
+	need, err := j.needs(cp.Chunk)
+	if err != nil || !need {
+		return err
+	}
+	if err := s.store.put(j.hash, cp.Chunk, entry); err != nil {
+		err = fmt.Errorf("checkpointing chunk %d: %w", cp.Chunk, err)
+		j.fail(err)
+		return err
+	}
+	return j.complete(cp)
 }
 
 // writeReports persists both report formats for hash before the job

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -74,8 +75,15 @@ func baseline(t *testing.T, cfg fleet.Config) []byte {
 	return buf.Bytes()
 }
 
+// openService opens a service over dir. A cfg whose Jobs is 0 gets one
+// local worker per CPU, what a zero Jobs meant before remote workers:
+// the service tests that leave it unset compute their jobs in-process.
+// remoteService opens a service that computes nothing itself.
 func openService(t *testing.T, dir string, cfg ServiceConfig) *Service {
 	t.Helper()
+	if cfg.Jobs == 0 {
+		cfg.Jobs = runtime.GOMAXPROCS(0)
+	}
 	store, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -526,7 +534,7 @@ func checkReports(t *testing.T, svc *Service, id string, csv, js []byte) {
 }
 
 // checkReleased fails unless job id holds no simulation state: no
-// fleet.Job, no partials, and a done context.
+// fleet.Job, no partials, no lease table, and a done context.
 func checkReleased(t *testing.T, svc *Service, id string) {
 	t.Helper()
 	j, ok := svc.lookup(id)
@@ -534,10 +542,10 @@ func checkReleased(t *testing.T, svc *Service, id string) {
 		t.Fatalf("no job %s", id)
 	}
 	j.mu.Lock()
-	fj, partials := j.fjob, j.partials
+	fj, partials, leases := j.fjob, j.partials, j.leases
 	j.mu.Unlock()
-	if fj != nil || partials != nil {
-		t.Fatalf("terminal job %s still holds its fleet.Job (%v) or %d partial slots", id, fj != nil, len(partials))
+	if fj != nil || partials != nil || leases != nil {
+		t.Fatalf("terminal job %s still holds its fleet.Job (%v), %d partial slots or its lease table (%v)", id, fj != nil, len(partials), leases != nil)
 	}
 	if j.ctx.Err() == nil {
 		t.Fatalf("terminal job %s's context is not done", id)

@@ -1,12 +1,13 @@
 // Package fleetsvc turns the one-shot fleet engine into a persistent,
 // resumable service: a content-addressed on-disk store of completed
 // chunk partials, a job queue whose state survives process death and
-// whose jobs run through fleet.Job.Run over the store's checkpoints,
-// and an HTTP/JSON API over all of it (cmd/capyfleet -serve-http).
+// whose jobs lease the chunks the store lacks to the service's own
+// workers and to remote ones (Work, lease.go), and an HTTP/JSON API
+// over all of it (cmd/capyfleet -serve-http and -connect).
 //
 // The store is the load-bearing piece. A chunk partial is a pure
-// function of (spec, chunk index) — PR 5's shard protocol already leans
-// on that for re-leasing — so persisting partials keyed by
+// function of (spec, chunk index) — which also lets a lease whose
+// worker vanished be granted again — so persisting partials keyed by
 // SpecHash/chunk gives three properties at once:
 //
 //   - crash resume: a killed run's completed chunks are on disk; a
@@ -18,8 +19,8 @@
 //     spec's reports too;
 //   - cross-binary scope: the SpecHash covers the spec, the cohort grid
 //     and samples of each scenario trace, not the simulator code, so a
-//     binary whose grid or traces drifted misses, as the shard
-//     handshake rejects it. A binary whose device physics drifted
+//     binary whose grid or traces drifted misses, as a lease request
+//     from a remote worker of such a build is refused. A binary whose device physics drifted
 //     derives the same hash: stored partials and reports are trusted
 //     only across binaries whose reports for a spec agree.
 //
@@ -70,8 +71,9 @@ const (
 	entryHeaderLen = 120
 	hashLen        = 64
 	// maxEntryPayload bounds a payload before it is trusted: a corrupt
-	// length field must not drive allocation. Matches the shard frame
-	// bound — a real partial is orders of magnitude smaller.
+	// length field must not drive allocation, nor a remote worker's
+	// result body (the result endpoint caps it at the header plus this).
+	// A real partial is orders of magnitude smaller.
 	maxEntryPayload = 16 << 20
 )
 
@@ -230,9 +232,15 @@ func (s *Store) Put(hash string, ci int, cp *fleet.ChunkPartial) error {
 	if err != nil {
 		return err
 	}
+	return s.put(hash, ci, data)
+}
+
+// put stores data, an entry EncodeEntry built or DecodeEntry validated,
+// as chunk ci of hash.
+func (s *Store) put(hash string, ci int, data []byte) error {
 	dir := s.hashDir(hash)
 	s.mkdir.Lock()
-	err = os.MkdirAll(dir, 0o755)
+	err := os.MkdirAll(dir, 0o755)
 	s.mkdir.Unlock()
 	if err != nil {
 		return fmt.Errorf("fleetsvc: put chunk %d: %w", ci, err)

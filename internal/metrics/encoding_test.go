@@ -11,9 +11,9 @@ import (
 	"capybara/internal/units"
 )
 
-// The shard protocol ships Running and Histogram accumulators between
-// processes (gob frames today; JSON is the documented alternative
-// encoding). These property tests pin the contract the distributed fold
+// The fleet daemon's store entries carry Running and Histogram
+// accumulators between processes (gob today; JSON is the documented
+// alternative encoding). These property tests pin the contract the distributed fold
 // depends on: encode → decode → Merge is bit-identical to merging the
 // original value directly. Running holds float64 state, so "equal"
 // means math.Float64bits equality, not tolerance.
