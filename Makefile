@@ -75,17 +75,22 @@ chaos:
 	$(GO) run ./cmd/capybench -chaos $(CHAOS_TRIALS) -seed $(CHAOS_SEED)
 
 # Short native-fuzzing smoke runs over the charge-sharing, task-commit,
-# spec-resolve, store-entry, submit-body and journal-log targets; the checked-in corpus always runs
-# under plain `go test`, this adds a few seconds of fresh exploration.
+# spec-resolve, prefix-store, store-entry, submit-body and journal-log
+# targets; the checked-in corpus always runs under plain `go test`, this
+# adds a few seconds of fresh exploration.
 # FuzzSubmit skips minimization: shrinking an interesting input over the
 # 64 KiB body cap took most of its 5 s, leaving about a quarter of the
 # executions. FuzzJournal skips it for the same reason: inputs grown from
 # its 25 KiB-line seed stalled the run after about 9 s, at a third of
-# the executions of a run without it.
+# the executions of a run without it. FuzzPrefixesAcrossJobs skips it
+# too: each input simulates up to four jobs, and minimizing its first
+# interesting input stalled the run at 10 executions in 5 s, against
+# about 100 without it.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzConnect -fuzztime=5s ./internal/storage
 	$(GO) test -run='^$$' -fuzz=FuzzCommitAtomicity -fuzztime=5s ./internal/task
 	$(GO) test -run='^$$' -fuzz=FuzzResolveSpec -fuzztime=5s ./internal/fleet
+	$(GO) test -run='^$$' -fuzz=FuzzPrefixesAcrossJobs -fuzztime=5s -fuzzminimizetime=0 ./internal/fleet
 	$(GO) test -run='^$$' -fuzz=FuzzPartialDecode -fuzztime=5s ./internal/fleetsvc
 	$(GO) test -run='^$$' -fuzz=FuzzSubmit -fuzztime=5s -fuzzminimizetime=0 ./internal/fleetsvc
 	$(GO) test -run='^$$' -fuzz=FuzzJournal -fuzztime=5s -fuzzminimizetime=0 ./internal/fleetsvc

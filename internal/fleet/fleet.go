@@ -4,7 +4,8 @@
 // without retaining per-device state.
 //
 // Four performance layers keep per-device cost at simulation, not
-// construction or retention, and skip simulation a cohort has done:
+// construction or retention, and skip simulation another device has
+// done:
 //
 //   - shared immutable artifacts and recycled scratch: cohort
 //     environment traces are built once and shared by every device in
@@ -17,7 +18,7 @@
 //     metrics.Histogram, integer totals) per chunk, and chunks fold in
 //     index order — memory is O(workers + cohorts), not O(devices).
 //     The worker's recorder drops sample timestamps
-//     (metrics.Recorder.DropSamples, set by Job.NewScratch): the fleet
+//     (metrics.Recorder.DropSamples, set on every Scratch): the fleet
 //     never runs the gap analysis, and a gesture device takes over a
 //     million samples;
 //   - a lean device step: a fleet-long device is mostly task attempts,
@@ -26,10 +27,14 @@
 //     computes each drain on plain values, and allocates nothing in
 //     steady state (DESIGN.md §7, "The device-step hot path");
 //   - the event-free prefix: until its first event a device runs its
-//     cohort's one polling trajectory, so a worker's Scratch keeps
-//     per-cohort snapshots of it and a later device resumes from the
-//     latest one taken before its own first event (prefix.go,
-//     DESIGN.md §7, "Resuming from the event-free prefix").
+//     cohort's one polling trajectory, which no seed, scale or N enters
+//     for a Steady or Continuous cohort. A Prefixes store keeps
+//     snapshots of each trajectory, and a later device resumes from the
+//     latest one taken before its own first event. Job.Run shares one
+//     store among its workers; the fleetsvc daemon and each remote
+//     worker keep one for their lifetimes, so a job resumes from
+//     prefixes earlier jobs simulated (prefix.go, DESIGN.md §7,
+//     "Resuming from the event-free prefix").
 //
 // Execution decomposes into fixed-size device-index chunks behind the
 // Job/Compute/Fold API. Job.Run is the one in-process driver: Run and
@@ -102,6 +107,9 @@ type Cohort struct {
 	// trace is the cohort's shared environment modulation (nil for
 	// Steady): one immutable value reused by every device in the cohort.
 	trace harvest.Trace
+	// prefix is the event-free trajectory its devices share with every
+	// cohort of the same key, in any job (prefix.go).
+	prefix trajectory
 }
 
 func (c Cohort) String() string {
@@ -244,6 +252,7 @@ func cohortGrid(seed int64) ([]Cohort, error) {
 					}
 					c.trace = harvest.BlackoutTrace(harvest.ConstantTrace(1), windows...)
 				}
+				c.prefix = prefixKey(c, seed)
 				grid = append(grid, c)
 				idx++
 			}
@@ -288,7 +297,13 @@ func (j *Job) simulate(d int, ws *Scratch, cp *ChunkPartial) error {
 	if err != nil {
 		return err
 	}
-	agg := &cp.Cohorts[ci]
+	ws.lat = foldDevice(&cp.Cohorts[ci], run, ws.lat[:0])
+	return nil
+}
+
+// foldDevice folds a finished run's observables into its cohort's
+// accumulator, staging its latencies in lat, which it returns for reuse.
+func foldDevice(agg *CohortAccum, run *apps.Run, lat []units.Seconds) []units.Seconds {
 	if len(agg.LatencyHist.Edges) == 0 {
 		agg.LatencyHist.Edges = latencyEdges
 	}
@@ -299,10 +314,10 @@ func (j *Job) simulate(d int, ws *Scratch, cp *ChunkPartial) error {
 	agg.Misclassified += acc.Misclassified
 	agg.Missed += acc.Missed
 	agg.Accuracy.Add(acc.FractionCorrect())
-	ws.lat = run.Rec.AppendLatencies(ws.lat[:0])
-	for _, lat := range ws.lat {
-		agg.Latency.Add(float64(lat))
-		agg.LatencyHist.Add(lat)
+	lat = run.Rec.AppendLatencies(lat)
+	for _, l := range lat {
+		agg.Latency.Add(float64(l))
+		agg.LatencyHist.Add(l)
 	}
 	st := run.Inst.Dev.Stats
 	agg.Boots += st.Boots
@@ -311,15 +326,15 @@ func (j *Job) simulate(d int, ws *Scratch, cp *ChunkPartial) error {
 	agg.TimeOff += st.TimeOff
 	agg.Reconfigs += run.Inst.Runtime.Reconfigs
 	agg.Precharges += run.Inst.Runtime.Precharges
-	return nil
+	return lat
 }
 
 // execute builds device d of cohort ci = d mod len(grid) on ws, reset
 // first, and runs its lifecycle to the horizon. The device's stream is
-// ws's generator reseeded to runner.RNG(seed, d). On a scratch j made,
-// the device resumes from its cohort's event-free prefix (runShared). A
-// nil ws builds every container and the generator fresh and simulates
-// from t = 0, as the experiments do: it is the unshared reference.
+// ws's generator reseeded to runner.RNG(seed, d), and it resumes from
+// its cohort's event-free trajectory in ws's store (runShared). A nil ws
+// builds every container and the generator fresh and simulates from
+// t = 0, as the experiments do: it is the unshared reference.
 func (j *Job) execute(d int, ws *Scratch) (*apps.Run, int, error) {
 	ci := d % len(j.grid)
 	cohort := j.grid[ci]
@@ -353,8 +368,8 @@ func (j *Job) execute(d int, ws *Scratch) (*apps.Run, int, error) {
 			Trace:  cohort.trace,
 		}
 	}
-	if ws == nil || ws.job != j {
+	if ws == nil {
 		return run, ci, run.Execute()
 	}
-	return run, ci, ws.runShared(run, ci, markSpacing(spec.Mean))
+	return run, ci, ws.runShared(run, cohort.prefix, markSpacing(spec.Mean))
 }

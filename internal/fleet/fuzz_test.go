@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"sync"
 	"testing"
 )
 
@@ -57,6 +58,51 @@ func FuzzResolveSpec(f *testing.F) {
 		}
 		if lo, hi := j.chunkBounds(n - 1); lo >= hi || hi != r.N {
 			t.Fatalf("%+v: last chunk [%d, %d), want it to end at N", r, lo, hi)
+		}
+	})
+}
+
+// FuzzPrefixesAcrossJobs runs the jobs an input describes, in turn,
+// through one prefix store. Each five bytes make one job: a seed from a
+// pool of three, N, scale, chunk size and worker count. Every job's
+// partials must equal the unshared reference, and once every Compute has
+// returned the store must hold no seeded list.
+func FuzzPrefixesAcrossJobs(f *testing.F) {
+	f.Add([]byte{0, 47, 0, 15, 0, 1, 95, 1, 31, 2})
+	f.Add([]byte{2, 23, 2, 63, 1, 2, 20, 0, 3, 2, 0, 60, 1, 7, 0})
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 48, 2, 5, 2})
+	scales := []float64{0.01, 0.02, 0.05}
+	var mu sync.Mutex
+	refs := make(map[Spec][]byte) // unshared references, kept across inputs
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pre := NewPrefixes()
+		for i := 0; i+5 <= len(data) && i < 4*5; i += 5 {
+			b := data[i : i+5]
+			j, err := NewJob(Config{
+				Seed: 51 + int64(b[0]%3), N: 1 + int(b[1])%96, Scale: scales[b[2]%3], ChunkSize: 1 + int(b[3])%32,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := computeAll(j, 1+int(b[4])%3, pre)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mu.Lock()
+			want, ok := refs[j.Spec()]
+			mu.Unlock()
+			if !ok {
+				want = encodePartials(t, referencePartials(t, j))
+				mu.Lock()
+				refs[j.Spec()] = want
+				mu.Unlock()
+			}
+			if !bytes.Equal(encodePartials(t, got), want) {
+				t.Fatalf("job %d, %+v: partials on the shared store differ from the unshared ones", i/5, j.Spec())
+			}
+		}
+		if keys := seededKeys(pre); len(keys) > 0 {
+			t.Fatalf("%d seeded lists outlived every Compute, such as %+v", len(keys), keys[0])
 		}
 	})
 }

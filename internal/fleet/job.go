@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"capybara/internal/apps"
-	"capybara/internal/core"
 	"capybara/internal/runner"
 	"capybara/internal/units"
 )
@@ -173,31 +172,29 @@ func (j *Job) specHash() string {
 
 // Scratch is one worker's recycled simulation state: the application
 // build scratch, the device-stream generator, the latency staging
-// buffer, and each cohort's event-free prefix snapshots (prefix.go).
-// Reusing one Scratch across many RunChunk calls is what makes
-// per-device cost simulation-bound and lets a cohort's later devices
-// skip the prefix its earlier ones simulated.
+// buffer, and the store of event-free prefix snapshots its devices
+// resume from and extend (prefix.go). Reusing one Scratch across many
+// RunChunk calls is what makes per-device cost simulation-bound and lets
+// a cohort's later devices skip the prefix its earlier ones simulated.
 //
 // Scratch contents decide where a device's simulation starts, never
 // what it computes: containers are Reset and the generator reseeded per
 // device, and a device resumes only from a snapshot that its own run
-// from t = 0 would pass through bit for bit. A Scratch serves only the
-// Job that made it; another job's devices run on it from t = 0.
+// from t = 0 would pass through bit for bit, whichever job saved it.
 type Scratch struct {
 	scr apps.Scratch
 	rng *rand.Rand // nil until the first device seeds it
 	lat []units.Seconds
-	job *Job
-	// snaps holds, per cohort grid index, the snapshots its devices
-	// saved before their first event, in clock order.
-	snaps [][]core.State
+	pre *Prefixes
 }
 
-// NewScratch builds a Scratch for j's devices whose recorder drops
-// sample timestamps: the fleet folds reports and device counters only,
-// never the inter-sample gaps.
-func (j *Job) NewScratch() *Scratch {
-	ws := &Scratch{job: j, snaps: make([][]core.State, len(j.grid))}
+// NewScratch builds a Scratch with a prefix store of its own, whose
+// recorder drops sample timestamps: the fleet folds reports and device
+// counters only, never the inter-sample gaps.
+func (j *Job) NewScratch() *Scratch { return newScratch(NewPrefixes()) }
+
+func newScratch(pre *Prefixes) *Scratch {
+	ws := &Scratch{pre: pre}
 	ws.scr.Rec.DropSamples = true
 	return ws
 }
@@ -245,20 +242,29 @@ func (j *Job) RunChunk(ctx context.Context, ci int, ws *Scratch) (*ChunkPartial,
 // Compute runs every chunk index received on chunks across workers
 // goroutines (<= 0 means GOMAXPROCS) and returns the count it used. It
 // is the one chunk executor: Job.Run, the daemon and its remote workers
-// drive their chunks through it. Each goroutine owns one Scratch for its lifetime.
-// done receives every partial in completion order, which depends on
-// scheduling, and its calls never overlap, so it needs no lock of its
-// own.
+// drive their chunks through it. Each goroutine owns one Scratch for its
+// lifetime, and every Scratch resumes devices from and extends pre, the
+// prefix store; nil means a fresh store for this call. A store passed to
+// several Computes, at once or in turn, shares each trajectory's
+// snapshots across their jobs, and Compute holds its seed in pre while
+// it runs (Prefixes). done receives every partial in completion order,
+// which depends on scheduling, and its calls never overlap, so it needs
+// no lock of its own.
 //
 // Compute returns once chunks is closed and drained, or once ctx is
 // done. The first error from a chunk or from done cancels the rest and
 // is returned, never the context.Canceled it caused in sibling chunks.
 // A panic in a chunk or in done comes back as a *runner.PanicError
 // whose Job is the chunk index.
-func (j *Job) Compute(ctx context.Context, workers int, chunks <-chan int, done func(*ChunkPartial) error) (int, error) {
+func (j *Job) Compute(ctx context.Context, workers int, pre *Prefixes, chunks <-chan int, done func(*ChunkPartial) error) (int, error) {
 	if workers <= 0 {
 		workers = runner.DefaultJobs()
 	}
+	if pre == nil {
+		pre = NewPrefixes()
+	}
+	pre.hold(j.cfg.Seed)
+	defer pre.release(j.cfg.Seed)
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 	var mu sync.Mutex // serializes done
@@ -267,7 +273,7 @@ func (j *Job) Compute(ctx context.Context, workers int, chunks <-chan int, done 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws := j.NewScratch()
+			ws := newScratch(pre)
 			for {
 				select {
 				case <-ctx.Done():
@@ -306,7 +312,8 @@ func (j *Job) computeChunk(ctx context.Context, ci int, ws *Scratch, mu *sync.Mu
 }
 
 // Run is the one in-process driver. It computes every chunk have lacks
-// on Config().Jobs workers through Compute, hands each computed partial
+// on Config().Jobs workers through Compute, with one fresh prefix store
+// shared by those workers, hands each computed partial
 // to done before recording it, folds all chunks in index order, and
 // sets the Result's diagnostics (Workers, Elapsed, DevicesSec).
 //
@@ -332,7 +339,7 @@ func (j *Job) Run(ctx context.Context, have []*ChunkPartial, done func(*ChunkPar
 	close(missing)
 
 	start := time.Now()
-	workers, err := j.Compute(ctx, j.cfg.Jobs, missing, func(cp *ChunkPartial) error {
+	workers, err := j.Compute(ctx, j.cfg.Jobs, nil, missing, func(cp *ChunkPartial) error {
 		if done != nil {
 			if err := done(cp); err != nil {
 				return err

@@ -172,7 +172,7 @@ func TestJobCompute(t *testing.T) {
 	t.Run("every chunk once, never overlapping", func(t *testing.T) {
 		seen := make([]int, n) // unsynchronized: -race flags overlapping calls
 		var inflight, overlaps atomic.Int32
-		workers, err := job.Compute(ctx, 4, all(), func(cp *ChunkPartial) error {
+		workers, err := job.Compute(ctx, 4, nil, all(), func(cp *ChunkPartial) error {
 			if inflight.Add(1) != 1 {
 				overlaps.Add(1)
 			}
@@ -196,7 +196,7 @@ func TestJobCompute(t *testing.T) {
 
 	t.Run("done error", func(t *testing.T) {
 		boom := errors.New("boom")
-		_, err := job.Compute(ctx, 4, all(), func(cp *ChunkPartial) error {
+		_, err := job.Compute(ctx, 4, nil, all(), func(cp *ChunkPartial) error {
 			if cp.Chunk == k {
 				return boom
 			}
@@ -208,7 +208,7 @@ func TestJobCompute(t *testing.T) {
 	})
 
 	t.Run("done panic", func(t *testing.T) {
-		_, err := job.Compute(ctx, 4, all(), func(cp *ChunkPartial) error {
+		_, err := job.Compute(ctx, 4, nil, all(), func(cp *ChunkPartial) error {
 			if cp.Chunk == k {
 				panic("exploded")
 			}
@@ -226,7 +226,7 @@ func TestJobCompute(t *testing.T) {
 		chunks := make(chan int) // never closed
 		ret := make(chan error, 1)
 		go func() {
-			_, err := job.Compute(ctx, 2, chunks, func(*ChunkPartial) error { return nil })
+			_, err := job.Compute(ctx, 2, nil, chunks, func(*ChunkPartial) error { return nil })
 			ret <- err
 		}()
 		chunks <- 0
@@ -244,7 +244,7 @@ func TestJobCompute(t *testing.T) {
 	t.Run("closed empty channel", func(t *testing.T) {
 		chunks := make(chan int)
 		close(chunks)
-		workers, err := job.Compute(ctx, 0, chunks, func(*ChunkPartial) error {
+		workers, err := job.Compute(ctx, 0, nil, chunks, func(*ChunkPartial) error {
 			t.Error("done called with no chunks")
 			return nil
 		})

@@ -16,7 +16,7 @@ import (
 // HTTP/JSON API over a Service, mounted by capyfleet -serve-http:
 //
 //	POST   /api/v1/jobs               submit {"n","seed","scale","chunk_size"} → 201 + status
-//	GET    /api/v1/jobs               list all jobs
+//	GET    /api/v1/jobs               list all jobs (?state=running, or another state, lists only that state's; 400 for an unknown one)
 //	GET    /api/v1/jobs/{id}          one job's status (?cohorts=1 adds the per-cohort fold; see Cohorts)
 //	GET    /api/v1/jobs/{id}/report   finished report, CSV (?format=json for JSON); 409 until done
 //	GET    /api/v1/jobs/{id}/stream   NDJSON status events until the job reaches a terminal state
@@ -134,8 +134,18 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, st)
 }
 
+// handleList lists every job, or with ?state= only the jobs in that
+// state: a remote worker's poll asks for the running ones, so its cost
+// follows the live jobs, not every job the daemon has tracked.
 func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.List()})
+	state := r.URL.Query().Get("state")
+	switch state {
+	case "", StateQueued, StateRunning, StateDone, StateFailed, StateCanceled:
+	default:
+		writeError(w, http.StatusBadRequest, "unknown state %q", state)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.list(state)})
 }
 
 func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {

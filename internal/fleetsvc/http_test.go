@@ -97,6 +97,10 @@ func TestHTTPAPI(t *testing.T) {
 		{"submit rejects an oversized body", "POST", "/api/v1/jobs", `{"n":16,"seed":4` + strings.Repeat(" ", maxSubmitBody) + `}`, http.StatusRequestEntityTooLarge, "exceeds"},
 		{"submit is POST-only", "GET", "/api/v1/jobs/" + done.ID + "/cancel", "", http.StatusMethodNotAllowed, ""},
 		{"list", "GET", "/api/v1/jobs", "", http.StatusOK, `"jobs"`},
+		{"list running", "GET", "/api/v1/jobs?state=running", "", http.StatusOK, `"id": "` + leasing.ID + `"`},
+		{"list done", "GET", "/api/v1/jobs?state=done", "", http.StatusOK, `"id": "` + done.ID + `"`},
+		{"list canceled", "GET", "/api/v1/jobs?state=canceled", "", http.StatusOK, `"id": "` + canceled.ID + `"`},
+		{"list rejects an unknown state", "GET", "/api/v1/jobs?state=finished", "", http.StatusBadRequest, "unknown state"},
 		{"status ok", "GET", "/api/v1/jobs/" + done.ID, "", http.StatusOK, `"state": "done"`},
 		{"status with cohorts", "GET", "/api/v1/jobs/" + done.ID + "?cohorts=1", "", http.StatusOK, `"cohorts"`},
 		{"status unknown job", "GET", "/api/v1/jobs/j999999", "", http.StatusNotFound, "no job"},
@@ -151,6 +155,26 @@ func TestHTTPAPI(t *testing.T) {
 				t.Fatalf("%s %s: body missing %q:\n%s", tc.method, tc.path, tc.contains, body)
 			}
 		})
+	}
+
+	// The filtered list holds running jobs only: the leasing one, and
+	// neither the done nor the canceled one.
+	code, body := call(t, srv, "GET", "/api/v1/jobs?state=running", nil)
+	var listed struct {
+		Jobs []JobStatus `json:"jobs"`
+	}
+	if err := json.Unmarshal([]byte(body), &listed); code != http.StatusOK || err != nil {
+		t.Fatalf("running list: %d %v\n%s", code, err, body)
+	}
+	found := false
+	for _, st := range listed.Jobs {
+		if st.State != StateRunning {
+			t.Fatalf("running list holds job %s in state %s", st.ID, st.State)
+		}
+		found = found || st.ID == leasing.ID
+	}
+	if !found {
+		t.Fatalf("running list lacks the leasing job %s:\n%s", leasing.ID, body)
 	}
 }
 

@@ -119,8 +119,19 @@ func leaseNext(t *testing.T, srv *httptest.Server, id, hash string) int {
 // accepts, and returns that one. It keeps every other lease it gets.
 func leaseUntil(t *testing.T, srv *httptest.Server, id, hash string, want func(ci int) bool) int {
 	t.Helper()
+	ci, _ := leaseTimed(t, srv, id, hash, want)
+	return ci
+}
+
+// leaseTimed is leaseUntil that also returns the clock read just before
+// the request that was granted. The daemon starts a lease's timer when
+// it grants it, before it answers, so that instant is a lower bound on
+// the grant.
+func leaseTimed(t *testing.T, srv *httptest.Server, id, hash string, want func(ci int) bool) (int, time.Time) {
+	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
+		sent := time.Now()
 		code, body := call(t, srv, "POST", "/api/v1/jobs/"+id+"/lease", leaseBody(hash))
 		switch code {
 		case http.StatusOK:
@@ -129,7 +140,7 @@ func leaseUntil(t *testing.T, srv *httptest.Server, id, hash string, want func(c
 				t.Fatal(err)
 			}
 			if want(lr.Chunk) {
-				return lr.Chunk
+				return lr.Chunk, sent
 			}
 		case http.StatusNoContent, http.StatusConflict: // nothing eligible yet, or still loading
 			time.Sleep(5 * time.Millisecond)
@@ -138,7 +149,7 @@ func leaseUntil(t *testing.T, srv *httptest.Server, id, hash string, want func(c
 		}
 	}
 	t.Fatalf("job %s granted no lease it was waiting for", id)
-	return 0
+	return 0, time.Time{}
 }
 
 // entries computes every chunk of cfg and encodes each as the store
@@ -487,10 +498,13 @@ func TestRemoteLeaseTimeoutReleased(t *testing.T) {
 	svc, srv := remoteService(t, t.TempDir(), leasePolicy{timeout: 50 * time.Millisecond, attempts: 3, backoff: time.Millisecond})
 	st := submit(t, svc, remoteConfig)
 
-	if ci := leaseNext(t, srv, st.ID, st.SpecHash); ci != 0 {
+	// The clock read before the granting request is at or before the
+	// grant, so the wait measured from it is never shorter than the
+	// lease ran.
+	ci, granted := leaseTimed(t, srv, st.ID, st.SpecHash, func(int) bool { return true })
+	if ci != 0 {
 		t.Fatalf("first lease granted chunk %d, want 0", ci)
 	}
-	granted := time.Now()
 	// Lease the other chunks as they come, until chunk 0 is granted
 	// again: the lowest, and the first whose lease times out.
 	leaseUntil(t, srv, st.ID, st.SpecHash, func(ci int) bool { return ci == 0 })

@@ -212,6 +212,10 @@ type Service struct {
 	cfg   ServiceConfig
 	store *Store
 	pol   leasePolicy
+	// prefixes is the event-free prefix store every local Compute
+	// shares, for the service's lifetime: a job resumes its devices from
+	// prefixes that earlier jobs simulated.
+	prefixes *fleet.Prefixes
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -258,16 +262,17 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
-		cfg:    cfg,
-		store:  cfg.Store,
-		pol:    leasePolicy{timeout: leaseTimeout, attempts: leaseAttempts, backoff: leaseBackoff},
-		ctx:    ctx,
-		cancel: cancel,
-		sem:    make(chan struct{}, cfg.MaxConcurrent),
-		jobs:   make(map[string]*job),
-		nextID: 1,
-		specs:  make(map[fleet.Spec]specInfo),
-		log:    log,
+		cfg:      cfg,
+		store:    cfg.Store,
+		pol:      leasePolicy{timeout: leaseTimeout, attempts: leaseAttempts, backoff: leaseBackoff},
+		prefixes: fleet.NewPrefixes(),
+		ctx:      ctx,
+		cancel:   cancel,
+		sem:      make(chan struct{}, cfg.MaxConcurrent),
+		jobs:     make(map[string]*job),
+		nextID:   1,
+		specs:    make(map[fleet.Spec]specInfo),
+		log:      log,
 	}
 	if err := s.recover(); err != nil {
 		s.Close()
@@ -620,7 +625,8 @@ func (s *Service) run(j *job, fj *fleet.Job) error {
 }
 
 // computeLocal runs j's chunks on Jobs workers through fleet.Job.Compute,
-// each worker keeping one Scratch for the job. A feeder leases a chunk
+// each worker keeping one Scratch for the job and every worker resuming
+// devices from the service's prefix store. A feeder leases a chunk
 // from the table only when a worker is free to take it, so a remote
 // worker can lease every chunk the local ones are not running. It
 // returns once no chunk is left for it: every chunk is done, the run
@@ -654,7 +660,7 @@ func (s *Service) computeLocal(j *job, fj *fleet.Job) {
 			}
 		}
 	}()
-	_, err := fj.Compute(j.ctx, s.cfg.Jobs, chunks, func(cp *fleet.ChunkPartial) error {
+	_, err := fj.Compute(j.ctx, s.cfg.Jobs, s.prefixes, chunks, func(cp *fleet.ChunkPartial) error {
 		entry, err := EncodeEntry(j.hash, cp.Chunk, cp)
 		if err == nil {
 			err = s.accept(j, cp, entry)
@@ -781,16 +787,22 @@ func (s *Service) Status(id string) (JobStatus, bool) {
 }
 
 // List returns every job's snapshot in submission order.
-func (s *Service) List() []JobStatus {
+func (s *Service) List() []JobStatus { return s.list("") }
+
+// list returns, in submission order, the snapshot of every job in
+// state, or of every job when state is "".
+func (s *Service) list(state string) []JobStatus {
 	s.mu.Lock()
 	jobs := make([]*job, 0, len(s.order))
 	for _, id := range s.order {
 		jobs = append(jobs, s.jobs[id])
 	}
 	s.mu.Unlock()
-	out := make([]JobStatus, len(jobs))
-	for i, j := range jobs {
-		out[i] = s.status(j)
+	out := make([]JobStatus, 0, len(jobs))
+	for _, j := range jobs {
+		if st := s.status(j); state == "" || st.State == state {
+			out = append(out, st)
+		}
 	}
 	return out
 }

@@ -814,6 +814,28 @@ func TestServiceConcurrentJobIsolation(t *testing.T) {
 	}
 }
 
+// TestServicePrefixesAcrossSeeds: one daemon runs two specs of
+// different seeds, scales and N in turn. The second job's devices
+// resume from the Steady and Continuous prefixes the first job left in
+// the daemon's prefix store, and its PWM and blackout cohorts, whose
+// traces the seed draws, must not: the daemon serves fleet.Run's bytes
+// for both.
+func TestServicePrefixesAcrossSeeds(t *testing.T) {
+	svc := openService(t, t.TempDir(), ServiceConfig{Jobs: 2})
+	defer svc.Close()
+	for _, cfg := range []fleet.Config{
+		{N: 192, Seed: 41, Scale: 0.02, ChunkSize: 32},
+		{N: 144, Seed: 42, Scale: 0.01, ChunkSize: 16},
+	} {
+		wantCSV, wantJSON := reports(t, cfg)
+		st := submit(t, svc, cfg)
+		if fin := waitDone(t, svc, st.ID); fin.State != StateDone || fin.Computed != fin.Chunks {
+			t.Fatalf("seed %d: job finished %s (%s), %d of %d chunks computed", cfg.Seed, fin.State, fin.Error, fin.Computed, fin.Chunks)
+		}
+		checkReports(t, svc, st.ID, wantCSV, wantJSON)
+	}
+}
+
 // TestServiceCancel: canceling a running job reaches the canceled
 // state, stays there across a restart, and never serves a report.
 func TestServiceCancel(t *testing.T) {

@@ -25,7 +25,9 @@ const idleWait = 100 * time.Millisecond
 // computes them through fleet.Job.Compute and sends each result back as
 // a store entry; see the HTTP API in http.go. It builds one fleet.Job
 // per running job from the spec the daemon lists, and drops it once the
-// job stops running.
+// job stops running. Every job's Compute shares one event-free prefix
+// store that lives as long as the worker, so later jobs resume devices
+// from prefixes that earlier ones simulated.
 //
 // Work returns an error when this build cannot serve the daemon: a
 // listed job whose spec hash the worker's own build does not reproduce
@@ -39,12 +41,13 @@ func Work(ctx context.Context, baseURL string, jobs int) error {
 	}
 	wctx, cancel := context.WithCancelCause(ctx)
 	w := &worker{
-		ctx:    wctx,
-		cancel: cancel,
-		base:   strings.TrimRight(baseURL, "/"),
-		hc:     &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone(), Timeout: 30 * time.Second},
-		jobs:   jobs,
-		slots:  make(chan struct{}, jobs),
+		ctx:      wctx,
+		cancel:   cancel,
+		base:     strings.TrimRight(baseURL, "/"),
+		hc:       &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone(), Timeout: 30 * time.Second},
+		jobs:     jobs,
+		slots:    make(chan struct{}, jobs),
+		prefixes: fleet.NewPrefixes(),
 	}
 	defer w.stop()
 	for {
@@ -72,6 +75,8 @@ type worker struct {
 	slots  chan struct{} // one token per lease held
 	list   []*remoteJob  // the daemon's running jobs, in its order
 	wg     sync.WaitGroup
+	// prefixes is the event-free prefix store every job's Compute shares.
+	prefixes *fleet.Prefixes
 }
 
 // remoteJob is one running daemon job as a worker runs it.
@@ -129,13 +134,13 @@ func (w *worker) refresh() bool {
 	var listed struct {
 		Jobs []JobStatus `json:"jobs"`
 	}
-	if code, err := w.do(http.MethodGet, "/api/v1/jobs", nil, &listed); err != nil || code != http.StatusOK {
+	if code, err := w.do(http.MethodGet, "/api/v1/jobs?state="+StateRunning, nil, &listed); err != nil || code != http.StatusOK {
 		return false
 	}
 	var running []*remoteJob
 	for _, st := range listed.Jobs {
 		if st.State != StateRunning {
-			continue
+			continue // a daemon without the filter lists every job
 		}
 		rj := w.take(st.ID)
 		if rj == nil {
@@ -179,7 +184,7 @@ func (w *worker) start(id string, fj *fleet.Job) *remoteJob {
 	w.wg.Add(1)
 	go func() {
 		defer w.wg.Done()
-		_, err := fj.Compute(w.ctx, w.jobs, rj.chunks, func(cp *fleet.ChunkPartial) error {
+		_, err := fj.Compute(w.ctx, w.jobs, w.prefixes, rj.chunks, func(cp *fleet.ChunkPartial) error {
 			defer func() { <-w.slots }()
 			entry, err := EncodeEntry(fj.SpecHash(), cp.Chunk, cp)
 			if err != nil {

@@ -470,11 +470,18 @@ type kvChan struct {
 // The staged-write slices are retained across attempts (truncated, not
 // reallocated): most task attempts in a long sweep stage only a handful
 // of keys, and per-attempt context resets dominated the engine's
-// profile.
+// profile. It stores eng and taskName only when they change: a pointer
+// store pays the write barrier while the collector is marking, and most
+// attempts re-run the same task on the same engine. (The compiler turns
+// each s = s[:0] into a length store, which needs no barrier.)
 func newCtx(e *Engine, taskName string) *Ctx {
 	c := &e.ctx
-	c.eng = e
-	c.taskName = taskName
+	if c.eng != e {
+		c.eng = e
+	}
+	if c.taskName != taskName {
+		c.taskName = taskName
+	}
 	c.stagedWords = c.stagedWords[:0]
 	c.stagedBlobs = c.stagedBlobs[:0]
 	c.stagedDel = c.stagedDel[:0]
