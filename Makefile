@@ -2,7 +2,7 @@ GO ?= go
 # bash for pipefail in the bench targets.
 SHELL := /bin/bash
 
-.PHONY: build test vet fmt-check race perfbench-check bench bench-short bench-compare chaos fuzz-smoke fleet-shard-smoke fleet-resume-smoke verify
+.PHONY: build test vet fmt-check race perfbench-check bench bench-short bench-compare chaos lease-stress fuzz-smoke fleet-shard-smoke fleet-resume-smoke verify
 
 build:
 	$(GO) build ./...
@@ -73,6 +73,14 @@ CHAOS_TRIALS ?= 500
 CHAOS_SEED ?= 1
 chaos:
 	$(GO) run ./cmd/capybench -chaos $(CHAOS_TRIALS) -seed $(CHAOS_SEED)
+
+# The fleet daemon's lease tests run on a clock the test moves, so
+# each pass repeats the same lease timeline: expiries, backoffs and
+# exhausted attempts at exact instants. Many race-checked passes catch
+# a lease path that depends on goroutine scheduling instead.
+LEASE_TESTS := ^(TestLease.*|TestExhaustedChunksListed|TestTakeLocalReturnsWhenCanceled|TestLocalLeasesNeverExpire|TestRemote(WorkerKilledMidRun|SoleWorkerReplaced|RefusedResultReleased|LeaseTimeoutReleased|AttemptsExhausted|ResumeRetriesOnlyFailed))$$
+lease-stress:
+	$(GO) test -race -count=50 -run '$(LEASE_TESTS)' ./internal/fleetsvc
 
 # Short native-fuzzing smoke runs over the charge-sharing, task-commit,
 # spec-resolve, prefix-store, store-entry, submit-body and journal-log

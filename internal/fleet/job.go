@@ -239,24 +239,28 @@ func (j *Job) RunChunk(ctx context.Context, ci int, ws *Scratch) (*ChunkPartial,
 	return cp, nil
 }
 
-// Compute runs every chunk index received on chunks across workers
-// goroutines (<= 0 means GOMAXPROCS) and returns the count it used. It
-// is the one chunk executor: Job.Run, the daemon and its remote workers
-// drive their chunks through it. Each goroutine owns one Scratch for its
-// lifetime, and every Scratch resumes devices from and extends pre, the
-// prefix store; nil means a fresh store for this call. A store passed to
-// several Computes, at once or in turn, shares each trajectory's
-// snapshots across their jobs, and Compute holds its seed in pre while
-// it runs (Prefixes). done receives every partial in completion order,
-// which depends on scheduling, and its calls never overlap, so it needs
-// no lock of its own.
+// Compute runs chunks across workers goroutines (<= 0 means
+// GOMAXPROCS) and returns the count it used. It is the one chunk
+// executor: Job.Run, the daemon and its remote workers drive their
+// chunks through it. Each goroutine owns one Scratch for its lifetime
+// and asks next for a chunk whenever it is free to start one, so a
+// caller that leases chunks hands out none that no goroutine can take.
+// next is called concurrently, with the context the chunks run under;
+// it reports false once no chunk is left, and a next that blocks must
+// return once that context is done. Every Scratch resumes devices from
+// and extends pre, the prefix store; nil means a fresh store for this
+// call. A store passed to several Computes, at once or in turn, shares
+// each trajectory's snapshots across their jobs, and Compute holds its
+// seed in pre while it runs (Prefixes). done receives every partial in
+// completion order, which depends on scheduling, and its calls never
+// overlap, so it needs no lock of its own.
 //
-// Compute returns once chunks is closed and drained, or once ctx is
-// done. The first error from a chunk or from done cancels the rest and
-// is returned, never the context.Canceled it caused in sibling chunks.
-// A panic in a chunk or in done comes back as a *runner.PanicError
-// whose Job is the chunk index.
-func (j *Job) Compute(ctx context.Context, workers int, pre *Prefixes, chunks <-chan int, done func(*ChunkPartial) error) (int, error) {
+// Compute returns once next has reported false to every goroutine, or
+// once ctx is done. The first error from a chunk or from done cancels
+// the rest and is returned, never the context.Canceled it caused in
+// sibling chunks. A panic in a chunk or in done comes back as a
+// *runner.PanicError whose Job is the chunk index.
+func (j *Job) Compute(ctx context.Context, workers int, pre *Prefixes, next func(context.Context) (int, bool), done func(*ChunkPartial) error) (int, error) {
 	if workers <= 0 {
 		workers = runner.DefaultJobs()
 	}
@@ -275,17 +279,13 @@ func (j *Job) Compute(ctx context.Context, workers int, pre *Prefixes, chunks <-
 			defer wg.Done()
 			ws := newScratch(pre)
 			for {
-				select {
-				case <-ctx.Done():
+				ci, ok := next(ctx)
+				if !ok {
 					return
-				case ci, ok := <-chunks:
-					if !ok {
-						return
-					}
-					if err := j.computeChunk(ctx, ci, ws, &mu, done); err != nil {
-						cancel(err) // the first cause sticks; later ones are no-ops
-						return
-					}
+				}
+				if err := j.computeChunk(ctx, ci, ws, &mu, done); err != nil {
+					cancel(err) // the first cause sticks; later ones are no-ops
+					return
 				}
 			}
 		}()
@@ -337,9 +337,13 @@ func (j *Job) Run(ctx context.Context, have []*ChunkPartial, done func(*ChunkPar
 		}
 	}
 	close(missing)
+	next := func(context.Context) (int, bool) { // never blocks: missing is closed
+		ci, ok := <-missing
+		return ci, ok
+	}
 
 	start := time.Now()
-	workers, err := j.Compute(ctx, j.cfg.Jobs, nil, missing, func(cp *ChunkPartial) error {
+	workers, err := j.Compute(ctx, j.cfg.Jobs, nil, next, func(cp *ChunkPartial) error {
 		if done != nil {
 			if err := done(cp); err != nil {
 				return err

@@ -150,29 +150,57 @@ func TestRunChunkValidation(t *testing.T) {
 	}
 }
 
-// TestJobCompute pins the executor's contract: every chunk sent reaches
-// done exactly once, done calls never overlap, the first failure comes
-// back as itself rather than the context.Canceled it caused in sibling
-// chunks (a panic in done as a *runner.PanicError naming the chunk),
-// and Compute returns on a cancelled ctx or a closed, empty channel.
+// counter returns a next that hands out chunks 0 to n-1 once each.
+func counter(n int) func(context.Context) (int, bool) {
+	var handed atomic.Int32
+	return func(context.Context) (int, bool) {
+		ci := int(handed.Add(1)) - 1
+		return ci, ci < n
+	}
+}
+
+// firstThenBlock returns a next that hands out chunk ci once and then
+// blocks until its context is done. handed is closed as ci goes out.
+func firstThenBlock(ci int) (next func(context.Context) (int, bool), handed <-chan struct{}) {
+	ch := make(chan struct{})
+	var once atomic.Bool
+	return func(ctx context.Context) (int, bool) {
+		if !once.Swap(true) {
+			close(ch)
+			return ci, true
+		}
+		<-ctx.Done()
+		return 0, false
+	}, ch
+}
+
+// TestJobCompute pins the executor's contract: every chunk next hands
+// out reaches done exactly once, done calls never overlap, the first
+// failure comes back as itself rather than the context.Canceled it
+// caused in sibling chunks (a panic in done as a *runner.PanicError
+// naming the chunk) and releases a sibling blocked in next, and Compute
+// returns on a cancelled ctx or a next with no chunk.
 func TestJobCompute(t *testing.T) {
 	job := mustJob(t, Config{N: 96, Seed: 1, Scale: 0.01, ChunkSize: 4})
 	n := job.NumChunks()
-	all := func() <-chan int {
-		ch := make(chan int, n)
-		for ci := 0; ci < n; ci++ {
-			ch <- ci
-		}
-		close(ch)
-		return ch
-	}
 	ctx := context.Background()
 	const k = 5
+	// returns waits for a Compute started in the background.
+	returns := func(t *testing.T, ret <-chan error) error {
+		t.Helper()
+		select {
+		case err := <-ret:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Fatal("Compute did not return")
+			return nil
+		}
+	}
 
 	t.Run("every chunk once, never overlapping", func(t *testing.T) {
 		seen := make([]int, n) // unsynchronized: -race flags overlapping calls
 		var inflight, overlaps atomic.Int32
-		workers, err := job.Compute(ctx, 4, nil, all(), func(cp *ChunkPartial) error {
+		workers, err := job.Compute(ctx, 4, nil, counter(n), func(cp *ChunkPartial) error {
 			if inflight.Add(1) != 1 {
 				overlaps.Add(1)
 			}
@@ -196,7 +224,7 @@ func TestJobCompute(t *testing.T) {
 
 	t.Run("done error", func(t *testing.T) {
 		boom := errors.New("boom")
-		_, err := job.Compute(ctx, 4, nil, all(), func(cp *ChunkPartial) error {
+		_, err := job.Compute(ctx, 4, nil, counter(n), func(cp *ChunkPartial) error {
 			if cp.Chunk == k {
 				return boom
 			}
@@ -208,7 +236,7 @@ func TestJobCompute(t *testing.T) {
 	})
 
 	t.Run("done panic", func(t *testing.T) {
-		_, err := job.Compute(ctx, 4, nil, all(), func(cp *ChunkPartial) error {
+		_, err := job.Compute(ctx, 4, nil, counter(n), func(cp *ChunkPartial) error {
 			if cp.Chunk == k {
 				panic("exploded")
 			}
@@ -220,31 +248,37 @@ func TestJobCompute(t *testing.T) {
 		}
 	})
 
-	t.Run("cancel with the channel open", func(t *testing.T) {
+	t.Run("cancel while next blocks", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		chunks := make(chan int) // never closed
+		next, handed := firstThenBlock(0)
 		ret := make(chan error, 1)
 		go func() {
-			_, err := job.Compute(ctx, 2, nil, chunks, func(*ChunkPartial) error { return nil })
+			_, err := job.Compute(ctx, 2, nil, next, func(*ChunkPartial) error { return nil })
 			ret <- err
 		}()
-		chunks <- 0
+		<-handed
 		cancel()
-		select {
-		case err := <-ret:
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("Compute did not return after ctx was cancelled")
+		if err := returns(t, ret); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 	})
 
-	t.Run("closed empty channel", func(t *testing.T) {
-		chunks := make(chan int)
-		close(chunks)
-		workers, err := job.Compute(ctx, 0, nil, chunks, func(*ChunkPartial) error {
+	t.Run("failure releases a blocked next", func(t *testing.T) {
+		boom := errors.New("boom")
+		next, _ := firstThenBlock(k)
+		ret := make(chan error, 1)
+		go func() {
+			_, err := job.Compute(ctx, 2, nil, next, func(*ChunkPartial) error { return boom })
+			ret <- err
+		}()
+		if err := returns(t, ret); err != boom {
+			t.Fatalf("err = %v, want %v", err, boom)
+		}
+	})
+
+	t.Run("no chunk", func(t *testing.T) {
+		workers, err := job.Compute(ctx, 0, nil, counter(0), func(*ChunkPartial) error {
 			t.Error("done called with no chunks")
 			return nil
 		})

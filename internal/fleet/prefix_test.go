@@ -344,13 +344,8 @@ func TestContinuousNeverReadsSource(t *testing.T) {
 // computeAll runs every chunk of j through Compute on workers
 // goroutines over pre, and returns the partials in chunk order.
 func computeAll(j *Job, workers int, pre *Prefixes) ([]*ChunkPartial, error) {
-	chunks := make(chan int, j.NumChunks())
-	for ci := 0; ci < j.NumChunks(); ci++ {
-		chunks <- ci
-	}
-	close(chunks)
 	partials := make([]*ChunkPartial, j.NumChunks())
-	_, err := j.Compute(context.Background(), workers, pre, chunks, func(cp *ChunkPartial) error {
+	_, err := j.Compute(context.Background(), workers, pre, counter(j.NumChunks()), func(cp *ChunkPartial) error {
 		partials[cp.Chunk] = cp
 		return nil
 	})

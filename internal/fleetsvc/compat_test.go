@@ -2,7 +2,6 @@ package fleetsvc
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -76,19 +75,12 @@ func TestWarmRunLoadsLegacyEntry(t *testing.T) {
 	if q := s.Stats().Quarantined; q != 0 {
 		t.Fatalf("%d entries quarantined", q)
 	}
-	direct, err := fleet.Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got, want bytes.Buffer
+	var got bytes.Buffer
 	if err := res.WriteCSV(&got); err != nil {
 		t.Fatal(err)
 	}
-	if err := direct.WriteCSV(&want); err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != want.String() {
-		t.Fatalf("report differs:\n--- store ---\n%s--- direct ---\n%s", got.String(), want.String())
+	if want := baseline(t, cfg); !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("report differs:\n--- store ---\n%s--- direct ---\n%s", got.Bytes(), want)
 	}
 }
 
@@ -104,25 +96,15 @@ func TestServiceLegacyReportLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := fleet.Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var csv, js bytes.Buffer
-	if err := direct.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	if err := direct.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
+	csv, js := reports(t, cfg)
 
 	dir := t.TempDir()
 	store, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ci := 0; ci < job.NumChunks(); ci++ {
-		if err := store.Put(job.SpecHash(), ci, runChunk(t, job, ci)); err != nil {
+	for ci, entry := range entries(t, cfg) {
+		if err := store.put(job.SpecHash(), ci, entry); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,8 +120,8 @@ func TestServiceLegacyReportLayout(t *testing.T) {
 	}
 	for name, data := range map[string][]byte{
 		id + ".json":        append(rec, '\n'),
-		id + ".report.csv":  csv.Bytes(),
-		id + ".report.json": js.Bytes(),
+		id + ".report.csv":  csv,
+		id + ".report.json": js,
 	} {
 		if err := os.WriteFile(filepath.Join(dir, "jobs", name), data, 0o644); err != nil {
 			t.Fatal(err)
@@ -162,7 +144,7 @@ func TestServiceLegacyReportLayout(t *testing.T) {
 	for _, want := range []struct {
 		asJSON bool
 		data   []byte
-	}{{false, csv.Bytes()}, {true, js.Bytes()}} {
+	}{{false, csv}, {true, js}} {
 		got, err := svc.Report(id, want.asJSON)
 		if err != nil {
 			t.Fatal(err)

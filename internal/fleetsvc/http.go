@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"time"
 
 	"capybara/internal/fleet"
 )
@@ -317,7 +316,7 @@ func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "spec hash mismatch: daemon %s, worker %s (mismatched binaries?)", j.hash, req.SpecHash)
 		return
 	}
-	ci, ok, err := j.lease(time.Now())
+	ci, ok, err := j.lease()
 	switch {
 	case err != nil:
 		st, _ := s.Status(id)

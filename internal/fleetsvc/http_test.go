@@ -42,7 +42,7 @@ func decodeStatus(t *testing.T, r io.Reader) JobStatus {
 // error shapes against one live service. The service computes nothing
 // itself, so its jobs lease their chunks to the test.
 func TestHTTPAPI(t *testing.T) {
-	svc, srv := remoteService(t, t.TempDir(), leasePolicy{})
+	svc, srv := remoteService(t, t.TempDir(), nil)
 
 	// One finished job to serve reports from, computed by a remote
 	// worker that stops before the other jobs start.
@@ -68,10 +68,10 @@ func TestHTTPAPI(t *testing.T) {
 	// The second cannot checkpoint: a file sits where its partials go.
 	leasingCfg := fleet.Config{N: 16, Seed: 6, Scale: 0.02, ChunkSize: 8}
 	leasing := submit(t, svc, leasingCfg)
-	leaseNext(t, srv, leasing.ID, leasing.SpecHash)
+	leaseNext(t, svc, srv, leasing.ID, leasing.SpecHash)
 	brokenCfg := fleet.Config{N: 16, Seed: 7, Scale: 0.02, ChunkSize: 8}
 	broken := submit(t, svc, brokenCfg)
-	leaseNext(t, srv, broken.ID, broken.SpecHash)
+	leaseNext(t, svc, srv, broken.ID, broken.SpecHash)
 	if err := os.WriteFile(filepath.Join(svc.store.Dir(), "partials", broken.SpecHash), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package fleetsvc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -34,21 +35,28 @@ const (
 	// workers deterministically, and retrying forever would hide it.
 	leaseAttempts = 3
 	// leaseBackoff delays a failed chunk's next remote grant, doubling
-	// per prior attempt (retryDelay). It keeps a crash-looping chunk
-	// from hot-cycling through the workers.
+	// per prior attempt: 250 ms after the first, 500 ms after the
+	// second. It keeps a crash-looping chunk from hot-cycling through
+	// the workers.
 	leaseBackoff = 250 * time.Millisecond
-	// maxRetryBackoff caps the doubling: past it, longer waits no
-	// longer protect anything (the lease timeout itself bounds how
-	// stale a worker can be) and only delay the job.
-	maxRetryBackoff = 2 * time.Minute
 )
 
-// leasePolicy carries the lease policy into a job's table. A Service
-// takes the constants above; tests shorten them.
-type leasePolicy struct {
-	timeout  time.Duration
-	attempts int
-	backoff  time.Duration
+// clock is the lease table's one source of time: a Service reads the
+// wall clock, and tests drive a manual one.
+type clock interface {
+	Now() time.Time
+	// AfterFunc calls f once d has passed, on a goroutine that holds
+	// no lock of the caller's; stop cancels the call and reports
+	// whether it did so in time.
+	AfterFunc(d time.Duration, f func()) (stop func() bool)
+}
+
+type wallClock struct{}
+
+func (wallClock) Now() time.Time { return time.Now() }
+
+func (wallClock) AfterFunc(d time.Duration, f func()) func() bool {
+	return time.AfterFunc(d, f).Stop
 }
 
 // errNotRunning answers a lease or a result for a job that is not
@@ -65,7 +73,7 @@ const (
 type chunkLease struct {
 	state     uint8
 	attempts  int         // remote grants so far
-	timer     *time.Timer // expires a remote lease; nil while leased locally
+	stop      func() bool // stops the timer that expires a remote lease; nil while leased locally
 	notBefore time.Time   // backoff gate while pending after a remote failure
 }
 
@@ -74,7 +82,7 @@ type chunkLease struct {
 // goes back to pending or the last one is done, and when the table
 // fails or closes.
 type leaseTable struct {
-	pol    leasePolicy
+	clock  clock
 	cond   *sync.Cond
 	chunks []chunkLease
 	low    int // no chunk below it is pending
@@ -87,8 +95,8 @@ type leaseTable struct {
 
 // newLeaseTable builds the table for a job whose checkpointed chunks
 // are have: those start done, every other chunk pending.
-func newLeaseTable(mu *sync.Mutex, pol leasePolicy, have []*fleet.ChunkPartial) *leaseTable {
-	l := &leaseTable{pol: pol, cond: sync.NewCond(mu), chunks: make([]chunkLease, len(have))}
+func newLeaseTable(mu *sync.Mutex, clk clock, have []*fleet.ChunkPartial) *leaseTable {
+	l := &leaseTable{clock: clk, cond: sync.NewCond(mu), chunks: make([]chunkLease, len(have))}
 	for ci, cp := range have {
 		if cp != nil {
 			l.chunks[ci].state = chunkDone
@@ -135,13 +143,13 @@ func (l *leaseTable) next(now time.Time) int {
 }
 
 // grant leases a chunk to a remote worker, or returns -1 when none is
-// eligible at now. expire is called once the lease times out, with the
+// eligible now. expire is called once the lease times out, with the
 // chunk and the attempt it was granted as.
-func (l *leaseTable) grant(now time.Time, expire func(ci, attempt int)) int {
+func (l *leaseTable) grant(expire func(ci, attempt int)) int {
 	if l.failure() != nil {
 		return -1
 	}
-	ci := l.next(now)
+	ci := l.next(l.clock.Now())
 	if ci < 0 {
 		return -1
 	}
@@ -149,7 +157,7 @@ func (l *leaseTable) grant(now time.Time, expire func(ci, attempt int)) int {
 	c.state = chunkLeased
 	c.attempts++
 	attempt := c.attempts
-	c.timer = time.AfterFunc(l.pol.timeout, func() { expire(ci, attempt) })
+	c.stop = l.clock.AfterFunc(leaseTimeout, func() { expire(ci, attempt) })
 	return ci
 }
 
@@ -169,9 +177,9 @@ func (l *leaseTable) done(ci int) bool {
 	if c.state == chunkDone {
 		return false
 	}
-	if c.timer != nil {
-		c.timer.Stop()
-		c.timer = nil
+	if c.stop != nil {
+		c.stop()
+		c.stop = nil
 	}
 	c.state = chunkDone
 	l.left--
@@ -187,21 +195,21 @@ func (l *leaseTable) done(ci int) bool {
 // this way, and a pending or done chunk has nothing to give back.
 func (l *leaseTable) requeue(ci int, cause error) {
 	c := &l.chunks[ci]
-	if c.state != chunkLeased || c.timer == nil {
+	if c.state != chunkLeased || c.stop == nil {
 		return
 	}
-	c.timer.Stop()
-	c.timer = nil
+	c.stop()
+	c.stop = nil
 	c.state = chunkPending
 	l.low = min(l.low, ci)
-	if c.attempts >= l.pol.attempts {
+	if c.attempts >= leaseAttempts {
 		if l.cause == nil {
 			l.cause = cause
 		}
 		i, _ := slices.BinarySearch(l.exhausted, ci)
 		l.exhausted = slices.Insert(l.exhausted, i, ci)
 	} else {
-		c.notBefore = time.Now().Add(retryDelay(l.pol.backoff, c.attempts))
+		c.notBefore = l.clock.Now().Add(leaseBackoff << (c.attempts - 1))
 	}
 	l.cond.Broadcast()
 }
@@ -210,37 +218,17 @@ func (l *leaseTable) requeue(ci int, cause error) {
 // or the service is stopping.
 func (l *leaseTable) close() {
 	for ci := range l.chunks {
-		if t := l.chunks[ci].timer; t != nil {
-			t.Stop()
+		if stop := l.chunks[ci].stop; stop != nil {
+			stop()
 		}
 	}
 	l.cond.Broadcast()
 }
 
-// retryDelay returns the backoff before re-leasing a chunk that failed
-// `attempts` times: base doubled per prior attempt, clamped at
-// maxRetryBackoff. The doubling is a bounded loop, not a shift — a
-// shift by attempts-1 overflows time.Duration's int64 around attempt 40
-// with the default base, silently producing a negative delay (backoff
-// vanishes) or a far-future notBefore (the chunk is never re-leased and
-// the run stalls). A base already at or above the cap is honored
-// unchanged: the cap bounds growth, it never shortens a configured
-// backoff.
-func retryDelay(base time.Duration, attempts int) time.Duration {
-	d := base
-	for i := 1; i < attempts && d < maxRetryBackoff; i++ {
-		d *= 2
-	}
-	if d > maxRetryBackoff && base < maxRetryBackoff {
-		d = maxRetryBackoff
-	}
-	return d
-}
-
 // startLeases counts the chunks in have as loaded and opens the job's
 // lease table over the rest. It returns errNotRunning if the job ended,
 // or its context did, first.
-func (j *job) startLeases(pol leasePolicy, have []*fleet.ChunkPartial) error {
+func (j *job) startLeases(clk clock, have []*fleet.ChunkPartial) error {
 	j.mu.Lock()
 	if terminal(j.state) || j.ctx.Err() != nil {
 		j.mu.Unlock()
@@ -253,7 +241,7 @@ func (j *job) startLeases(pol leasePolicy, have []*fleet.ChunkPartial) error {
 			j.devices += j.chunkDevices(ci)
 		}
 	}
-	j.leases = newLeaseTable(&j.mu, pol, have)
+	j.leases = newLeaseTable(&j.mu, clk, have)
 	j.mu.Unlock()
 	j.notify()
 	return nil
@@ -295,13 +283,23 @@ func (j *job) wait() ([]*fleet.ChunkPartial, error) {
 
 // takeLocal blocks until a chunk is pending and leases it to a local
 // worker. ok is false once none will be: every chunk is done, the run
-// failed, or the job stopped leasing.
-func (j *job) takeLocal() (ci int, ok bool) {
+// failed, the job stopped leasing, or ctx is done. ctx is the one the
+// local chunks run under, which a sibling chunk's failure cancels
+// before the run fails.
+func (j *job) takeLocal(ctx context.Context) (ci int, ok bool) {
+	stop := context.AfterFunc(ctx, func() {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		if j.leases != nil {
+			j.leases.cond.Broadcast()
+		}
+	})
+	defer stop()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for {
 		l := j.leases
-		if l == nil || l.left == 0 || l.failure() != nil {
+		if l == nil || l.left == 0 || l.failure() != nil || ctx.Err() != nil {
 			return 0, false
 		}
 		if ci := l.takeLocal(); ci >= 0 {
@@ -313,13 +311,13 @@ func (j *job) takeLocal() (ci int, ok bool) {
 
 // lease grants a chunk to a remote worker; ok is false when none is
 // eligible now.
-func (j *job) lease(now time.Time) (ci int, ok bool, err error) {
+func (j *job) lease() (ci int, ok bool, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.leases == nil {
 		return 0, false, errNotRunning
 	}
-	ci = j.leases.grant(now, j.expire)
+	ci = j.leases.grant(j.expire)
 	return ci, ci >= 0, nil
 }
 
@@ -329,7 +327,7 @@ func (j *job) expire(ci, attempt int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if l := j.leases; l != nil && l.chunks[ci].attempts == attempt {
-		l.requeue(ci, fmt.Errorf("lease expired after %v", l.pol.timeout))
+		l.requeue(ci, fmt.Errorf("lease expired after %v", leaseTimeout))
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -33,14 +34,14 @@ func specOf(cfg fleet.Config) fleet.Spec {
 }
 
 // remoteService opens a service over dir that computes no chunk itself
-// and serves its API on a loopback test server. A non-zero pol replaces
-// the lease policy; dir must then hold no job to recover, so that no
-// job reads the policy while it is set.
-func remoteService(t *testing.T, dir string, pol leasePolicy) (*Service, *httptest.Server) {
+// and serves its API on a loopback test server. A non-nil clk replaces
+// the wall clock; dir must then hold no job to recover, so that no job
+// reads the clock while it is set.
+func remoteService(t *testing.T, dir string, clk clock) (*Service, *httptest.Server) {
 	t.Helper()
 	svc := newRemoteService(t, dir)
-	if pol != (leasePolicy{}) {
-		svc.pol = pol
+	if clk != nil {
+		svc.clock = clk
 	}
 	srv := httptest.NewServer(svc.Handler())
 	t.Cleanup(func() {
@@ -108,67 +109,51 @@ func leaseBody(hash string) []byte {
 	return body
 }
 
-// leaseNext polls job id's lease endpoint with hash until it grants a
-// chunk, and returns the chunk.
-func leaseNext(t *testing.T, srv *httptest.Server, id, hash string) int {
+// leaseNext waits until job id leases chunks, then asks it for one
+// lease with hash and returns the chunk granted. A job with no chunk
+// eligible fails the test.
+func leaseNext(t *testing.T, svc *Service, srv *httptest.Server, id, hash string) int {
 	t.Helper()
-	return leaseUntil(t, srv, id, hash, func(int) bool { return true })
-}
-
-// leaseUntil leases chunks of job id until it is granted one that want
-// accepts, and returns that one. It keeps every other lease it gets.
-func leaseUntil(t *testing.T, srv *httptest.Server, id, hash string, want func(ci int) bool) int {
-	t.Helper()
-	ci, _ := leaseTimed(t, srv, id, hash, want)
+	j, ok := svc.lookup(id)
+	if !ok {
+		t.Fatalf("no job %s", id)
+	}
+	waitStatus(t, svc, id, "its lease table", func(JobStatus) bool {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.leases != nil
+	})
+	ci, ok := tryLease(t, srv, id, hash)
+	if !ok {
+		t.Fatalf("job %s has no chunk to lease", id)
+	}
 	return ci
 }
 
-// leaseTimed is leaseUntil that also returns the clock read just before
-// the request that was granted. The daemon starts a lease's timer when
-// it grants it, before it answers, so that instant is a lower bound on
-// the grant.
-func leaseTimed(t *testing.T, srv *httptest.Server, id, hash string, want func(ci int) bool) (int, time.Time) {
+// tryLease asks job id for one lease with hash and returns the chunk
+// granted; ok is false when no chunk is eligible now.
+func tryLease(t *testing.T, srv *httptest.Server, id, hash string) (ci int, ok bool) {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		sent := time.Now()
-		code, body := call(t, srv, "POST", "/api/v1/jobs/"+id+"/lease", leaseBody(hash))
-		switch code {
-		case http.StatusOK:
-			var lr leaseResponse
-			if err := json.Unmarshal([]byte(body), &lr); err != nil {
-				t.Fatal(err)
-			}
-			if want(lr.Chunk) {
-				return lr.Chunk, sent
-			}
-		case http.StatusNoContent, http.StatusConflict: // nothing eligible yet, or still loading
-			time.Sleep(5 * time.Millisecond)
-		default:
-			t.Fatalf("lease: %d %s", code, body)
-		}
-	}
-	t.Fatalf("job %s granted no lease it was waiting for", id)
-	return 0, time.Time{}
-}
-
-// entries computes every chunk of cfg and encodes each as the store
-// entry a worker sends.
-func entries(t *testing.T, cfg fleet.Config) [][]byte {
-	t.Helper()
-	fj, err := fleet.NewJob(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([][]byte, fj.NumChunks())
-	for ci := range out {
-		entry, err := EncodeEntry(fj.SpecHash(), ci, runChunk(t, fj, ci))
-		if err != nil {
+	code, body := call(t, srv, "POST", "/api/v1/jobs/"+id+"/lease", leaseBody(hash))
+	switch code {
+	case http.StatusOK:
+		var lr leaseResponse
+		if err := json.Unmarshal([]byte(body), &lr); err != nil {
 			t.Fatal(err)
 		}
-		out[ci] = entry
+		return lr.Chunk, true
+	case http.StatusNoContent:
+		return 0, false
 	}
-	return out
+	t.Fatalf("lease: %d %s", code, body)
+	return 0, false
+}
+
+// entries returns every chunk of cfg encoded as the store entry a
+// worker sends. The entries are shared: copy one before changing it.
+func entries(t *testing.T, cfg fleet.Config) [][]byte {
+	t.Helper()
+	return slices.Clone(referenceOf(t, cfg).entries)
 }
 
 // bentEntry computes chunk ci of cfg and encodes it as a well-formed
@@ -222,7 +207,7 @@ func (c *codeRecorder) WriteHeader(code int) {
 // with every chunk computed remotely and counted once.
 func TestRemoteByteIdentical(t *testing.T) {
 	wantCSV, wantJSON := reports(t, remoteConfig)
-	svc, srv := remoteService(t, t.TempDir(), leasePolicy{})
+	svc, srv := remoteService(t, t.TempDir(), nil)
 	stop1, stop2 := startWork(srv.URL, 2), startWork(srv.URL, 1)
 	st := submit(t, svc, remoteConfig)
 	fin := waitDone(t, svc, st.ID)
@@ -277,12 +262,15 @@ func killedAtSecondResult(kill context.CancelFunc, first chan<- struct{}) func(h
 }
 
 // TestRemoteWorkerKilledMidRun: one of two workers is killed as it
-// sends its second result, still holding that chunk's lease; the lease
-// expires under a short timeout, the surviving worker leases the chunk
-// again, and the job finishes with fleet.Run's bytes.
+// sends its second result, still holding that chunk's lease. Once it
+// is gone the clock passes the lease timeout and the backoff: its
+// leases expire, and so do those the surviving worker holds at that
+// instant, whose results still count. The survivor leases the killed
+// worker's chunk again, and the job finishes with fleet.Run's bytes.
 func TestRemoteWorkerKilledMidRun(t *testing.T) {
 	wantCSV, wantJSON := reports(t, remoteConfig)
-	svc, _ := remoteService(t, t.TempDir(), leasePolicy{timeout: 300 * time.Millisecond, attempts: 20, backoff: time.Millisecond})
+	clk := newManualClock()
+	svc, _ := remoteService(t, t.TempDir(), clk)
 	var grants atomic.Int32
 	ctxA, killA := context.WithCancel(context.Background())
 	defer killA()
@@ -301,18 +289,23 @@ func TestRemoteWorkerKilledMidRun(t *testing.T) {
 		t.Fatal("worker A sent no result")
 	}
 	stopB := startWork(srvB.URL, 2)
-	fin := waitDone(t, svc, st.ID)
-	if err := stopB(); err != nil {
-		t.Fatalf("surviving worker: %v", err)
-	}
+	defer stopB()
 	select {
 	case err := <-errA:
 		if err != nil {
 			t.Fatalf("killed worker: %v", err)
 		}
-	case <-time.After(10 * time.Second):
+	case <-time.After(30 * time.Second):
 		killA()
 		t.Fatal("worker A never sent a second result")
+	}
+	// Closing A's server waits out the requests A sent before it died,
+	// so every lease A was granted is armed before the clock moves.
+	srvA.Close()
+	clk.Advance(leaseTimeout + leaseBackoff)
+	fin := waitDone(t, svc, st.ID)
+	if err := stopB(); err != nil {
+		t.Fatalf("surviving worker: %v", err)
 	}
 	if fin.State != StateDone || fin.Computed != fin.Chunks {
 		t.Fatalf("job finished %s (%s), %d of %d chunks computed", fin.State, fin.Error, fin.Computed, fin.Chunks)
@@ -324,12 +317,14 @@ func TestRemoteWorkerKilledMidRun(t *testing.T) {
 }
 
 // TestRemoteSoleWorkerReplaced: the job's sole worker is killed
-// mid-run, holding a lease whose result never arrives; the lease
-// expires under a short timeout, and a replacement worker started
-// afterwards leases it again and finishes with fleet.Run's bytes.
+// mid-run, holding a lease whose result never arrives. Once it is gone
+// the clock passes the lease timeout and the backoff, and a
+// replacement worker started afterwards leases the chunk again and
+// finishes with fleet.Run's bytes.
 func TestRemoteSoleWorkerReplaced(t *testing.T) {
 	wantCSV, wantJSON := reports(t, remoteConfig)
-	svc, _ := remoteService(t, t.TempDir(), leasePolicy{timeout: 300 * time.Millisecond, attempts: 20, backoff: time.Millisecond})
+	clk := newManualClock()
+	svc, _ := remoteService(t, t.TempDir(), clk)
 	var grants atomic.Int32
 	ctxA, killA := context.WithCancel(context.Background())
 	defer killA()
@@ -343,7 +338,10 @@ func TestRemoteSoleWorkerReplaced(t *testing.T) {
 	if mid, _ := svc.Status(st.ID); mid.Computed >= mid.Chunks || terminal(mid.State) {
 		t.Fatalf("worker A was killed after the job ended: %+v", mid)
 	}
-
+	// Closing A's server waits out the requests A sent before it died,
+	// so every lease A was granted is armed before the clock moves.
+	srvA.Close()
+	clk.Advance(leaseTimeout + leaseBackoff)
 	stopB := startWork(srvB.URL, 2)
 	fin := waitDone(t, svc, st.ID)
 	if err := stopB(); err != nil {
@@ -367,10 +365,10 @@ func TestRemoteSoleWorkerReplaced(t *testing.T) {
 // finishes with fleet.Run's bytes.
 func TestRemoteSpecHashMismatch(t *testing.T) {
 	wantCSV, wantJSON := reports(t, remoteConfig)
-	svc, srv := remoteService(t, t.TempDir(), leasePolicy{})
+	svc, srv := remoteService(t, t.TempDir(), nil)
 	st := submit(t, svc, remoteConfig)
 
-	if ci := leaseNext(t, srv, st.ID, st.SpecHash); ci != 0 {
+	if ci := leaseNext(t, svc, srv, st.ID, st.SpecHash); ci != 0 {
 		t.Fatalf("first lease granted chunk %d, want 0", ci)
 	}
 	const bad = "deadbeef"
@@ -379,7 +377,7 @@ func TestRemoteSpecHashMismatch(t *testing.T) {
 		!strings.Contains(body, st.SpecHash) || !strings.Contains(body, bad) {
 		t.Fatalf("mismatched lease: %d %s", code, body)
 	}
-	if ci := leaseNext(t, srv, st.ID, st.SpecHash); ci != 1 {
+	if ci := leaseNext(t, svc, srv, st.ID, st.SpecHash); ci != 1 {
 		t.Fatalf("lease after the refused one granted chunk %d, want 1: the refused request took a lease", ci)
 	}
 
@@ -425,7 +423,7 @@ func TestRemoteSpecHashMismatch(t *testing.T) {
 // another spec hash for a job the daemon lists exits with the mismatch
 // error, naming the daemon's hash, before it asks for any lease.
 func TestRemoteWorkerRejectsBadDaemon(t *testing.T) {
-	svc, _ := remoteService(t, t.TempDir(), leasePolicy{})
+	svc, _ := remoteService(t, t.TempDir(), nil)
 	st := submit(t, svc, remoteConfig)
 	var leased atomic.Bool
 	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -449,17 +447,18 @@ func TestRemoteWorkerRejectsBadDaemon(t *testing.T) {
 }
 
 // TestRemoteRefusedResultReleased: a result that does not validate
-// gets 400 and sends its chunk back to be leased again; a valid result
-// for it is then counted once, a duplicate changes nothing, and the job
-// serves fleet.Run's bytes.
+// gets 400 and sends its chunk back to be leased again, lowest first,
+// once its backoff has passed; a valid result for it is then counted
+// once, a duplicate changes nothing, and the job serves fleet.Run's
+// bytes.
 func TestRemoteRefusedResultReleased(t *testing.T) {
 	wantCSV, wantJSON := reports(t, remoteConfig)
-	// No backoff: the refused chunk is eligible for the very next lease.
-	svc, srv := remoteService(t, t.TempDir(), leasePolicy{timeout: time.Minute, attempts: 3})
+	clk := newManualClock()
+	svc, srv := remoteService(t, t.TempDir(), clk)
 	st := submit(t, svc, remoteConfig)
 	all := entries(t, remoteConfig)
 
-	if ci := leaseNext(t, srv, st.ID, st.SpecHash); ci != 0 {
+	if ci := leaseNext(t, svc, srv, st.ID, st.SpecHash); ci != 0 {
 		t.Fatalf("first lease granted chunk %d, want 0", ci)
 	}
 	corrupt := append([]byte(nil), all[0]...)
@@ -467,8 +466,9 @@ func TestRemoteRefusedResultReleased(t *testing.T) {
 	if code, body := call(t, srv, "PUT", chunkPath(st.ID, 0), corrupt); code != http.StatusBadRequest || !strings.Contains(body, "checksum") {
 		t.Fatalf("corrupt result: %d %s", code, body)
 	}
-	if ci := leaseNext(t, srv, st.ID, st.SpecHash); ci != 0 {
-		t.Fatalf("lease after the refused result granted chunk %d, want 0 again", ci)
+	clk.Advance(leaseBackoff)
+	if ci := leaseNext(t, svc, srv, st.ID, st.SpecHash); ci != 0 {
+		t.Fatalf("lease after the refused result's backoff granted chunk %d, want 0 again", ci)
 	}
 	for i := 0; i < 2; i++ { // the second is a duplicate
 		if code, body := call(t, srv, "PUT", chunkPath(st.ID, 0), all[0]); code != http.StatusNoContent {
@@ -489,27 +489,40 @@ func TestRemoteRefusedResultReleased(t *testing.T) {
 	checkReports(t, svc, st.ID, wantCSV, wantJSON)
 }
 
-// TestRemoteLeaseTimeoutReleased: the chunk of a lease holder that goes
-// silent is leased again once the lease times out. Results are accepted
-// whether or not their lease is current, so answering every chunk
-// without a lease finishes the job with fleet.Run's bytes.
+// TestRemoteLeaseTimeoutReleased: the chunks of a lease holder that
+// goes silent are leased again, lowest first, once their leases have
+// timed out and the first backoff has passed, and not a nanosecond
+// before. Results are accepted whether or not their lease is current,
+// so answering every chunk without a lease finishes the job with
+// fleet.Run's bytes.
 func TestRemoteLeaseTimeoutReleased(t *testing.T) {
 	wantCSV, wantJSON := reports(t, remoteConfig)
-	svc, srv := remoteService(t, t.TempDir(), leasePolicy{timeout: 50 * time.Millisecond, attempts: 3, backoff: time.Millisecond})
+	clk := newManualClock()
+	svc, srv := remoteService(t, t.TempDir(), clk)
 	st := submit(t, svc, remoteConfig)
 
-	// The clock read before the granting request is at or before the
-	// grant, so the wait measured from it is never shorter than the
-	// lease ran.
-	ci, granted := leaseTimed(t, srv, st.ID, st.SpecHash, func(int) bool { return true })
-	if ci != 0 {
-		t.Fatalf("first lease granted chunk %d, want 0", ci)
+	// Every chunk is leased at one instant, and none is answered.
+	for want := 0; want < st.Chunks; want++ {
+		if ci := leaseNext(t, svc, srv, st.ID, st.SpecHash); ci != want {
+			t.Fatalf("lease %d granted chunk %d", want, ci)
+		}
 	}
-	// Lease the other chunks as they come, until chunk 0 is granted
-	// again: the lowest, and the first whose lease times out.
-	leaseUntil(t, srv, st.ID, st.SpecHash, func(ci int) bool { return ci == 0 })
-	if waited := time.Since(granted); waited < 50*time.Millisecond {
-		t.Fatalf("chunk 0 was leased again %v after its grant, before its lease timed out", waited)
+	for _, step := range []struct {
+		d    time.Duration
+		when string
+	}{
+		{leaseTimeout - time.Nanosecond, "a nanosecond before the leases time out"},
+		{time.Nanosecond, "as the leases time out"},
+		{leaseBackoff - time.Nanosecond, "a nanosecond before the backoff ends"},
+	} {
+		clk.Advance(step.d)
+		if ci, ok := tryLease(t, srv, st.ID, st.SpecHash); ok {
+			t.Fatalf("chunk %d was leased again %s", ci, step.when)
+		}
+	}
+	clk.Advance(time.Nanosecond)
+	if ci, ok := tryLease(t, srv, st.ID, st.SpecHash); !ok || ci != 0 {
+		t.Fatalf("lease at the timeout plus the backoff = (%d, %v), want chunk 0", ci, ok)
 	}
 	for ci, entry := range entries(t, remoteConfig) {
 		if code, body := call(t, srv, "PUT", chunkPath(st.ID, ci), entry); code != http.StatusNoContent {
@@ -523,26 +536,33 @@ func TestRemoteLeaseTimeoutReleased(t *testing.T) {
 	checkReports(t, svc, st.ID, wantCSV, wantJSON)
 }
 
-// exhaustChunk0 runs remoteConfig on a daemon over dir whose leases
-// time out fast and allow two attempts: every chunk but 0 is answered
-// without a lease, and chunk 0 is leased twice and never answered. It
+// exhaustChunk0 runs remoteConfig on a daemon over dir whose clock the
+// test moves: every chunk but 0 is answered without a lease, and chunk
+// 0 is leased and left to time out until its attempts are spent. It
 // returns the daemon and the job's final status.
 func exhaustChunk0(t *testing.T, dir string) (*Service, *httptest.Server, JobStatus) {
 	t.Helper()
-	svc, srv := remoteService(t, dir, leasePolicy{timeout: 20 * time.Millisecond, attempts: 2, backoff: time.Millisecond})
+	clk := newManualClock()
+	svc, srv := remoteService(t, dir, clk)
 	st := submit(t, svc, remoteConfig)
 	all := entries(t, remoteConfig)
 
-	if ci := leaseNext(t, srv, st.ID, st.SpecHash); ci != 0 {
-		t.Fatalf("first lease granted chunk %d, want 0", ci)
-	}
-	for ci := 1; ci < len(all); ci++ {
-		if code, body := call(t, srv, "PUT", chunkPath(st.ID, ci), all[ci]); code != http.StatusNoContent {
-			t.Fatalf("chunk %d: %d %s", ci, code, body)
+	for attempt := 1; ; attempt++ {
+		if ci := leaseNext(t, svc, srv, st.ID, st.SpecHash); ci != 0 {
+			t.Fatalf("grant %d was of chunk %d, want 0", attempt, ci)
 		}
-	}
-	if ci := leaseNext(t, srv, st.ID, st.SpecHash); ci != 0 {
-		t.Fatalf("second lease granted chunk %d, want 0", ci)
+		if attempt == 1 {
+			for ci := 1; ci < len(all); ci++ {
+				if code, body := call(t, srv, "PUT", chunkPath(st.ID, ci), all[ci]); code != http.StatusNoContent {
+					t.Fatalf("chunk %d: %d %s", ci, code, body)
+				}
+			}
+		}
+		clk.Advance(leaseTimeout)
+		if attempt == leaseAttempts {
+			break
+		}
+		clk.Advance(leaseBackoff << (attempt - 1))
 	}
 	return svc, srv, waitDone(t, svc, st.ID)
 }
@@ -568,7 +588,7 @@ func TestRemoteAttemptsExhausted(t *testing.T) {
 		t.Fatalf("exhausted job journaled %s", got)
 	}
 
-	svc, _ = remoteService(t, dir, leasePolicy{})
+	svc, _ = remoteService(t, dir, nil)
 	if st, _ := svc.Status(fin.ID); st.State != StateFailed {
 		t.Fatalf("restarted daemon lists the exhausted job %s", st.State)
 	}
@@ -576,8 +596,8 @@ func TestRemoteAttemptsExhausted(t *testing.T) {
 
 // TestRemoteResumeRetriesOnlyFailed: every chunk but the one whose
 // attempts ran out was checkpointed on the way to the failure, so a
-// resubmission to a restarted daemon, with the default lease policy,
-// computes exactly the failed chunk and serves fleet.Run's bytes.
+// resubmission to a restarted daemon, on the wall clock, computes
+// exactly the failed chunk and serves fleet.Run's bytes.
 func TestRemoteResumeRetriesOnlyFailed(t *testing.T) {
 	wantCSV, wantJSON := reports(t, remoteConfig)
 	dir := t.TempDir()
@@ -588,7 +608,7 @@ func TestRemoteResumeRetriesOnlyFailed(t *testing.T) {
 	srv.Close()
 	svc.Close()
 
-	svc, srv = remoteService(t, dir, leasePolicy{})
+	svc, srv = remoteService(t, dir, nil)
 	again := submit(t, svc, remoteConfig)
 	stop := startWork(srv.URL, 2)
 	fin = waitDone(t, svc, again.ID)
@@ -625,7 +645,7 @@ func TestRemoteStoreResume(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		svc, srv := remoteService(t, dir, leasePolicy{})
+		svc, srv := remoteService(t, dir, nil)
 		st := submit(t, svc, remoteConfig)
 		stop := func() error { return nil }
 		if k < n {
@@ -681,7 +701,7 @@ func TestRemoteStoreEntriesValidated(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	svc, srv := remoteService(t, dir, leasePolicy{})
+	svc, srv := remoteService(t, dir, nil)
 	st := submit(t, svc, remoteConfig)
 	stop := startWork(srv.URL, 2)
 	fin := waitDone(t, svc, st.ID)
@@ -701,9 +721,9 @@ func TestRemoteStoreEntriesValidated(t *testing.T) {
 // checkpointed fails its job: losing durability silently would defeat
 // the resume guarantee.
 func TestRemotePutFailureFailsJob(t *testing.T) {
-	svc, srv := remoteService(t, t.TempDir(), leasePolicy{})
+	svc, srv := remoteService(t, t.TempDir(), nil)
 	st := submit(t, svc, remoteConfig)
-	ci := leaseNext(t, srv, st.ID, st.SpecHash)
+	ci := leaseNext(t, svc, srv, st.ID, st.SpecHash)
 	// The job is leasing, so its checkpoints are loaded; a file where
 	// its partials directory goes makes every Put fail.
 	if err := os.WriteFile(filepath.Join(svc.store.Dir(), "partials", st.SpecHash), nil, 0o644); err != nil {
@@ -723,9 +743,9 @@ func TestRemotePutFailureFailsJob(t *testing.T) {
 // answers that worker's result 409, and the worker moves on to the next
 // job.
 func TestRemoteCanceledJob(t *testing.T) {
-	svc, srv := remoteService(t, t.TempDir(), leasePolicy{})
+	svc, srv := remoteService(t, t.TempDir(), nil)
 	first := submit(t, svc, remoteConfig)
-	ci := leaseNext(t, srv, first.ID, first.SpecHash)
+	ci := leaseNext(t, svc, srv, first.ID, first.SpecHash)
 	if _, err := svc.Cancel(first.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -856,7 +876,7 @@ func TestRemoteDaemonRestartMidJob(t *testing.T) {
 
 	svc := newRemoteService(t, dir)
 	srv := serveOn(t, addr, svc)
-	stop := startWork("http://"+addr, 1)
+	stop := startWork("http://"+addr, 2)
 	defer stop()
 	st := submit(t, svc, cfg)
 	waitStatus(t, svc, st.ID, "three remote chunks", func(s JobStatus) bool { return s.Computed >= 3 })
@@ -882,16 +902,24 @@ func TestRemoteDaemonRestartMidJob(t *testing.T) {
 	checkReports(t, svc, st.ID, wantCSV, wantJSON)
 }
 
-// TestLocalLeasesNeverExpire: a job computed by the service's own
-// workers succeeds under a lease timeout far shorter than any chunk and
-// a single attempt: local leases never time out.
+// TestLocalLeasesNeverExpire: the service's own workers arm no lease
+// timer, and moving the clock hours past the lease timeout while they
+// run changes nothing: local leases never expire.
 func TestLocalLeasesNeverExpire(t *testing.T) {
 	wantCSV, wantJSON := reports(t, remoteConfig)
+	clk := newManualClock()
 	svc := openService(t, t.TempDir(), ServiceConfig{Jobs: 2})
 	defer svc.Close()
-	svc.pol = leasePolicy{timeout: time.Nanosecond, attempts: 1, backoff: time.Nanosecond}
+	svc.clock = clk
 	st := submit(t, svc, remoteConfig)
-	fin := waitDone(t, svc, st.ID)
+	// The clock moves an hour at every status change until the job ends.
+	fin := waitStatus(t, svc, st.ID, "the job's end", func(s JobStatus) bool {
+		clk.Advance(time.Hour)
+		return terminal(s.State)
+	})
+	if n := clk.arms(); n != 0 {
+		t.Fatalf("local leases armed %d timers", n)
+	}
 	if fin.State != StateDone || fin.Computed != fin.Chunks {
 		t.Fatalf("job finished %s (%s), %d of %d chunks computed", fin.State, fin.Error, fin.Computed, fin.Chunks)
 	}

@@ -211,7 +211,7 @@ func (j *job) reported() {
 type Service struct {
 	cfg   ServiceConfig
 	store *Store
-	pol   leasePolicy
+	clock clock // the lease tables' time
 	// prefixes is the event-free prefix store every local Compute
 	// shares, for the service's lifetime: a job resumes its devices from
 	// prefixes that earlier jobs simulated.
@@ -264,7 +264,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	s := &Service{
 		cfg:      cfg,
 		store:    cfg.Store,
-		pol:      leasePolicy{timeout: leaseTimeout, attempts: leaseAttempts, backoff: leaseBackoff},
+		clock:    wallClock{},
 		prefixes: fleet.NewPrefixes(),
 		ctx:      ctx,
 		cancel:   cancel,
@@ -607,7 +607,7 @@ func (s *Service) run(j *job, fj *fleet.Job) error {
 		j.mu.Unlock()
 	})
 	defer stop()
-	if err := j.startLeases(s.pol, have); err != nil {
+	if err := j.startLeases(s.clock, have); err != nil {
 		return err
 	}
 	if s.cfg.Jobs > 0 {
@@ -626,53 +626,23 @@ func (s *Service) run(j *job, fj *fleet.Job) error {
 
 // computeLocal runs j's chunks on Jobs workers through fleet.Job.Compute,
 // each worker keeping one Scratch for the job and every worker resuming
-// devices from the service's prefix store. A feeder leases a chunk
-// from the table only when a worker is free to take it, so a remote
-// worker can lease every chunk the local ones are not running. It
-// returns once no chunk is left for it: every chunk is done, the run
-// failed (a local chunk's error fails it), or the job stopped leasing.
-// Nothing on this path polls or sleeps: the feeder waits on the table.
+// devices from the service's prefix store. A worker leases a chunk from
+// the table only when it is free to start it, so a remote worker can
+// lease every chunk the local ones are not running. It returns once no
+// chunk is left for it: every chunk is done, the run failed (a local
+// chunk's error fails it), or the job stopped leasing. Nothing on this
+// path polls or sleeps: a free worker waits on the table.
 func (s *Service) computeLocal(j *job, fj *fleet.Job) {
-	chunks := make(chan int)
-	free := make(chan struct{}, s.cfg.Jobs) // one token per idle worker
-	for range s.cfg.Jobs {
-		free <- struct{}{}
-	}
-	stop := make(chan struct{})
-	fed := make(chan struct{})
-	go func() {
-		defer close(fed)
-		defer close(chunks)
-		for {
-			select {
-			case <-free:
-			case <-stop:
-				return
-			}
-			ci, ok := j.takeLocal()
-			if !ok {
-				return
-			}
-			select {
-			case chunks <- ci:
-			case <-stop:
-				return
-			}
-		}
-	}()
-	_, err := fj.Compute(j.ctx, s.cfg.Jobs, s.prefixes, chunks, func(cp *fleet.ChunkPartial) error {
+	_, err := fj.Compute(j.ctx, s.cfg.Jobs, s.prefixes, j.takeLocal, func(cp *fleet.ChunkPartial) error {
 		entry, err := EncodeEntry(j.hash, cp.Chunk, cp)
-		if err == nil {
-			err = s.accept(j, cp, entry)
+		if err != nil {
+			return err
 		}
-		free <- struct{}{}
-		return err
+		return s.accept(j, cp, entry)
 	})
 	if err != nil {
 		j.fail(err)
 	}
-	close(stop)
-	<-fed
 }
 
 // accept stores entry, the encoded result cp for one of j's chunks, and

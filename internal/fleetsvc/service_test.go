@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -34,45 +35,93 @@ import (
 // runWithStore builds cfg's job and runs it the way the daemon does:
 // Job.Run over the chunks store holds, with each computed chunk put to
 // store before it counts. It returns how many chunks were loaded and
-// how many computed. A nil store loads and checkpoints nothing.
+// how many computed.
 func runWithStore(t *testing.T, store *Store, cfg fleet.Config) (res *fleet.Result, loaded, computed int) {
 	t.Helper()
 	job, err := fleet.NewJob(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var have []*fleet.ChunkPartial
-	var done func(*fleet.ChunkPartial) error
-	if store != nil {
-		if have, err = store.Load(context.Background(), job); err != nil {
-			t.Fatal(err)
-		}
-		for _, cp := range have {
-			if cp != nil {
-				loaded++
-			}
-		}
-		done = func(cp *fleet.ChunkPartial) error {
-			computed++
-			return store.Put(job.SpecHash(), cp.Chunk, cp)
+	have, err := store.Load(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cp := range have {
+		if cp != nil {
+			loaded++
 		}
 	}
-	if res, err = job.Run(context.Background(), have, done); err != nil {
+	res, err = job.Run(context.Background(), have, func(cp *fleet.ChunkPartial) error {
+		computed++
+		return store.Put(job.SpecHash(), cp.Chunk, cp)
+	})
+	if err != nil {
 		t.Fatalf("Job.Run: %v", err)
 	}
 	return res, loaded, computed
 }
 
-// baseline renders cfg's canonical CSV report with no store in the
-// loop: the bytes every checkpointed/resumed path must reproduce.
-func baseline(t *testing.T, cfg fleet.Config) []byte {
+// reference is what an uninterrupted run of a config serves, with no
+// store in the loop: the bytes every checkpointed, resumed or remote
+// path must reproduce.
+type reference struct {
+	csv, js []byte
+	// entries holds each chunk's store entry as a worker sends it, each
+	// chunk computed alone on a fresh scratch: a test that folds them
+	// checks them against the shared-prefix run behind csv and js.
+	entries [][]byte
+}
+
+// references holds each config's reference, computed once per test
+// binary: it is a pure function of the config's spec. No test may
+// modify the bytes it hands out.
+var references struct {
+	sync.Mutex
+	bySpec map[fleet.Spec]*reference
+}
+
+// referenceOf returns cfg's reference, running cfg the first time it is
+// asked for.
+func referenceOf(t *testing.T, cfg fleet.Config) *reference {
 	t.Helper()
-	res, _, _ := runWithStore(t, nil, cfg)
-	var buf bytes.Buffer
-	if err := res.WriteCSV(&buf); err != nil {
+	references.Lock()
+	defer references.Unlock()
+	if ref, ok := references.bySpec[specOf(cfg)]; ok {
+		return ref
+	}
+	job, err := fleet.NewJob(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	ref := &reference{entries: make([][]byte, job.NumChunks())}
+	for ci := range ref.entries {
+		if ref.entries[ci], err = EncodeEntry(job.SpecHash(), ci, runChunk(t, job, ci)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := job.Run(context.Background(), nil, nil)
+	if err != nil {
+		t.Fatalf("Job.Run: %v", err)
+	}
+	var c, j bytes.Buffer
+	if err := res.WriteCSV(&c); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.WriteJSON(&j); err != nil {
+		t.Fatal(err)
+	}
+	ref.csv, ref.js = c.Bytes(), j.Bytes()
+	if references.bySpec == nil {
+		references.bySpec = make(map[fleet.Spec]*reference)
+	}
+	references.bySpec[specOf(cfg)] = ref
+	return ref
+}
+
+// baseline returns cfg's canonical CSV report.
+func baseline(t *testing.T, cfg fleet.Config) []byte {
+	t.Helper()
+	return referenceOf(t, cfg).csv
 }
 
 // openService opens a service over dir. A cfg whose Jobs is 0 gets one
@@ -222,7 +271,9 @@ func TestServiceCrashResumeByteIdentity(t *testing.T) {
 		t.Fatalf("interrupted job journaled as %q, want %q", got, StateQueued)
 	}
 
-	svc2 := openService(t, dir, ServiceConfig{Jobs: 1})
+	// The successor computes on every CPU: the crash point is the first
+	// daemon's, and the resume needs no serial schedule.
+	svc2 := openService(t, dir, ServiceConfig{})
 	defer svc2.Close()
 	fin := waitDone(t, svc2, st.ID)
 	if fin.State != StateDone {
@@ -314,15 +365,8 @@ func TestAnyPrefixResume(t *testing.T) {
 	n := job.NumChunks()
 	hash := job.SpecHash()
 
-	// Precompute every chunk once; prefixes reuse them.
-	partials := make([]*fleet.ChunkPartial, n)
-	for ci := 0; ci < n; ci++ {
-		cp, err := job.RunChunk(context.Background(), ci, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		partials[ci] = cp
-	}
+	// Every prefix stores the reference run's entries.
+	all := entries(t, cfg)
 
 	for k := 0; k <= n; k++ {
 		store, err := Open(t.TempDir())
@@ -330,7 +374,7 @@ func TestAnyPrefixResume(t *testing.T) {
 			t.Fatal(err)
 		}
 		for ci := 0; ci < k; ci++ {
-			if err := store.Put(hash, ci, partials[ci]); err != nil {
+			if err := store.put(hash, ci, all[ci]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -501,19 +545,11 @@ func TestServiceWarmFootprint(t *testing.T) {
 	}
 }
 
-// reports renders cfg's canonical CSV and JSON reports with no store in
-// the loop.
+// reports returns cfg's canonical CSV and JSON reports.
 func reports(t *testing.T, cfg fleet.Config) (csv, js []byte) {
 	t.Helper()
-	res, _, _ := runWithStore(t, nil, cfg)
-	var c, j bytes.Buffer
-	if err := res.WriteCSV(&c); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.WriteJSON(&j); err != nil {
-		t.Fatal(err)
-	}
-	return c.Bytes(), j.Bytes()
+	ref := referenceOf(t, cfg)
+	return ref.csv, ref.js
 }
 
 // checkReports fails unless job id serves exactly csv and js.
@@ -947,6 +983,37 @@ func TestServiceResubmitUsesSpecIndex(t *testing.T) {
 		t.Fatalf("resubmit after restart: %+v, want done with hash %s", st, first.SpecHash)
 	}
 	checkReports(t, svc2, fourth.ID, wantCSV, wantJSON)
+}
+
+// TestServiceLocalPutFailureFailsJob: a chunk the service's own
+// workers compute but cannot checkpoint fails its job, as a failed
+// checkpoint fails any run, and the failure is journaled. A dangling
+// symlink where the spec's partials go lets the job load an empty store
+// and fails every Put. The spec has one chunk, so the job's second
+// worker waits on the lease table while the first one fails.
+func TestServiceLocalPutFailureFailsJob(t *testing.T) {
+	dir := t.TempDir()
+	svc := openService(t, dir, ServiceConfig{Jobs: 2})
+	spec := fleet.Spec{N: 8, Seed: 5, Scale: 0.05, ChunkSize: 8}
+	fj, err := fleet.NewJob(spec.Exec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(filepath.Join(dir, "nowhere"), filepath.Join(dir, "partials", fj.SpecHash())); err != nil {
+		t.Fatal(err)
+	}
+	st, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := waitDone(t, svc, st.ID)
+	if fin.State != StateFailed || !strings.Contains(fin.Error, "checkpointing chunk 0") || fin.Computed != 0 {
+		t.Fatalf("job finished %s (%q) with %d chunks computed", fin.State, fin.Error, fin.Computed)
+	}
+	svc.Close()
+	if got := journalState(t, dir, st.ID); got != StateFailed {
+		t.Fatalf("job journaled %s", got)
+	}
 }
 
 // breakJournal swaps svc's journal log handle for a read-only handle of

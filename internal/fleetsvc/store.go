@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 
 	"bytes"
@@ -106,9 +105,6 @@ type Store struct {
 	stats struct {
 		hits, misses, puts, quarantined atomic.Int64
 	}
-
-	// mkdir guards first-use creation of per-hash directories.
-	mkdir sync.Mutex
 }
 
 // Open creates (if needed) and opens a store rooted at dir.
@@ -236,13 +232,11 @@ func (s *Store) Put(hash string, ci int, cp *fleet.ChunkPartial) error {
 }
 
 // put stores data, an entry EncodeEntry built or DecodeEntry validated,
-// as chunk ci of hash.
+// as chunk ci of hash. Concurrent puts may create the spec's directory
+// at once: os.MkdirAll succeeds for the one whose Mkdir loses.
 func (s *Store) put(hash string, ci int, data []byte) error {
 	dir := s.hashDir(hash)
-	s.mkdir.Lock()
-	err := os.MkdirAll(dir, 0o755)
-	s.mkdir.Unlock()
-	if err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("fleetsvc: put chunk %d: %w", ci, err)
 	}
 	if err := writeFileAtomic(dir, chunkFile(ci), data, s.seq.Add(1)); err != nil {

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 
 	"capybara/internal/fleet"
@@ -265,6 +267,42 @@ func TestStoreBadHashArgument(t *testing.T) {
 		}
 		if err := s.Put(h, 0, &fleet.ChunkPartial{}); err == nil {
 			t.Fatalf("hash %q accepted by Put", h)
+		}
+	}
+}
+
+// TestStoreConcurrentPutsOfNewSpec: eight Puts of distinct chunks of a
+// spec the store has never seen, all at once, each create or find the
+// spec's directory, and every entry reads back.
+func TestStoreConcurrentPutsOfNewSpec(t *testing.T) {
+	job := testJob(t)
+	s := openStore(t)
+	cp := runChunk(t, job, 0)
+	const n = 8
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for ci := 0; ci < n; ci++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			labeled := *cp
+			labeled.Chunk = ci
+			errs[ci] = s.Put(job.SpecHash(), ci, &labeled)
+		}()
+	}
+	wg.Wait()
+	for ci, err := range errs {
+		if err != nil {
+			t.Fatalf("Put of chunk %d: %v", ci, err)
+		}
+		got, err := s.Get(job.SpecHash(), ci)
+		if err != nil {
+			t.Fatalf("Get of chunk %d: %v", ci, err)
+		}
+		want := *cp
+		want.Chunk = ci
+		if !reflect.DeepEqual(got, &want) {
+			t.Fatalf("chunk %d read back differs from what was put", ci)
 		}
 	}
 }

@@ -86,6 +86,17 @@ type remoteJob struct {
 	chunks chan int // leased chunks; never more than the worker's jobs at once
 }
 
+// next hands the job's Compute its next leased chunk. ok is false once
+// the job stopped running here or ctx is done.
+func (rj *remoteJob) next(ctx context.Context) (ci int, ok bool) {
+	select {
+	case ci, ok = <-rj.chunks:
+		return ci, ok
+	case <-ctx.Done():
+		return 0, false
+	}
+}
+
 // failure is what Work returns once the worker stopped: nil when its
 // caller's ctx ended it, and what failed the worker otherwise.
 func (w *worker) failure(ctx context.Context) error {
@@ -184,7 +195,7 @@ func (w *worker) start(id string, fj *fleet.Job) *remoteJob {
 	w.wg.Add(1)
 	go func() {
 		defer w.wg.Done()
-		_, err := fj.Compute(w.ctx, w.jobs, w.prefixes, rj.chunks, func(cp *fleet.ChunkPartial) error {
+		_, err := fj.Compute(w.ctx, w.jobs, w.prefixes, rj.next, func(cp *fleet.ChunkPartial) error {
 			defer func() { <-w.slots }()
 			entry, err := EncodeEntry(fj.SpecHash(), cp.Chunk, cp)
 			if err != nil {
