@@ -2,7 +2,7 @@ GO ?= go
 # bash for pipefail in the bench targets.
 SHELL := /bin/bash
 
-.PHONY: build test vet fmt-check race perfbench-check bench bench-short bench-compare chaos lease-stress fuzz-smoke fleet-shard-smoke fleet-resume-smoke verify
+.PHONY: build test vet fmt-check race perfbench-check bench bench-short bench-compare chaos lease-stress fuzz-smoke fleet-remote-smoke fleet-resume-smoke verify
 
 build:
 	$(GO) build ./...
@@ -110,8 +110,8 @@ fuzz-smoke:
 # running. The report must be byte-identical to the single-process
 # report, with the chunks the workers finished before the kill
 # reloaded, and the workers must exit 0 on SIGTERM.
-fleet-shard-smoke:
-	bash scripts/shard_smoke.sh
+fleet-remote-smoke:
+	bash scripts/remote_smoke.sh
 
 # Daemon crash/resume smoke: boot the capyfleet daemon, submit a job,
 # kill -9 it once checkpoints appear, restart it over the same store,
@@ -123,4 +123,4 @@ fleet-resume-smoke:
 	bash scripts/resume_smoke.sh
 
 # The full verify path: what CI runs.
-verify: build vet fmt-check test race perfbench-check fleet-shard-smoke fleet-resume-smoke
+verify: build vet fmt-check test race perfbench-check fleet-remote-smoke fleet-resume-smoke

@@ -114,6 +114,9 @@ func (o *options) validate() error {
 		if o.clientActions() != 1 {
 			return fmt.Errorf("-http requires exactly one of -submit, -wait, -status, -cancel")
 		}
+		if o.storeDir != "" {
+			return fmt.Errorf("-store does not apply to -http (the daemon owns checkpoints)")
+		}
 		if !o.submit {
 			return nil // wait/status/cancel carry no job spec to validate
 		}
@@ -258,7 +261,8 @@ func checkpoints(o *options, job *fleet.Job) ([]*fleet.ChunkPartial, func(*fleet
 	if err != nil {
 		return nil, nil, err
 	}
-	have, err := store.Load(context.Background(), job)
+	hash := job.SpecHash()
+	have, err := store.Load(context.Background(), hash, job.NumChunks())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -270,7 +274,6 @@ func checkpoints(o *options, job *fleet.Job) ([]*fleet.ChunkPartial, func(*fleet
 	}
 	fmt.Fprintf(os.Stderr, "capyfleet: store %s: %d/%d chunks already checkpointed\n",
 		o.storeDir, loaded, job.NumChunks())
-	hash := job.SpecHash()
 	return have, func(cp *fleet.ChunkPartial) error {
 		return store.Put(hash, cp.Chunk, cp)
 	}, nil

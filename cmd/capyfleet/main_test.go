@@ -106,6 +106,8 @@ func TestValidate(t *testing.T) {
 		{"client verb without http", func(o *options) { o.submit = true }, "-http"},
 		{"http without a verb", func(o *options) { o.httpURL = "http://x" }, "exactly one"},
 		{"http with two verbs", func(o *options) { o.httpURL = "http://x"; o.submit = true; o.waitID = "j1" }, "exactly one"},
+		{"store on a client wait", func(o *options) { o.httpURL = "http://x"; o.waitID = "j1"; o.storeDir = "d" }, "-store does not apply to -http"},
+		{"store on a client submit", func(o *options) { o.httpURL = "http://x"; o.submit = true; o.storeDir = "d" }, "-store does not apply to -http"},
 	}
 	for _, tc := range cases {
 		err := ok(tc.mutate).validate()
@@ -195,7 +197,7 @@ func requireCheckpointed(t *testing.T, dir string, o *options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := store.Load(context.Background(), job)
+	loaded, err := store.Load(context.Background(), job.SpecHash(), job.NumChunks())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,20 +28,11 @@ import (
 
 // Board constraints from §6.6.
 const (
-	// BoardSide is the board edge length (1.7 in) in millimetres.
-	BoardSide = 43.2
-	// BoardThickness is the stack height (0.15 in) in millimetres.
-	BoardThickness = 3.8
 	// MinTemperature rules out batteries and many supercaps.
 	MinTemperature = -40.0
 	// OrbitPeriod is a low-earth-orbit day/night cycle.
 	OrbitPeriod units.Seconds = 92 * 60
 )
-
-// BoardVolume returns the total available volume in mm³.
-func BoardVolume() units.Volume {
-	return units.Volume(BoardSide * BoardSide * BoardThickness)
-}
 
 // RadioTxPower is the transmission draw: 30 mA at the 2.0 V rail.
 const RadioTxPower units.Power = 60 * units.MilliWatt
@@ -110,17 +101,6 @@ func New() *Platform {
 		},
 		MCU: device.MSP430FR5969(),
 	}
-}
-
-// CapacitorVolume returns the volume of both banks.
-func (p *Platform) CapacitorVolume() units.Volume {
-	return p.Split.BankA.Volume() + p.Split.BankB.Volume()
-}
-
-// FitsBoard reports whether the storage fits the volume budget (a
-// quarter of the stack is available for energy storage).
-func (p *Platform) FitsBoard() bool {
-	return p.CapacitorVolume() <= BoardVolume()/4
 }
 
 // AreaSavings compares the splitter against the general two-bank switch

@@ -8,18 +8,15 @@ import (
 	"capybara/internal/units"
 )
 
-func TestBoardVolume(t *testing.T) {
-	v := BoardVolume()
-	// 43.2 × 43.2 × 3.8 ≈ 7092 mm³.
-	if float64(v) < 7000 || float64(v) > 7200 {
-		t.Fatalf("board volume = %v", v)
-	}
-}
-
+// TestStorageFitsBoard checks §6.6's volume budget: both banks fit the
+// quarter of the 43.2 × 43.2 × 3.8 mm (1.7 × 1.7 × 0.15 in) stack that
+// is available for energy storage.
 func TestStorageFitsBoard(t *testing.T) {
+	const boardSide, boardThickness = 43.2, 3.8 // mm
+	board := units.Volume(boardSide * boardSide * boardThickness)
 	p := New()
-	if !p.FitsBoard() {
-		t.Fatalf("capacitors (%v) exceed the volume budget (%v/4)", p.CapacitorVolume(), BoardVolume())
+	if v := p.Split.BankA.Volume() + p.Split.BankB.Volume(); v > board/4 {
+		t.Fatalf("capacitors (%v) exceed the volume budget (%v/4)", v, board)
 	}
 }
 

@@ -168,7 +168,7 @@ func TestChaosRunCleanAndCovering(t *testing.T) {
 			t.Fatalf("scenario %q ran %d times, want 2\n%s", name, rep.Scenarios[name], rep.Summary())
 		}
 	}
-	for _, inv := range Registry() {
+	for _, inv := range registry {
 		if inv.Check == nil {
 			continue
 		}

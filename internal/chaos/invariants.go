@@ -173,14 +173,6 @@ var registry = []Invariant{
 	},
 }
 
-// Registry returns the invariant registry (names and descriptions) for
-// reporting and documentation.
-func Registry() []Invariant {
-	out := make([]Invariant, len(registry))
-	copy(out, registry)
-	return out
-}
-
 // Checker implements sim.Observer: after every simulator event it runs
 // the invariant registry against the device state and records
 // violations.

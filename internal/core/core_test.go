@@ -367,15 +367,6 @@ func TestDerate(t *testing.T) {
 	}
 }
 
-func TestTaskEnergy(t *testing.T) {
-	sys := testPowerSystem()
-	e := TaskEnergy(sys, 8*units.MilliWatt, 0.5)
-	want := float64(sys.StoreDraw(8*units.MilliWatt)) * 0.5
-	if float64(e) != want {
-		t.Fatalf("TaskEnergy = %v, want %g", e, want)
-	}
-}
-
 // TestBringUpTargetFollowsDeclarationOrder: when two modes share the
 // physically active bank mask but differ in VTop, the bring-up charge
 // target is the first declared mode's, on every build. The mode table
@@ -444,7 +435,7 @@ func TestRestoreContinuesRun(t *testing.T) {
 		var words []uint64
 		for _, k := range nv.Keys() {
 			w, _ := nv.Word(k)
-			b, _ := nv.Blob(k)
+			b, _ := nv.PeekBlob(k)
 			words = append(words, w, uint64(len(b)))
 		}
 		p := make(map[string]task.TaskProfile)

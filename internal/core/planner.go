@@ -81,16 +81,6 @@ func (p *Plan) TotalVolume() units.Volume {
 	return v
 }
 
-// Mode returns the planned mode for a demand name.
-func (p *Plan) Mode(name string) (Mode, bool) {
-	for _, m := range p.Modes {
-		if string(m.Name) == name {
-			return m, true
-		}
-	}
-	return Mode{}, false
-}
-
 // PlanModes derives a bank array and mode table for the demands, built
 // from units of tech, charged to vtop (0 = DefaultVTop). It returns an
 // error when a demand is infeasible — its energy cannot be banked at

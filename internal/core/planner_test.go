@@ -30,6 +30,15 @@ func taDemands() []TaskDemand {
 	}
 }
 
+// planned returns the plan's mode for each demand name.
+func planned(p *Plan) map[string]Mode {
+	out := make(map[string]Mode, len(p.Modes))
+	for _, m := range p.Modes {
+		out[string(m.Name)] = m
+	}
+	return out
+}
+
 func TestPlanModesSatisfiesDemands(t *testing.T) {
 	sys := testPowerSystem()
 	plan, err := PlanModes(sys, storage.EDLC, taDemands(), 2.4)
@@ -42,7 +51,7 @@ func TestPlanModesSatisfiesDemands(t *testing.T) {
 	// Every demand's planned mode must actually sustain its task:
 	// simulate a discharge on the prefix bank set.
 	for _, d := range taDemands() {
-		m, ok := plan.Mode(d.Name)
+		m, ok := planned(plan)[d.Name]
 		if !ok {
 			t.Fatalf("no mode for %s", d.Name)
 		}
@@ -56,8 +65,7 @@ func TestPlanModesSatisfiesDemands(t *testing.T) {
 		}
 	}
 	// The sample mode must be a strict subset of the alarm mode.
-	sm, _ := plan.Mode("sample")
-	am, _ := plan.Mode("alarm")
+	sm, am := planned(plan)["sample"], planned(plan)["alarm"]
 	if sm.Mask >= am.Mask {
 		t.Fatalf("sample mask %#b not below alarm mask %#b", sm.Mask, am.Mask)
 	}
@@ -137,8 +145,7 @@ func TestPlanModesEqualDemandsShareMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ma, _ := plan.Mode("a")
-	mb, _ := plan.Mode("b")
+	ma, mb := planned(plan)["a"], planned(plan)["b"]
 	if ma.Mask != mb.Mask {
 		t.Fatalf("equal demands should share a mask: %#b vs %#b", ma.Mask, mb.Mask)
 	}
@@ -168,7 +175,7 @@ func TestPlanModesRandomDemandsProperty(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for _, d := range demands {
-			m, ok := plan.Mode(d.Name)
+			m, ok := planned(plan)[d.Name]
 			if !ok {
 				t.Fatalf("trial %d: missing mode %s", trial, d.Name)
 			}

@@ -50,14 +50,6 @@ func Provision(sys *power.System, tech storage.Technology, load units.Power, dur
 	return storage.GroupOf(tech, hi), nil
 }
 
-// TaskEnergy estimates the energy a task consumes at the storage
-// terminals: load power over duration, inflated by the output
-// converter's loss and quiescent overhead. This mirrors the paper's
-// continuous-power current-sense estimation approach (§3).
-func TaskEnergy(sys *power.System, load units.Power, duration units.Seconds) units.Energy {
-	return units.Energy(float64(sys.StoreDraw(load)) * float64(duration))
-}
-
 // Derate over-provisions a group by margin (e.g. 0.2 for +20 %) to
 // account for capacitor aging — the standard derating practice §3
 // mentions.

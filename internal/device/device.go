@@ -53,15 +53,6 @@ func (m MCU) ComputeTime(ops float64) units.Seconds {
 	return units.Seconds(ops / m.OpsPerSecond)
 }
 
-// OpEnergy returns the energy one ALU operation consumes at the
-// regulated output.
-func (m MCU) OpEnergy() units.Energy {
-	if m.OpsPerSecond <= 0 {
-		return 0
-	}
-	return units.Energy(float64(m.ActivePower) / m.OpsPerSecond)
-}
-
 func (m MCU) String() string {
 	return fmt.Sprintf("%s (%v active, %.0f Mops/s)", m.Name, m.ActivePower, m.OpsPerSecond/1e6)
 }
@@ -84,12 +75,6 @@ type Peripheral struct {
 	// MinVout is the minimum regulated output voltage the part needs
 	// (2.5 V gesture sensor, 2.0 V BLE radio — §5.1).
 	MinVout units.Voltage
-}
-
-// OpEnergyAt returns the energy one operation consumes given the total
-// power draw p (peripheral + MCU) — a provisioning helper.
-func (p Peripheral) OpEnergyAt(total units.Power) units.Energy {
-	return units.Energy(float64(total) * float64(p.OpTime))
 }
 
 func (p Peripheral) String() string {
@@ -210,13 +195,6 @@ func (r Radio) PacketTime(payloadBytes int) units.Seconds {
 		payloadBytes = 0
 	}
 	return r.BaseAirtime + units.Seconds(payloadBytes)*r.PerByte
-}
-
-// PacketEnergy returns the energy of one packet transmission including
-// startup, at the radio's draw plus the MCU's active draw.
-func (r Radio) PacketEnergy(mcu MCU, payloadBytes int) units.Energy {
-	dt := r.StartupTime + r.PacketTime(payloadBytes)
-	return units.Energy(float64(r.TxPower+mcu.ActivePower) * float64(dt))
 }
 
 func (r Radio) String() string {

@@ -19,15 +19,10 @@ func TestMCUComputeTime(t *testing.T) {
 	}
 }
 
+// TestMCUOpEnergy keeps only its stringer check: energy per operation
+// is ActivePower over OpsPerSecond, and no code reads it as such.
 func TestMCUOpEnergy(t *testing.T) {
 	m := MSP430FR5969()
-	want := float64(m.ActivePower) / m.OpsPerSecond
-	if got := m.OpEnergy(); math.Abs(float64(got)-want) > 1e-18 {
-		t.Fatalf("OpEnergy = %v, want %g", got, want)
-	}
-	if got := (MCU{}).OpEnergy(); got != 0 {
-		t.Errorf("zero MCU OpEnergy = %v", got)
-	}
 	if m.String() == "" {
 		t.Error("empty stringer")
 	}
@@ -53,10 +48,10 @@ func TestRadioPacketTimeCalibration(t *testing.T) {
 func TestRadioPacketEnergy(t *testing.T) {
 	r := CC2650()
 	m := MSP430FR5969()
-	e := r.PacketEnergy(m, 25)
+	e := float64(r.TxPower+m.ActivePower) * float64(r.StartupTime+r.PacketTime(25))
 	// (27 mW + 2 mW) · (10 ms + 35 ms) = 1.305 mJ.
-	if math.Abs(float64(e)-1.305e-3) > 1e-9 {
-		t.Fatalf("PacketEnergy = %v, want 1.305 mJ", e)
+	if math.Abs(e-1.305e-3) > 1e-9 {
+		t.Fatalf("packet energy = %g J, want 1.305 mJ", e)
 	}
 	if r.String() == "" {
 		t.Error("empty stringer")
@@ -70,14 +65,14 @@ func TestPeripheralCatalogSanity(t *testing.T) {
 	tmp := TMP36()
 	apds := APDS9960()
 	radio := CC2650()
-	eTmp := tmp.OpEnergyAt(tmp.ActivePower + mcu.ActivePower)
-	eApds := apds.OpEnergyAt(apds.ActivePower + mcu.ActivePower)
-	eRadio := radio.PacketEnergy(mcu, 25)
+	op := func(p Peripheral) float64 { return float64(p.ActivePower+mcu.ActivePower) * float64(p.OpTime) }
+	eTmp, eApds := op(tmp), op(apds)
+	eRadio := float64(radio.TxPower+mcu.ActivePower) * float64(radio.StartupTime+radio.PacketTime(25))
 	if !(eTmp < eApds) {
-		t.Fatalf("temp sample (%v) should cost less than gesture window (%v)", eTmp, eApds)
+		t.Fatalf("temp sample (%g J) should cost less than gesture window (%g J)", eTmp, eApds)
 	}
 	if !(eTmp < eRadio) {
-		t.Fatalf("temp sample (%v) should cost less than a packet (%v)", eTmp, eRadio)
+		t.Fatalf("temp sample (%g J) should cost less than a packet (%g J)", eTmp, eRadio)
 	}
 }
 

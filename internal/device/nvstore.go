@@ -72,22 +72,10 @@ func (s *NVStore) SetBlobOwned(key string, b []byte) (old []byte) {
 	return old
 }
 
-// Blob returns a copy of the blob stored under key.
-func (s *NVStore) Blob(key string) ([]byte, bool) {
-	b, ok := s.blobs[key]
-	if !ok {
-		return nil, false
-	}
-	cp := make([]byte, len(b))
-	copy(cp, b)
-	return cp, true
-}
-
-// PeekBlob returns the blob stored under key without copying. The
+// PeekBlob returns the blob stored under key without copying: the task
+// engine looks up its current task once per scheduler iteration. The
 // returned slice aliases the store: callers must treat it as read-only
-// and must not retain it across writes. Hot read paths (the task
-// engine's current-task lookup runs once per scheduler iteration) use
-// this to avoid a copy per read; everything else should use Blob.
+// and must not retain it across writes.
 func (s *NVStore) PeekBlob(key string) ([]byte, bool) {
 	b, ok := s.blobs[key]
 	return b, ok

@@ -118,15 +118,6 @@ func (s Schedule) activeAtHint(t units.Seconds, hint *int) (Event, bool) {
 	return Event{}, false
 }
 
-// NextAfter returns the first event starting at or after t, if any.
-func (s Schedule) NextAfter(t units.Seconds) (Event, bool) {
-	i := sort.Search(len(s.Events), func(i int) bool { return s.Events[i].At >= t })
-	if i < len(s.Events) {
-		return s.Events[i], true
-	}
-	return Event{}, false
-}
-
 // MeanInterarrival returns the empirical mean gap between event starts.
 func (s Schedule) MeanInterarrival() units.Seconds {
 	if len(s.Events) < 2 {

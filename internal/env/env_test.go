@@ -66,21 +66,6 @@ func TestActiveAt(t *testing.T) {
 	}
 }
 
-func TestNextAfter(t *testing.T) {
-	s := Schedule{Events: []Event{{Index: 0, At: 10, Window: 1}, {Index: 1, At: 20, Window: 1}}}
-	ev, ok := s.NextAfter(0)
-	if !ok || ev.Index != 0 {
-		t.Errorf("NextAfter(0) = %v, %v", ev, ok)
-	}
-	ev, ok = s.NextAfter(10.5)
-	if !ok || ev.Index != 1 {
-		t.Errorf("NextAfter(10.5) = %v, %v", ev, ok)
-	}
-	if _, ok := s.NextAfter(100); ok {
-		t.Error("NextAfter past the end should fail")
-	}
-}
-
 func TestHorizon(t *testing.T) {
 	s := Schedule{Events: []Event{{At: 10, Window: 2}, {At: 20, Window: 5}}}
 	if got := s.Horizon(); got != 25 {

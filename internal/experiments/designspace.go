@@ -213,15 +213,21 @@ func ClassifyFig3(points []Fig3Point, requiredMops float64) map[units.Capacitanc
 	return out
 }
 
-// Fig3Table renders the Figure 3 sweep.
+// fig3RequiredMops is the atomicity requirement of Fig. 3's dashed
+// line, about 1.5 Mops.
+const fig3RequiredMops = 1.5
+
+// Fig3Table renders the Figure 3 sweep, with each point's region
+// against the dashed-line requirement.
 func Fig3Table(points []Fig3Point) *Table {
 	t := &Table{
 		Title:  "Figure 3 — atomicity vs energy buffer capacitance",
-		Header: []string{"capacitance", "operating time", "atomicity (Mops)"},
+		Header: []string{"capacitance", "operating time", "atomicity (Mops)", fmt.Sprintf("region at %g Mops", fig3RequiredMops)},
 	}
+	regions := ClassifyFig3(points, fig3RequiredMops)
 	for _, p := range points {
 		t.Rows = append(t.Rows, []string{
-			p.C.String(), p.OnFor.String(), fmt.Sprintf("%.3f", p.Mops),
+			p.C.String(), p.OnFor.String(), fmt.Sprintf("%.3f", p.Mops), regions[p.C].String(),
 		})
 	}
 	return t

@@ -49,8 +49,8 @@ func FuzzResolveSpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Resolve accepts %+v but NewJob fails: %v", spec, err)
 		}
-		if j.Spec() != r {
-			t.Fatalf("job spec %+v, resolved %+v", j.Spec(), r)
+		if got := (Spec{N: j.cfg.N, Seed: j.cfg.Seed, Scale: j.scale, ChunkSize: j.chunk}); got != r {
+			t.Fatalf("job spec %+v, resolved %+v", got, r)
 		}
 		n := j.NumChunks()
 		if n < 1 || n > MaxChunks {
@@ -78,9 +78,8 @@ func FuzzPrefixesAcrossJobs(f *testing.F) {
 		pre := NewPrefixes()
 		for i := 0; i+5 <= len(data) && i < 4*5; i += 5 {
 			b := data[i : i+5]
-			j, err := NewJob(Config{
-				Seed: 51 + int64(b[0]%3), N: 1 + int(b[1])%96, Scale: scales[b[2]%3], ChunkSize: 1 + int(b[3])%32,
-			})
+			spec := Spec{Seed: 51 + int64(b[0]%3), N: 1 + int(b[1])%96, Scale: scales[b[2]%3], ChunkSize: 1 + int(b[3])%32}
+			j, err := NewJob(spec.Exec(0))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,16 +88,16 @@ func FuzzPrefixesAcrossJobs(f *testing.F) {
 				t.Fatal(err)
 			}
 			mu.Lock()
-			want, ok := refs[j.Spec()]
+			want, ok := refs[spec]
 			mu.Unlock()
 			if !ok {
 				want = encodePartials(t, referencePartials(t, j))
 				mu.Lock()
-				refs[j.Spec()] = want
+				refs[spec] = want
 				mu.Unlock()
 			}
 			if !bytes.Equal(encodePartials(t, got), want) {
-				t.Fatalf("job %d, %+v: partials on the shared store differ from the unshared ones", i/5, j.Spec())
+				t.Fatalf("job %d, %+v: partials on the shared store differ from the unshared ones", i/5, spec)
 			}
 		}
 		if keys := seededKeys(pre); len(keys) > 0 {

@@ -104,12 +104,6 @@ func NewJob(cfg Config) (*Job, error) {
 	return j, nil
 }
 
-// Spec returns the canonical subset of the config, with defaults
-// resolved.
-func (j *Job) Spec() Spec {
-	return Spec{N: j.cfg.N, Seed: j.cfg.Seed, Scale: j.scale, ChunkSize: j.chunk}
-}
-
 // NumChunks returns the number of fixed-size device chunks.
 func (j *Job) NumChunks() int { return j.cfg.N/j.chunk + min(j.cfg.N%j.chunk, 1) }
 

@@ -400,7 +400,7 @@ func TestPrefixesAcrossJobs(t *testing.T) {
 			}
 			partials, _, e := runInspected(t, j, ws, ends)
 			if !bytes.Equal(encodePartials(t, partials), refs[j]) {
-				t.Fatalf("%+v: partials on the shared store differ from the unshared ones", j.Spec())
+				t.Fatalf("%+v: partials on the shared store differ from the unshared ones", j.cfg)
 			}
 			earlier[j.cfg.Seed] += e
 		}
@@ -431,7 +431,7 @@ func TestPrefixesAcrossJobs(t *testing.T) {
 				}
 				if !bytes.Equal(encodePartials(t, got[p]), refs[j]) {
 					t.Fatalf("workers %d, %+v beside %+v: partials differ from the unshared ones",
-						workers, j.Spec(), pair[1-p].Spec())
+						workers, j.cfg, pair[1-p].cfg)
 				}
 			}
 		}

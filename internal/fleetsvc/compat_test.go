@@ -72,7 +72,7 @@ func TestWarmRunLoadsLegacyEntry(t *testing.T) {
 	if loaded != 1 || computed != job.NumChunks()-1 {
 		t.Fatalf("loaded %d, computed %d: want the legacy chunk loaded and the rest computed", loaded, computed)
 	}
-	if q := s.Stats().Quarantined; q != 0 {
+	if q := quarantined(t, s); q != 0 {
 		t.Fatalf("%d entries quarantined", q)
 	}
 	var got bytes.Buffer
@@ -111,7 +111,7 @@ func TestServiceLegacyReportLayout(t *testing.T) {
 	const id = "j000001"
 	rec, err := json.MarshalIndent(jobRecord{
 		ID:       id,
-		Spec:     job.Spec(),
+		Spec:     specOf(cfg),
 		SpecHash: job.SpecHash(),
 		State:    StateDone,
 	}, "", "  ")

@@ -219,7 +219,7 @@ func TestServiceLegacyJournalFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return jobRecord{ID: id, Spec: fj.Spec(), SpecHash: fj.SpecHash(), State: state}
+		return jobRecord{ID: id, Spec: specOf(cfg), SpecHash: fj.SpecHash(), State: state}
 	}
 	done := record("j000001", doneCfg, StateDone)
 	queued := record("j000002", queuedCfg, StateQueued)

@@ -711,7 +711,7 @@ func TestRemoteStoreEntriesValidated(t *testing.T) {
 	if fin.State != StateDone || fin.Loaded != 2 || fin.Computed != fin.Chunks-2 {
 		t.Fatalf("job finished %s (%s), loaded %d, computed %d of %d", fin.State, fin.Error, fin.Loaded, fin.Computed, fin.Chunks)
 	}
-	if q := svc.store.Stats().Quarantined; q != 4 {
+	if q := quarantined(t, svc.store); q != 4 {
 		t.Fatalf("%d entries quarantined, want 4", q)
 	}
 	checkReports(t, svc, st.ID, wantCSV, wantJSON)

@@ -597,7 +597,7 @@ func (s *Service) run(j *job, fj *fleet.Job) error {
 			return err
 		}
 	}
-	have, err := s.store.Load(j.ctx, fj)
+	have, err := s.store.Load(j.ctx, j.hash, j.chunks)
 	if err != nil {
 		return err
 	}
@@ -815,7 +815,7 @@ func (s *Service) Cohorts(ctx context.Context, id string) ([]CohortProgress, err
 	if state != StateDone {
 		return nil, nil
 	}
-	have, err := s.store.load(ctx, j.hash, j.chunks)
+	have, err := s.store.Load(ctx, j.hash, j.chunks)
 	if err != nil {
 		return nil, err
 	}

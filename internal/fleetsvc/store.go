@@ -24,9 +24,10 @@
 //     derives the same hash: stored partials and reports are trusted
 //     only across binaries whose reports for a spec agree.
 //
-// Every entry carries a checksummed header; a truncated, bit-flipped,
-// or misfiled entry is detected, quarantined (moved aside, never
-// deleted — it is evidence), and recomputed rather than folded.
+// Each field of an entry's header is checked against what the reader
+// asked for, and one SHA-256 covers the payload, so a truncated,
+// bit-flipped, or misfiled entry is detected, quarantined (moved aside,
+// never deleted — it is evidence), and recomputed rather than folded.
 package fleetsvc
 
 import (
@@ -84,27 +85,13 @@ var ErrNotFound = errors.New("fleetsvc: partial not in store")
 // of Get only ever see ErrNotFound for it.
 var errCorrupt = errors.New("fleetsvc: corrupt store entry")
 
-// StoreStats counts store traffic since Open. Quarantined is the number
-// of corrupt entries detected and moved aside — in a healthy store it
-// stays zero.
-type StoreStats struct {
-	Hits        int64
-	Misses      int64
-	Puts        int64
-	Quarantined int64
-}
-
 // Store is a content-addressed checkpoint store for chunk partials.
 // All methods are safe for concurrent use; writes are atomic (temp file
 // + rename), so a crash mid-Put leaves either the complete entry or no
 // entry, never a torn one.
 type Store struct {
 	dir string
-
-	seq   atomic.Int64 // temp-file uniquifier
-	stats struct {
-		hits, misses, puts, quarantined atomic.Int64
-	}
+	seq atomic.Int64 // temp-file uniquifier
 }
 
 // Open creates (if needed) and opens a store rooted at dir.
@@ -122,16 +109,6 @@ func Open(dir string) (*Store, error) {
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
-
-// Stats returns a snapshot of the traffic counters.
-func (s *Store) Stats() StoreStats {
-	return StoreStats{
-		Hits:        s.stats.hits.Load(),
-		Misses:      s.stats.misses.Load(),
-		Puts:        s.stats.puts.Load(),
-		Quarantined: s.stats.quarantined.Load(),
-	}
-}
 
 func validHash(hash string) error {
 	if len(hash) != hashLen {
@@ -154,9 +131,9 @@ func chunkFile(ci int) string {
 	return fmt.Sprintf("%08d.cp", ci)
 }
 
-// EncodeEntry renders one store entry: checksummed header + gob
-// payload. Exposed (package-level) so tests and the fuzz target build
-// entries without a Store.
+// EncodeEntry renders one store entry: the header, with the payload's
+// SHA-256, then the gob payload. Exposed (package-level) so tests and
+// the fuzz target build entries without a Store.
 func EncodeEntry(hash string, ci int, cp *fleet.ChunkPartial) ([]byte, error) {
 	if err := validHash(hash); err != nil {
 		return nil, err
@@ -242,7 +219,6 @@ func (s *Store) put(hash string, ci int, data []byte) error {
 	if err := writeFileAtomic(dir, chunkFile(ci), data, s.seq.Add(1)); err != nil {
 		return fmt.Errorf("fleetsvc: put chunk %d: %w", ci, err)
 	}
-	s.stats.puts.Add(1)
 	return nil
 }
 
@@ -258,7 +234,6 @@ func (s *Store) Get(hash string, ci int) (*fleet.ChunkPartial, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			s.stats.misses.Add(1)
 			return nil, ErrNotFound
 		}
 		return nil, fmt.Errorf("fleetsvc: get chunk %d: %w", ci, err)
@@ -267,25 +242,19 @@ func (s *Store) Get(hash string, ci int) (*fleet.ChunkPartial, error) {
 	if err != nil {
 		if errors.Is(err, errCorrupt) {
 			s.quarantine(path, hash, ci, err)
-			s.stats.misses.Add(1)
 			return nil, ErrNotFound
 		}
 		return nil, err
 	}
-	s.stats.hits.Add(1)
 	return cp, nil
 }
 
-// Load reads every checkpointed chunk of job. The result has one entry
-// per chunk, nil wherever the store holds no valid entry: corrupt
-// entries are quarantined by Get and come back nil like any other miss,
-// so the caller recomputes exactly the nil chunks.
-func (s *Store) Load(ctx context.Context, job *fleet.Job) ([]*fleet.ChunkPartial, error) {
-	return s.load(ctx, job.SpecHash(), job.NumChunks())
-}
-
-// load is Load for the spec with the given hash and chunk count.
-func (s *Store) load(ctx context.Context, hash string, chunks int) ([]*fleet.ChunkPartial, error) {
+// Load reads every checkpointed chunk of the spec with the given hash
+// and chunk count. The result has one entry per chunk, nil wherever the
+// store holds no valid entry: corrupt entries are quarantined by Get and
+// come back nil like any other miss, so the caller recomputes exactly
+// the nil chunks.
+func (s *Store) Load(ctx context.Context, hash string, chunks int) ([]*fleet.ChunkPartial, error) {
 	out := make([]*fleet.ChunkPartial, chunks)
 	for ci := range out {
 		if err := ctx.Err(); err != nil {
@@ -310,7 +279,6 @@ func (s *Store) quarantine(path, hash string, ci int, cause error) {
 	if err := os.Rename(path, dst); err != nil {
 		return
 	}
-	s.stats.quarantined.Add(1)
 	_ = os.WriteFile(dst+".reason", []byte(cause.Error()+"\n"), 0o644)
 }
 

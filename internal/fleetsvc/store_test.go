@@ -78,11 +78,14 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatalf("report from stored partials differs:\n--- direct ---\n%s--- stored ---\n%s", want, got)
 	}
 
-	if st := s.Stats(); st.Puts != int64(job.NumChunks()) || st.Hits != int64(job.NumChunks()) || st.Quarantined != 0 {
-		t.Fatalf("stats %+v after clean round trip", st)
+	if stored, err := filepath.Glob(filepath.Join(s.Dir(), "partials", hash, "*.cp")); err != nil || len(stored) != job.NumChunks() {
+		t.Fatalf("partials/ holds %d entries (%v) after a clean round trip, want %d", len(stored), err, job.NumChunks())
+	}
+	if n := quarantined(t, s); n != 0 {
+		t.Fatalf("%d entries quarantined after a clean round trip", n)
 	}
 
-	all, err := s.Load(context.Background(), job)
+	all, err := s.Load(context.Background(), hash, job.NumChunks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,16 +115,27 @@ func renderFold(t *testing.T, job *fleet.Job, partials []*fleet.ChunkPartial) st
 	return b.String()
 }
 
-// TestStoreMiss: an absent entry is ErrNotFound, counted as a miss.
+// TestStoreMiss: an absent entry is ErrNotFound, and nothing is
+// quarantined for it.
 func TestStoreMiss(t *testing.T) {
 	job := testJob(t)
 	s := openStore(t)
 	if _, err := s.Get(job.SpecHash(), 0); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing entry: %v", err)
 	}
-	if st := s.Stats(); st.Misses != 1 {
-		t.Fatalf("stats %+v after one miss", st)
+	if n := quarantined(t, s); n != 0 {
+		t.Fatalf("%d entries quarantined after a miss", n)
 	}
+}
+
+// quarantined counts the corrupt entries moved into s's quarantine/.
+func quarantined(t *testing.T, s *Store) int {
+	t.Helper()
+	bad, err := filepath.Glob(filepath.Join(s.Dir(), "quarantine", "*.bad"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(bad)
 }
 
 // corruptions is the table of byte-level faults a store entry must
@@ -169,15 +183,11 @@ func TestStoreCorruptionQuarantined(t *testing.T) {
 			if _, err := s.Get(hash, 2); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("corrupt entry returned %v, want ErrNotFound", err)
 			}
-			if st := s.Stats(); st.Quarantined != 1 {
-				t.Fatalf("stats %+v: corrupt entry not quarantined", st)
-			}
 			if _, err := os.Stat(path); !os.IsNotExist(err) {
 				t.Fatalf("corrupt entry still present: %v", err)
 			}
-			quarantined, err := filepath.Glob(filepath.Join(s.Dir(), "quarantine", "*.bad"))
-			if err != nil || len(quarantined) != 1 {
-				t.Fatalf("quarantine dir holds %d entries (%v), want 1", len(quarantined), err)
+			if n := quarantined(t, s); n != 1 {
+				t.Fatalf("quarantine dir holds %d entries, want 1", n)
 			}
 			// The slot is free to recompute and refill.
 			if _, err := s.Get(hash, 2); !errors.Is(err, ErrNotFound) {
@@ -197,15 +207,15 @@ func TestStoreCorruptionQuarantined(t *testing.T) {
 			if err := os.WriteFile(path, tc.mangle(data), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := s.Load(context.Background(), job)
+			loaded, err := s.Load(context.Background(), hash, job.NumChunks())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if loaded[2] != nil {
 				t.Fatal("Load returned the corrupt chunk")
 			}
-			if st := s.Stats(); st.Quarantined != 2 {
-				t.Fatalf("stats %+v: Load did not quarantine the corrupt entry", st)
+			if n := quarantined(t, s); n != 2 {
+				t.Fatalf("quarantine dir holds %d entries: Load did not quarantine the corrupt entry", n)
 			}
 		})
 	}
@@ -248,8 +258,8 @@ func TestStoreWrongHashEntry(t *testing.T) {
 	if _, err := s.Get(hashB, 1); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("misfiled entry returned %v, want ErrNotFound", err)
 	}
-	if st := s.Stats(); st.Quarantined != 1 {
-		t.Fatalf("stats %+v: misfiled entry not quarantined", st)
+	if n := quarantined(t, s); n != 1 {
+		t.Fatalf("quarantine dir holds %d entries: misfiled entry not quarantined", n)
 	}
 	// The original, correctly filed entry is untouched.
 	if _, err := s.Get(hashA, 1); err != nil {

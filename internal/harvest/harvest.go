@@ -230,33 +230,6 @@ func BlackoutTrace(base Trace, windows ...[2]units.Seconds) Trace {
 	return blackoutTrace{base: base, windows: windows}
 }
 
-type scaleTrace struct {
-	a, b Trace
-}
-
-func (s scaleTrace) Level(t units.Seconds) float64 {
-	return s.a.Level(t) * s.b.Level(t)
-}
-
-// NextChange implements Stepped: the product is constant while both
-// factors are.
-func (s scaleTrace) NextChange(t units.Seconds) units.Seconds {
-	ha := NextChange(s.a, t)
-	hb := NextChange(s.b, t)
-	if ha <= 0 || hb <= 0 {
-		return 0
-	}
-	if hb < ha {
-		return hb
-	}
-	return ha
-}
-
-// ScaleTrace multiplies two traces pointwise.
-func ScaleTrace(a, b Trace) Trace {
-	return scaleTrace{a: a, b: b}
-}
-
 func clamp01(x float64) float64 {
 	if x < 0 {
 		return 0

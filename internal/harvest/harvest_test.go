@@ -190,13 +190,6 @@ func TestSourceStringers(t *testing.T) {
 	}
 }
 
-func TestScaleTrace(t *testing.T) {
-	tr := ScaleTrace(ConstantTrace(0.5), ConstantTrace(0.5))
-	if got := tr.Level(0); got != 0.25 {
-		t.Fatalf("ScaleTrace = %g, want 0.25", got)
-	}
-}
-
 func TestRFHarvesterVoltage(t *testing.T) {
 	r := RFHarvester{TransmitPower: 3, Distance: 2, Efficiency: 0.5, V: 1.2}
 	if got := r.VoltageAt(0); got != 1.2 {

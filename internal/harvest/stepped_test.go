@@ -84,11 +84,9 @@ func TestNextChangeBlackout(t *testing.T) {
 	}
 }
 
+// TestNextChangeScaleAndLimiter: a limiter caps power, not time, so its
+// horizon is its source's.
 func TestNextChangeScaleAndLimiter(t *testing.T) {
-	tr := ScaleTrace(PWMTrace(0.5, 2), ConstantTrace(0.8))
-	if h := NextChange(tr, 0.25); math.Abs(float64(h)-0.75) > 1e-9 {
-		t.Errorf("scale horizon = %v, want 0.75", h)
-	}
 	lim := Limiter{Source: SolarPanel{PeakPower: units.MilliWatt,
 		OpenCircuitVoltage: 1.5, Light: PWMTrace(0.5, 2)}, Max: 5.5}
 	if h := NextChange(lim, 0.25); math.Abs(float64(h)-0.75) > 1e-9 {
@@ -105,7 +103,6 @@ func TestNextChangeIsSound(t *testing.T) {
 		PWMTrace(0.9, 7.3),
 		DiurnalTrace(3600),
 		BlackoutTrace(PWMTrace(0.5, 2), [2]units.Seconds{3, 4}, [2]units.Seconds{20, 1}),
-		ScaleTrace(PWMTrace(0.5, 2), DiurnalTrace(100)),
 	}
 	f := func(which uint8, tRaw uint32, fRaw uint16) bool {
 		tr := traces[int(which)%len(traces)]

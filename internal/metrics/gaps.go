@@ -119,15 +119,6 @@ func (h *Histogram) Add(v units.Seconds) {
 	h.Counts[i]++
 }
 
-// Total returns the number of values binned.
-func (h *Histogram) Total() int {
-	n := 0
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
 // BinLabel renders bin i's range for tables.
 func (h *Histogram) BinLabel(i int) string {
 	switch {

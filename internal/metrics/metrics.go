@@ -25,6 +25,7 @@ const (
 	// gesture (GRC-specific).
 	ProximityOnly Outcome = "proximity-only"
 	// Missed: the device never observed the event (off or charging).
+	// api: names the outcome Accuracy.Missed counts; rank orders it last.
 	Missed Outcome = "missed"
 )
 
@@ -107,17 +108,6 @@ func rank(o Outcome) int {
 func (r *Recorder) Samples() []units.Seconds {
 	out := make([]units.Seconds, len(r.samples))
 	copy(out, r.samples)
-	return out
-}
-
-// Reports returns the recorded per-event dispositions sorted by index.
-func (r *Recorder) Reports() []Report {
-	out := make([]Report, 0, len(r.reports))
-	// order-independent: collects the reports, sorted below.
-	for _, rep := range r.reports {
-		out = append(out, rep)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].EventIndex < out[j].EventIndex })
 	return out
 }
 

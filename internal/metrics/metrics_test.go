@@ -13,12 +13,11 @@ func TestRecorderDeduplicatesReports(t *testing.T) {
 	r.RecordReport(Report{EventIndex: 1, EventAt: 10, ReportedAt: 12, Outcome: Correct})
 	// A retransmission of the same event must not create a second row.
 	r.RecordReport(Report{EventIndex: 1, EventAt: 10, ReportedAt: 30, Outcome: Correct})
-	reps := r.Reports()
-	if len(reps) != 1 {
-		t.Fatalf("reports = %d, want 1", len(reps))
+	if got := r.ComputeAccuracy(1); got.Correct != 1 {
+		t.Fatalf("accuracy %+v, want one correct report", got)
 	}
-	if reps[0].ReportedAt != 12 {
-		t.Fatalf("first report must win: %v", reps[0].ReportedAt)
+	if lat := r.Latencies(); len(lat) != 1 || lat[0] != 2 {
+		t.Fatalf("latencies %v: the first report must win, with latency 2", lat)
 	}
 }
 
@@ -26,14 +25,13 @@ func TestRecorderUpgradesOutcome(t *testing.T) {
 	var r Recorder
 	r.RecordReport(Report{EventIndex: 2, Outcome: ProximityOnly})
 	r.RecordReport(Report{EventIndex: 2, Outcome: Correct, ReportedAt: 5})
-	reps := r.Reports()
-	if len(reps) != 1 || reps[0].Outcome != Correct {
-		t.Fatalf("outcome not upgraded: %+v", reps)
+	if got := r.ComputeAccuracy(1); got.Correct != 1 || got.ProximityOnly != 0 {
+		t.Fatalf("outcome not upgraded: %+v", got)
 	}
 	// A downgrade must be ignored.
 	r.RecordReport(Report{EventIndex: 2, Outcome: Misclassified})
-	if got := r.Reports()[0].Outcome; got != Correct {
-		t.Fatalf("outcome downgraded to %v", got)
+	if got := r.ComputeAccuracy(1); got.Correct != 1 || got.Misclassified != 0 {
+		t.Fatalf("outcome downgraded: %+v", got)
 	}
 }
 
@@ -152,9 +150,6 @@ func TestHistogram(t *testing.T) {
 	want := []int{2, 1, 1, 2}
 	if !reflect.DeepEqual(h.Counts, want) {
 		t.Fatalf("counts = %v, want %v", h.Counts, want)
-	}
-	if h.Total() != 6 {
-		t.Fatalf("total = %d", h.Total())
 	}
 	labels := []string{h.BinLabel(0), h.BinLabel(1), h.BinLabel(3)}
 	for _, l := range labels {

@@ -508,12 +508,6 @@ func (a *Array) States() []BankState {
 	return out
 }
 
-// Area returns the reconfiguration hardware's board area: one switch
-// module per switched bank.
-func (a *Array) Area() units.Area {
-	return SwitchArea * units.Area(len(a.switches))
-}
-
 func (a *Array) String() string {
 	var parts []string
 	for _, st := range a.States() {

@@ -316,9 +316,6 @@ func TestStatesAndStringer(t *testing.T) {
 	if a.String() == "" {
 		t.Fatal("empty stringer")
 	}
-	if got := a.Area(); got != 160 {
-		t.Fatalf("array area = %v, want 160 mm² (2 switches)", got)
-	}
 }
 
 func TestArraySwitchAccessor(t *testing.T) {

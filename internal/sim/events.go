@@ -111,14 +111,3 @@ func (l *EventLog) Events() []Event {
 	copy(out, l.events)
 	return out
 }
-
-// Count tallies entries of one kind.
-func (l *EventLog) Count(kind EventKind) int {
-	n := 0
-	for _, e := range l.events {
-		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
-}

@@ -25,6 +25,7 @@ type Phase int
 
 const (
 	// PhaseOff: no useful input power and no execution.
+	// api: the zero Phase; deleting it would renumber the others.
 	PhaseOff Phase = iota
 	// PhaseCharging: accumulating energy, processor off.
 	PhaseCharging

@@ -149,10 +149,6 @@ func (b *Bank) reduceESR() units.Resistance {
 	return units.Resistance(1 / inv)
 }
 
-// LeakResistance returns the bank's effective leakage resistance, or 0
-// when leakage is negligible.
-func (b *Bank) LeakResistance() units.Resistance { return b.leakR }
-
 func (b *Bank) reduceLeakResistance() units.Resistance {
 	var inv float64
 	for _, g := range b.groups {
@@ -213,13 +209,6 @@ func (b *Bank) SetVoltage(v units.Voltage) {
 // Energy returns the total energy stored at the present voltage.
 func (b *Bank) Energy() units.Energy {
 	return units.StoredEnergy(b.Capacitance(), b.voltage)
-}
-
-// EnergyAbove returns the energy stored above voltage floor vMin, i.e.
-// what an output booster that cuts off at vMin could extract ignoring
-// ESR losses.
-func (b *Bank) EnergyAbove(vMin units.Voltage) units.Energy {
-	return units.BandEnergy(b.Capacitance(), b.voltage, vMin)
 }
 
 // Charge adds energy at constant power p for dt and returns the new

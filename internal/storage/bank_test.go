@@ -194,25 +194,12 @@ func TestLeakMemoKeepsRecurringSpans(t *testing.T) {
 	}
 }
 
-func TestBankEnergyAbove(t *testing.T) {
-	b := MustBank("b", GroupOf(EDLC, 1))
-	b.SetVoltage(2.4)
-	full := b.Energy()
-	above := b.EnergyAbove(1.6)
-	if above >= full || above <= 0 {
-		t.Fatalf("EnergyAbove(1.6 V) = %v, full = %v; want 0 < above < full", above, full)
-	}
-	if got := b.EnergyAbove(2.4); got != 0 {
-		t.Fatalf("EnergyAbove(V) = %v, want 0", got)
-	}
-}
-
 func TestTechnologyDensityOrdering(t *testing.T) {
 	// The paper's Fig. 4 observation: supercap density far exceeds
-	// ceramic density; tantalum sits between.
-	cer := CeramicX5R.Density()
-	tan := Tantalum.Density()
-	sc := SupercapCPH3225A.Density()
+	// ceramic density; tantalum sits between. Density is capacitance
+	// per unit volume, in F/mm³.
+	density := func(t Technology) float64 { return float64(t.UnitCap) / float64(t.UnitVolume) }
+	cer, tan, sc := density(CeramicX5R), density(Tantalum), density(SupercapCPH3225A)
 	if !(sc > tan && tan > cer) {
 		t.Fatalf("density ordering violated: ceramic=%g tantalum=%g supercap=%g", cer, tan, sc)
 	}
@@ -325,11 +312,8 @@ func TestBankGroupsAndVolume(t *testing.T) {
 
 func TestTechnologyStringers(t *testing.T) {
 	for _, tech := range Catalog() {
-		if tech.String() == "" || tech.Density() <= 0 {
-			t.Errorf("technology %s stringer or density broken", tech.Name)
+		if tech.String() == "" || tech.UnitCap <= 0 || tech.UnitVolume <= 0 {
+			t.Errorf("technology %s stringer, capacitance or volume broken", tech.Name)
 		}
-	}
-	if (Technology{}).Density() != 0 {
-		t.Error("zero-volume density should be 0")
 	}
 }

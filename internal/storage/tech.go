@@ -77,14 +77,6 @@ func (t Technology) AtTemperature(celsius float64) (Technology, error) {
 	return out, nil
 }
 
-// Density returns the volumetric capacitance density in F/mm³.
-func (t Technology) Density() float64 {
-	if t.UnitVolume <= 0 {
-		return 0
-	}
-	return float64(t.UnitCap) / float64(t.UnitVolume)
-}
-
 func (t Technology) String() string {
 	return fmt.Sprintf("%s (%v / %v, ESR %v)", t.Name, t.UnitCap, t.UnitVolume, t.UnitESR)
 }

@@ -11,7 +11,6 @@ package units
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Voltage is an electric potential in volts.
@@ -49,17 +48,22 @@ const (
 	MicroFarad Capacitance = 1e-6
 	MilliFarad Capacitance = 1e-3
 
+	// api: a unit magnitude, kept beside the ones in use.
 	MilliVolt Voltage = 1e-3
 
+	// api: a unit magnitude, kept beside the ones in use.
 	MicroAmp Current = 1e-6
+	// api: a unit magnitude, kept beside the ones in use.
 	MilliAmp Current = 1e-3
 
+	// api: a unit magnitude, kept beside the ones in use.
 	MicroJoule Energy = 1e-6
 	MilliJoule Energy = 1e-3
 
 	MicroWatt Power = 1e-6
 	MilliWatt Power = 1e-3
 
+	// api: a unit magnitude, kept beside the ones in use.
 	KiloOhm Resistance = 1e3
 
 	Millisecond Seconds = 1e-3
@@ -243,19 +247,3 @@ func eng(x float64, unit string) string {
 	}
 	return fmt.Sprintf("%.3g %s", x, unit)
 }
-
-// Duration converts a simulated span to a time.Duration for interop
-// with standard-library APIs. Spans beyond the Duration range saturate.
-func (s Seconds) Duration() time.Duration {
-	sec := float64(s)
-	if sec > math.MaxInt64/1e9 {
-		return time.Duration(math.MaxInt64)
-	}
-	if sec < -math.MaxInt64/1e9 {
-		return time.Duration(math.MinInt64)
-	}
-	return time.Duration(sec * float64(time.Second))
-}
-
-// FromDuration converts a time.Duration to simulated seconds.
-func FromDuration(d time.Duration) Seconds { return Seconds(d.Seconds()) }

@@ -236,19 +236,3 @@ func TestAnalyticVsNumericalLeak(t *testing.T) {
 		t.Fatalf("numerical %v vs analytic %v diverged", v, analytic)
 	}
 }
-
-func TestDurationConversions(t *testing.T) {
-	if got := Seconds(1.5).Duration(); got != 1500*1e6 {
-		t.Fatalf("Duration = %v", got)
-	}
-	if got := FromDuration(250 * 1e6); got != 0.25 {
-		t.Fatalf("FromDuration = %v", got)
-	}
-	// Extreme spans saturate instead of overflowing.
-	if got := Seconds(1e300).Duration(); got <= 0 {
-		t.Fatalf("positive saturation = %v", got)
-	}
-	if got := Seconds(-1e300).Duration(); got >= 0 {
-		t.Fatalf("negative saturation = %v", got)
-	}
-}

@@ -1,7 +1,7 @@
 //go:build !race
 
-// The map-order guard is pure static analysis: it runs no simulation
-// code, so the race detector has nothing to check in it.
+// The source-tree guards are pure static analysis: they run no
+// simulation code, so the race detector has nothing to check in them.
 
 package capybara
 
@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -26,42 +27,22 @@ import (
 // randomized map iteration order.
 var orderMarker = regexp.MustCompile(`^//\s*order-independent:\s*\S`)
 
-// TestMapRangesMarked type-checks every non-test package under
-// internal/ and fails on each range over a map whose line above does
-// not carry "// order-independent: <reason>". Go randomizes map order
-// per iteration, so an unmarked loop is where a report can stop being a
+// TestMapRangesMarked fails on each range over a map in a non-test
+// package under internal/ whose line above does not carry
+// "// order-independent: <reason>". Go randomizes map order per
+// iteration, so an unmarked loop is where a report can stop being a
 // pure function of its spec: core.activeVTop and core.New each had such
 // a bug. Only the standard library and the source tree are read; no
 // network, no go list.
 func TestMapRangesMarked(t *testing.T) {
-	fset := token.NewFileSet()
-	imp := newTreeImporter(fset)
-	var dirs []string
-	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if d.Name() == "testdata" {
-			return filepath.SkipDir
-		}
-		dirs = append(dirs, filepath.ToSlash(path))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := loadSourceTree(t)
 	checked := 0
-	for _, dir := range dirs {
-		p, err := imp.load("capybara/" + dir)
-		var noGo *build.NoGoError
-		if errors.As(err, &noGo) {
+	for _, p := range tr.pkgs {
+		if !strings.HasPrefix(p.pkg.Path(), "capybara/internal/") {
 			continue
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
 		checked++
-		for _, pos := range unmarkedMapRanges(fset, p.files, p.info) {
+		for _, pos := range unmarkedMapRanges(tr.fset, p.files, p.info) {
 			t.Errorf("%s: range over a map without a %q comment on the line above", pos, "// order-independent: <reason>")
 		}
 	}
@@ -136,9 +117,71 @@ func unmarkedMapRanges(fset *token.FileSet, files []*ast.File, info *types.Info)
 	return out
 }
 
-// treeImporter type-checks capybara/... packages from their directories
-// in this tree and the standard library from GOROOT's sources.
+// sourceTree is every non-test package of the tree, type-checked once
+// for all the guards of this package.
+var sourceTree = sync.OnceValues(func() (*tree, error) { return loadTree(".") })
+
+func loadSourceTree(t *testing.T) *tree {
+	t.Helper()
+	tr, err := sourceTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// tree is the type-checked non-test packages under one root directory,
+// in walk order. The root directory is package capybara.
+type tree struct {
+	fset *token.FileSet
+	pkgs []*treePackage
+}
+
+// loadTree type-checks every directory under root that holds non-test
+// Go files, skipping testdata and directories whose names begin with
+// "." or "_", as the go tool does.
+func loadTree(root string) (*tree, error) {
+	fset := token.NewFileSet()
+	imp := &treeImporter{root: root, fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*treePackage{}}
+	tr := &tree{fset: fset}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		name := d.Name()
+		if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		importPath := "capybara"
+		if rel != "." {
+			importPath += "/" + filepath.ToSlash(rel)
+		}
+		p, err := imp.load(importPath)
+		var noGo *build.NoGoError
+		if errors.As(err, &noGo) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		tr.pkgs = append(tr.pkgs, p)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return tr, nil
+}
+
+// treeImporter type-checks capybara and capybara/... packages from
+// their directories under root and the standard library from GOROOT's
+// sources.
 type treeImporter struct {
+	root string
 	fset *token.FileSet
 	std  types.Importer
 	pkgs map[string]*treePackage
@@ -150,12 +193,8 @@ type treePackage struct {
 	info  *types.Info
 }
 
-func newTreeImporter(fset *token.FileSet) *treeImporter {
-	return &treeImporter{fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*treePackage{}}
-}
-
 func (im *treeImporter) Import(path string) (*types.Package, error) {
-	if !strings.HasPrefix(path, "capybara/") {
+	if path != "capybara" && !strings.HasPrefix(path, "capybara/") {
 		return im.std.Import(path)
 	}
 	p, err := im.load(path)
@@ -165,13 +204,13 @@ func (im *treeImporter) Import(path string) (*types.Package, error) {
 	return p.pkg, nil
 }
 
-// load parses and type-checks the non-test files of the capybara/...
+// load parses and type-checks the non-test files of the capybara
 // package at path, once.
 func (im *treeImporter) load(path string) (*treePackage, error) {
 	if p, ok := im.pkgs[path]; ok {
 		return p, nil
 	}
-	dir := filepath.FromSlash(strings.TrimPrefix(path, "capybara/"))
+	dir := filepath.Join(im.root, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, "capybara"), "/")))
 	bp, err := build.ImportDir(dir, 0)
 	if err != nil {
 		return nil, err
@@ -184,7 +223,8 @@ func (im *treeImporter) load(path string) (*treePackage, error) {
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
+	// Uses also records the selected name of every x.f selector.
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}}
 	pkg, err := (&types.Config{Importer: im}).Check(path, im.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", path, err)

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# fleet-shard-smoke: end-to-end check of the distributed fleet path
+# fleet-remote-smoke: end-to-end check of the distributed fleet path
 # with real processes. Starts a daemon that computes nothing itself
 # (-jobs 0) and two remote worker processes (-connect), submits a job,
 # kill -9s the daemon once the workers' first checkpoint is on disk,
@@ -27,7 +27,7 @@ cleanup() {
 trap cleanup EXIT
 
 fail() {
-    echo "fleet-shard-smoke: $1" >&2
+    echo "fleet-remote-smoke: $1" >&2
     for log in daemon1.log daemon2.log w1.log w2.log wait.log; do
         [[ -f "$TMP/$log" ]] && { echo "--- $log ---" >&2; cat "$TMP/$log" >&2; }
     done
@@ -46,14 +46,14 @@ wait_addr() {
     return 1
 }
 
-echo "fleet-shard-smoke: building capyfleet"
+echo "fleet-remote-smoke: building capyfleet"
 go build -o "$TMP/capyfleet" ./cmd/capyfleet
 
-echo "fleet-shard-smoke: single-process reference (-n $N -seed $SEED -scale $SCALE -chunk $CHUNK)"
+echo "fleet-remote-smoke: single-process reference (-n $N -seed $SEED -scale $SCALE -chunk $CHUNK)"
 "$TMP/capyfleet" -n "$N" -seed "$SEED" -scale "$SCALE" -chunk "$CHUNK" -jobs 2 \
     -o "$TMP/single.csv" 2>/dev/null
 
-echo "fleet-shard-smoke: daemon generation 1 (-jobs 0) + 2 workers"
+echo "fleet-remote-smoke: daemon generation 1 (-jobs 0) + 2 workers"
 "$TMP/capyfleet" -serve-http 127.0.0.1:0 -store "$STORE" -jobs 0 2>"$TMP/daemon1.log" &
 DAEMON_PID=$!
 disown "$DAEMON_PID" # keep bash's "Killed" job notice out of the output
@@ -67,7 +67,7 @@ W2_PID=$!
 JOB=$("$TMP/capyfleet" -http "$URL" -submit \
     -n "$N" -seed "$SEED" -scale "$SCALE" -chunk "$CHUNK" 2>>"$TMP/daemon1.log") \
     || fail "submit failed"
-echo "fleet-shard-smoke: submitted $JOB"
+echo "fleet-remote-smoke: submitted $JOB"
 
 # Wait for the workers' first checkpoint, then SIGKILL the daemon
 # mid-run.
@@ -81,12 +81,12 @@ done
 kill -9 "$DAEMON_PID"
 while kill -0 "$DAEMON_PID" 2>/dev/null; do sleep 0.05; done
 DAEMON_PID=
-echo "fleet-shard-smoke: $COUNT chunks checkpointed — killed the daemon with -9"
+echo "fleet-remote-smoke: $COUNT chunks checkpointed — killed the daemon with -9"
 if grep -q "\"id\":\"$JOB\".*\"state\":\"done\"" "$STORE/jobs/journal.log"; then
     fail "the job finished before the kill; the smoke needs a larger job (N, SCALE)"
 fi
 
-echo "fleet-shard-smoke: daemon generation 2 (same store and address)"
+echo "fleet-remote-smoke: daemon generation 2 (same store and address)"
 "$TMP/capyfleet" -serve-http "$ADDR" -store "$STORE" -jobs 0 2>"$TMP/daemon2.log" &
 DAEMON_PID=$!
 disown "$DAEMON_PID"
@@ -116,4 +116,4 @@ kill "$DAEMON_PID" 2>/dev/null || true
 while kill -0 "$DAEMON_PID" 2>/dev/null; do sleep 0.05; done
 DAEMON_PID=
 
-echo "fleet-shard-smoke: OK — report byte-identical from 2 remote workers across a daemon kill -9, $LOADED chunks resumed from their checkpoints"
+echo "fleet-remote-smoke: OK — report byte-identical from 2 remote workers across a daemon kill -9, $LOADED chunks resumed from their checkpoints"
